@@ -132,6 +132,69 @@ isDualRowOp(CcOpcode op)
     return false;
 }
 
+/** Energy class of one in-place activation of @p op. */
+energy::CacheOp
+costOp(CcOpcode op)
+{
+    switch (op) {
+      case CcOpcode::Copy: return energy::CacheOp::Copy;
+      case CcOpcode::Buz: return energy::CacheOp::Buz;
+      case CcOpcode::Cmp:
+      case CcOpcode::Search: return energy::CacheOp::Cmp;
+      case CcOpcode::Not: return energy::CacheOp::Not;
+      case CcOpcode::Clmul: return energy::CacheOp::Clmul;
+      case CcOpcode::And:
+      case CcOpcode::Or:
+      case CcOpcode::Xor:
+      // Every bit-serial step is a dual-row logic activation.
+      case CcOpcode::Add:
+      case CcOpcode::Sub:
+      case CcOpcode::Mul:
+      case CcOpcode::Lt:
+      case CcOpcode::Gt:
+      case CcOpcode::Eq: return energy::CacheOp::Logic;
+    }
+    return energy::cacheOpFor(sram::BitlineOp::Read);
+}
+
+/** The functional kernel of one CC-RW block op: result rows @p d from
+ *  the source rows @p a / @p b. */
+void
+computeRows(const CcInstruction &instr, const std::vector<Block> &a,
+            const std::vector<Block> &b, std::vector<Block> &d)
+{
+    if (isBitSerial(instr.op)) {
+        // One 64-byte block per slice row, and vector<Block> is
+        // contiguous: the stacks' slice stride is kBlockSize.
+        BitSerialCompute::apply(instr, d[0].data(), a[0].data(),
+                                b[0].data(), kBlockSize);
+    } else {
+        d[0] = BlockCompute::apply(instr.op, a[0], b[0],
+                                   instr.clmulWordBits);
+    }
+}
+
+/** Merge block op @p index's clmul parities (word 0 of @p parities)
+ *  into its slot of the packed destination block @p dst; returns the
+ *  slot's bit offset. */
+std::size_t
+packParities(Block &dst, const Block &parities, const CcInstruction &instr,
+             std::size_t index)
+{
+    std::size_t bits_per_op = instr.clmulBitsPerBlock();
+    std::size_t ops_per_dest = (8 * kBlockSize) / bits_per_op;
+    std::size_t bit_off = (index % ops_per_dest) * bits_per_op;
+    std::size_t word = bit_off / 64;
+    std::size_t shift = bit_off % 64;
+    std::uint64_t mask = bits_per_op == 64
+        ? ~std::uint64_t{0}
+        : ((std::uint64_t{1} << bits_per_op) - 1) << shift;
+    std::uint64_t w = blockWord(dst, word);
+    w = (w & ~mask) | ((blockWord(parities, 0) << shift) & mask);
+    setBlockWord(dst, word, w);
+    return bit_off;
+}
+
 } // namespace
 
 CcController::CcController(cache::Hierarchy &hier,
@@ -208,22 +271,8 @@ CcController::execute(CoreId core, const CcInstruction &instr)
         // The controller wrote the cache arrays directly, below the
         // hierarchy's transaction hooks: audit every operand block now
         // that the instruction (and any fault-ladder recovery) retired.
-        for (Addr base : {instr.src1, instr.src2, instr.dest}) {
-            if (!base)
-                continue;
-            std::size_t slices =
-                isBitSerial(instr.op) ? instr.sliceCount(base) : 1;
-            for (std::size_t k = 0; k < slices; ++k) {
-                Addr slice = isBitSerial(instr.op)
-                    ? CcInstruction::sliceAddr(base, k)
-                    : base;
-                Addr first = alignDown(slice, kBlockSize);
-                Addr last =
-                    alignDown(slice + instr.size - 1, kBlockSize);
-                for (Addr blk = first; blk <= last; blk += kBlockSize)
-                    checker_->onTransaction(blk);
-            }
-        }
+        OpPlan(instr).forEachRow(
+            [&](Addr blk, bool) { checker_->onTransaction(blk); });
     }
 
     if (stats_) {
@@ -264,11 +313,8 @@ CcController::executeInstr(CoreId core, const CcInstruction &instr)
         scrubTick();
     }
 
-    if (isBitSerial(instr.op))
-        return executeBitSerial(core, instr);
-
     if (!instr.spansPage())
-        return executeOnce(core, instr);
+        return executeBlockOps(core, instr);
 
     // Section IV-D: page-spanning operands raise a pipeline exception and
     // the handler splits the instruction per page.
@@ -278,7 +324,7 @@ CcController::executeInstr(CoreId core, const CcInstruction &instr)
     total.latency = params_.pageSplitPenalty;
     std::size_t result_bits = 0;
     for (const CcInstruction &piece : instr.splitAtPageBoundaries()) {
-        CcExecResult r = executeOnce(core, piece);
+        CcExecResult r = executeBlockOps(core, piece);
         total.latency += r.latency;
         total.fetchLatency += r.fetchLatency;
         total.computeLatency += r.computeLatency;
@@ -368,23 +414,83 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
     return std::nullopt;
 }
 
+CcController::OpPlan::OpPlan(const CcInstruction &instr)
+    : src1(instr.src1), src2(instr.src2), dest(instr.dest)
+{
+    if (isBitSerial(instr.op)) {
+        // A lane group: one 64-byte block per slice row, sequenced
+        // through the carry latch.
+        steps = instr.size / kBlockSize;
+        srcRows = instr.laneBits;
+        dstRows = instr.sliceCount(instr.dest);
+        bitlineSteps = BitSerialCompute::steps(instr.op, srcRows);
+        holdsPartition = true;
+        // Near-place: 2W slice reads stream through the word-serial
+        // logic unit.
+        nearPlaceCycles = 2 * srcRows;
+        // RISC: every slice moves through a register, plus the
+        // shift/mask ALU work of the software recurrences.
+        riscBlocks = 2 * srcRows + dstRows;
+        riscInstrs = (riscBlocks + bitlineSteps) * kWordsPerBlock;
+        riscCycles = bitlineSteps;
+        return;
+    }
+    // A Table II op: one row per operand per 64-byte block. The search
+    // key and a replicated clmul source are one block every op reads; a
+    // replicated clmul packs its parities densely into dest.
+    steps = divCeil(instr.size, kBlockSize);
+    sharedSrc2 = instr.op == CcOpcode::Search || instr.src2Replicated;
+    dstRows = instr.dest && !instr.src2Replicated ? 1 : 0;
+    destOverwritten = instr.op != CcOpcode::Clmul || instr.src2Replicated;
+    if (instr.src2Replicated) {
+        opsPerDestBlock = (8 * kBlockSize) / instr.clmulBitsPerBlock();
+        packedDestBlocks = divCeil(steps, opsPerDestBlock);
+    }
+    // RISC: word-granular loads, ALU op and store per word; the ALU ops
+    // overlap the misses.
+    riscInstrs = 3 * kWordsPerBlock;
+    riscCycles = kWordsPerBlock;
+}
+
+CcController::BlockOp
+CcController::OpPlan::step(std::size_t i) const
+{
+    BlockOp op;
+    op.index = i;
+    Addr off = i * kBlockSize;
+    op.src1 = src1 ? src1 + off : 0;
+    op.src2 = sharedSrc2 ? src2 : (src2 ? src2 + off : 0);
+    if (opsPerDestBlock)
+        op.dest = dest + (i / opsPerDestBlock) * kBlockSize;
+    else
+        op.dest = dest ? dest + off : 0;
+    return op;
+}
+
 CcController::BlockOpOutcome
 CcController::performBlockOp(CoreId core, const CcInstruction &instr,
-                             const BlockOp &op, CacheLevel level)
+                             const OpPlan &plan, BlockOp &op,
+                             CacheLevel level)
 {
     BlockOpOutcome out;
 
-    auto read_block = [&](Addr a) -> Block {
-        Cache &c = hier_.cacheAt(level, core, a);
-        if (const Block *p = c.peek(a))
-            return *p;
+    // An unused operand (address 0) reads as zeros.
+    auto read_block = [&](Addr addr, Block &dst) {
+        if (!addr) {
+            dst = Block{};
+            return;
+        }
+        Cache &c = hier_.cacheAt(level, core, addr);
+        if (const Block *p = c.peek(addr)) {
+            dst = *p;
+            return;
+        }
         // A staged operand can be lost to an unexpected invalidation;
         // re-fetch it instead of aborting the simulation.
         if (stats_)
             operandRefetchesStat_->inc();
-        Block blk{};
-        out.extraLatency += hier_.read(core, a, &blk, level).latency;
-        return blk;
+        dst = Block{};
+        out.extraLatency += hier_.read(core, addr, &dst, level).latency;
     };
 
     auto write_block = [&](Addr a, const Block &data) {
@@ -398,112 +504,140 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         out.extraLatency += hier_.write(core, a, &data, level).latency;
     };
 
+    // Source row k of both operands as stored; every rung that starts
+    // over from the true data re-reads through here.
+    std::vector<Block> &a = scratchA_;
+    std::vector<Block> &b = scratchB_;
+    auto read_row = [&](std::size_t k) {
+        read_block(OpPlan::row(op.src1, k), a[k]);
+        read_block(OpPlan::row(op.src2, k), b[k]);
+    };
+    for (std::size_t k = 0; k < plan.srcRows; ++k)
+        read_row(k);
+
+    const bool bit_serial = isBitSerial(instr.op);
+    const bool packed = plan.opsPerDestBlock != 0;
+    // A Table II near-place op senses through the near-place unit's own
+    // single-row reads: a retry costs that unit's latency, and a
+    // persistent failure has no lower unit to degrade to.
+    const bool unit_reads = !bit_serial && !packed && !op.inPlace;
+    const energy::CacheOp cost_op = costOp(instr.op);
+
     // Final rung of the degradation ladder: the operands' cells are
     // unusable (multi-bit defect or persistent margin loss) -- discard
     // the cached copies, refill clean data from memory into fresh
-    // cells, and run this block's op on the scalar core.
+    // cells, and run this op on the scalar core.
     auto risc_recover = [&]() {
         out.riscRecovered = true;
         if (stats_)
             faultRiscRecoveriesStat_->inc();
         traceFault("fault.risc_recovery", op.src1, level);
-        for (Addr addr : {op.src1, op.src2}) {
-            if (!addr)
-                continue;
-            faults_.clearLatent(addr);
-            faults_.remap(addr);
-            if (energy_)
-                energy_->chargeDram(1);
+        for (std::size_t k = 0; k < plan.srcRows; ++k) {
+            for (Addr addr :
+                 {OpPlan::row(op.src1, k), OpPlan::row(op.src2, k)}) {
+                if (!addr)
+                    continue;
+                faults_.clearLatent(addr);
+                faults_.remap(addr);
+                if (energy_ && !bit_serial)
+                    energy_->chargeDram(1);
+            }
+            read_row(k);
         }
         out.extraLatency += params_.faultRefillLatency;
-        if (energy_)
-            energy_->chargeInstructions(3 * kWordsPerBlock);
+        if (energy_) {
+            // A lane group refills its slice stacks as one burst.
+            if (bit_serial)
+                energy_->chargeDram(2 * plan.srcRows);
+            energy_->chargeInstructions(plan.riscInstrs);
+        }
     };
 
-    Block a{};
-    Block b{};
-    if (op.src1)
-        a = read_block(op.src1);
-    if (op.src2)
-        b = read_block(op.src2);
-
-    // Rung 2: re-sense through the near-place path (single rows at
-    // full margin, so margin failures cannot recur), with one more ECC
-    // check round; an error that still persists is a cell defect and
-    // falls through to the final rung. Returns the effective operands.
-    auto degrade_sense = [&]() -> std::pair<Block, Block> {
+    // Rung 2: re-sense through the near-place path (single rows at full
+    // margin, so margin failures cannot recur) with one more ECC check
+    // round; an error that still persists is a cell defect and falls
+    // through to the final rung.
+    auto degrade = [&]() {
         out.degradedNearPlace = true;
         if (stats_)
             faultDegradedNearPlaceStat_->inc();
         traceFault("fault.degrade_near_place", op.src1, level);
         out.extraLatency += params_.nearPlace.latency(level);
+        // The carry latch cannot resume mid-sequence: the whole lane
+        // group moves to the near-place unit.
+        if (plan.holdsPartition)
+            op.inPlace = false;
         std::uint64_t sid = fault::subarrayId(level, op.cacheIndex,
                                               op.partition);
-        Block sa = a;
-        Block sb = b;
         bool ok = true;
-        if (op.src1)
-            ok = checkOperand(&sa, a, op.src1, sid, level, &out);
-        if (ok && op.src2)
-            ok = checkOperand(&sb, b, op.src2, sid, level, &out);
-        if (ok)
-            return {sa, sb};
-        risc_recover();
-        return {a, b};  // clean data after the refill
+        for (std::size_t k = 0; k < plan.srcRows && ok; ++k) {
+            read_row(k);
+            const Block ta = a[k];
+            const Block tb = b[k];
+            Addr s1 = OpPlan::row(op.src1, k);
+            Addr s2 = OpPlan::row(op.src2, k);
+            ok = (!s1 || checkOperand(&a[k], ta, s1, sid, level, &out)) &&
+                (!s2 || checkOperand(&b[k], tb, s2, sid, level, &out));
+        }
+        if (!ok)
+            risc_recover();
     };
 
-    bool dual_row = isDualRowOp(instr.op);
-    energy::CacheOp cost_op = energy::cacheOpFor(sram::BitlineOp::Read);
-    switch (instr.op) {
-      case CcOpcode::Copy: cost_op = energy::CacheOp::Copy; break;
-      case CcOpcode::Buz: cost_op = energy::CacheOp::Buz; break;
-      case CcOpcode::Cmp: cost_op = energy::CacheOp::Cmp; break;
-      case CcOpcode::Search: cost_op = energy::CacheOp::Cmp; break;
-      case CcOpcode::And:
-      case CcOpcode::Or:
-      case CcOpcode::Xor: cost_op = energy::CacheOp::Logic; break;
-      case CcOpcode::Not: cost_op = energy::CacheOp::Not; break;
-      case CcOpcode::Clmul: cost_op = energy::CacheOp::Clmul; break;
-      // Bit-serial instructions never reach the block-op path (they
-      // dispatch to executeBitSerial), but the classification keeps
-      // this switch exhaustive.
-      case CcOpcode::Add:
-      case CcOpcode::Sub:
-      case CcOpcode::Mul:
-      case CcOpcode::Lt:
-      case CcOpcode::Gt:
-      case CcOpcode::Eq: cost_op = energy::CacheOp::Logic; break;
-    }
-
-    if (instr.src2Replicated) {
-        // Replicated clmul: the XOR tree's parities stream into the
-        // controller's result register and land packed in dest.
+    if (!bit_serial && !unit_reads) {
+        // A Table II op charges its activation when it issues.
         if (energy_)
             energy_->chargeCacheOp(level, cost_op);
         if (stats_)
             (op.inPlace ? inPlaceOpsStat_ : nearPlaceOpsStat_)->inc();
+    }
 
-        if (faults_.enabled() &&
-            !senseOperands(op, level, dual_row && op.inPlace,
-                           params_.inPlaceLatency(level), cost_op,
-                           &a, &b, &out)) {
-            auto [sa, sb] = degrade_sense();
-            a = sa;
-            b = sb;
+    if (faults_.enabled()) {
+        const bool dual_row = isDualRowOp(instr.op) && op.inPlace;
+        const Cycles retry_latency = unit_reads
+            ? params_.nearPlace.latency(level)
+            : params_.inPlaceLatency(level);
+        const energy::CacheOp retry_op =
+            unit_reads ? energy::CacheOp::Read : cost_op;
+        // Row by row: the first row pair that exhausts its retries
+        // sends the whole op down the ladder.
+        bool sensed = true;
+        for (std::size_t k = 0; k < plan.srcRows && sensed; ++k)
+            sensed = senseOperands(op, k, level, dual_row, retry_latency,
+                                   retry_op, &a[k], &b[k], &out);
+        if (!sensed) {
+            if (unit_reads)
+                risc_recover();
+            else
+                degrade();
         }
+    }
 
-        std::size_t bits_per_op = instr.clmulBitsPerBlock();
-        std::size_t ops_per_dest = (8 * kBlockSize) / bits_per_op;
-        std::size_t bit_off = (op.index % ops_per_dest) * bits_per_op;
+    // A Table II op off its bit-lines computes in the near-place unit,
+    // which charges its own reads, logic and write-back.
+    if (unit_reads || (!bit_serial && !packed && out.degradedNearPlace &&
+                       !out.riscRecovered)) {
+        NearPlaceResult res = nearPlace_.execute(instr.op, level, a[0],
+                                                 b[0], instr.clmulWordBits);
+        if (isCcR(instr.op))
+            out.mask = res.wordEqualMask;
+        else
+            write_block(op.dest, res.result);
+        return out;
+    }
 
-        Block parities = BlockCompute::clmulPack(a, b,
-                                                 instr.clmulWordBits);
-        std::uint64_t bits = blockWord(parities, 0);
+    if (isCcR(instr.op)) {
+        out.mask = BlockCompute::wordEqualMask(a[0], b[0]);
+        return out;
+    }
+    std::vector<Block> &d = scratchD_;
+    computeRows(instr, a, b, d);
 
+    if (packed) {
+        // Replicated clmul: the XOR tree's parities stream into the
+        // controller's result register and land packed in dest.
         Cache &dst_cache = hier_.cacheAt(level, core, op.dest);
-        const Block *cur = dst_cache.peek(op.dest);
         Block merged{};
-        if (cur) {
+        if (const Block *cur = dst_cache.peek(op.dest)) {
             merged = *cur;
         } else {
             // The packed destination was evicted mid-instruction;
@@ -513,103 +647,66 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             out.extraLatency +=
                 hier_.read(core, op.dest, &merged, level).latency;
         }
-        std::size_t word = bit_off / 64;
-        std::size_t shift = bit_off % 64;
-        std::uint64_t w = blockWord(merged, word);
-        std::uint64_t mask = bits_per_op == 64
-            ? ~std::uint64_t{0}
-            : ((std::uint64_t{1} << bits_per_op) - 1) << shift;
-        w = (w & ~mask) | ((bits << shift) & mask);
-        setBlockWord(merged, word, w);
+        std::size_t bit_off = packParities(merged, d[0], instr, op.index);
         dst_cache.poke(op.dest, merged);
         dst_cache.markDirty(op.dest);
-
         // One result-register drain (a block write) per filled dest.
-        if (energy_ && bit_off + bits_per_op == 8 * kBlockSize)
+        if (energy_ &&
+            bit_off + instr.clmulBitsPerBlock() == 8 * kBlockSize)
             energy_->chargeCacheOp(level, energy::CacheOp::Write);
         return out;
     }
 
-    if (op.inPlace) {
-        if (energy_)
-            energy_->chargeCacheOp(level, cost_op);
-        if (stats_)
-            inPlaceOpsStat_->inc();
+    for (std::size_t k = 0; k < plan.dstRows; ++k)
+        write_block(OpPlan::row(op.dest, k), d[k]);
 
-        if (faults_.enabled() &&
-            !senseOperands(op, level, dual_row,
-                           params_.inPlaceLatency(level), cost_op,
-                           &a, &b, &out)) {
-            // Rung 2: the near-place unit re-reads with single-row
-            // activations at full margin and computes in its own logic.
-            auto [sa, sb] = degrade_sense();
-            if (out.riscRecovered) {
-                // Final rung: compute on the (refilled) clean data.
-                if (isCcR(instr.op)) {
-                    out.mask = BlockCompute::wordEqualMask(sa, sb);
-                } else {
-                    write_block(op.dest,
-                                BlockCompute::apply(instr.op, sa, sb,
-                                                    instr.clmulWordBits));
-                }
-                return out;
-            }
-            NearPlaceResult res = nearPlace_.execute(
-                instr.op, level, sa, sb, instr.clmulWordBits);
-            if (isCcR(instr.op))
-                out.mask = res.wordEqualMask;
-            else
-                write_block(op.dest, res.result);
-            return out;
-        }
-
-        if (isCcR(instr.op)) {
-            out.mask = BlockCompute::wordEqualMask(a, b);
+    if (bit_serial) {
+        if (op.inPlace) {
+            if (energy_)
+                energy_->chargeCacheOp(level, cost_op, plan.bitlineSteps);
+            if (stats_)
+                inPlaceOpsStat_->inc();
         } else {
-            Block result = BlockCompute::apply(instr.op, a, b,
-                                               instr.clmulWordBits);
-            write_block(op.dest, result);
-            if (faults_.enabled()) {
-                // Section IV-I: an in-place op bypasses the normal ECC
-                // datapath, so the result's code is recomputed by the
-                // check unit before it can be written back.
-                out.extraLatency += params_.eccCheckLatency;
-                if (energy_)
-                    energy_->addCacheAccess(
-                        level, energy_->params().eccCheckPerBlock);
+            // Near-place: 2W slice reads cross the H-tree, the logic
+            // unit runs W word-serial recurrence steps, results write
+            // back (a recovered group paid the scalar core instead).
+            if (energy_ && !out.riscRecovered) {
+                for (std::size_t k = 0; k < 2 * plan.srcRows; ++k)
+                    energy_->chargeCacheOp(level, energy::CacheOp::Read);
+                energy_->chargeNearPlaceLogic(plan.srcRows);
+                for (std::size_t k = 0; k < plan.dstRows; ++k)
+                    energy_->chargeCacheOp(level, energy::CacheOp::Write);
             }
-            if (params_.verifyCircuit)
-                verifyAgainstCircuit(instr, a, b, result);
-        }
-    } else {
-        // Near-place reads use single-row full-margin senses; only cell
-        // defects and soft errors apply, and a persistent failure goes
-        // straight to the final rung (there is no lower unit to try).
-        if (faults_.enabled() &&
-            !senseOperands(op, level, false,
-                           params_.nearPlace.latency(level),
-                           energy::CacheOp::Read, &a, &b, &out)) {
-            risc_recover();
-        }
-        // Near-place: the unit charges reads/logic/writeback itself.
-        NearPlaceResult res = nearPlace_.execute(
-            instr.op, level, a, b, instr.clmulWordBits);
-        if (isCcR(instr.op)) {
-            out.mask = res.wordEqualMask;
-        } else {
-            write_block(op.dest, res.result);
+            if (stats_)
+                nearPlaceOpsStat_->inc();
         }
     }
 
+    if (op.inPlace && !out.degradedNearPlace) {
+        if (faults_.enabled()) {
+            // Section IV-I: an in-place result bypasses the normal ECC
+            // datapath, so the check unit recomputes each written row's
+            // code before it can be written back.
+            out.extraLatency += plan.dstRows * params_.eccCheckLatency;
+            if (energy_)
+                energy_->addCacheAccess(
+                    level, energy_->params().eccCheckPerBlock *
+                               static_cast<double>(plan.dstRows));
+        }
+        if (params_.verifyCircuit)
+            verifyAgainstCircuit(instr, plan, a, b, d);
+    }
     return out;
 }
 
 bool
-CcController::senseOperands(const BlockOp &op, CacheLevel level,
-                            bool dual_row, Cycles retry_latency,
-                            energy::CacheOp retry_op, Block *a, Block *b,
-                            BlockOpOutcome *out)
+CcController::senseOperands(const BlockOp &op, std::size_t row,
+                            CacheLevel level, bool dual_row,
+                            Cycles retry_latency, energy::CacheOp retry_op,
+                            Block *a, Block *b, BlockOpOutcome *out)
 {
+    const Addr src1 = OpPlan::row(op.src1, row);
+    const Addr src2 = OpPlan::row(op.src2, row);
     const Block ta = *a;
     const Block tb = *b;
     std::uint64_t sid = fault::subarrayId(level, op.cacheIndex,
@@ -626,24 +723,24 @@ CcController::senseOperands(const BlockOp &op, CacheLevel level,
             if (stats_)
                 faultRetriesStat_->inc();
             if (watchdog_)
-                watchdog_->noteRetry("sense", op.src1);
-            traceFault("fault.retry", op.src1, level);
+                watchdog_->noteRetry("sense", src1);
+            traceFault("fault.retry", src1, level);
         }
         if (dual_row && faults_.drawMarginFailure(sid)) {
             // The margin detector flagged this dual-row activation:
             // nothing sensed in this attempt can be trusted.
             if (stats_)
                 faultMarginFailuresStat_->inc();
-            traceFault("fault.margin_failure", op.src1, level);
+            traceFault("fault.margin_failure", src1, level);
             continue;
         }
         Block sa = ta;
         Block sb = tb;
         bool ok = true;
-        if (op.src1)
-            ok = checkOperand(&sa, ta, op.src1, sid, level, out);
-        if (ok && op.src2)
-            ok = checkOperand(&sb, tb, op.src2, sid, level, out);
+        if (src1)
+            ok = checkOperand(&sa, ta, src1, sid, level, out);
+        if (ok && src2)
+            ok = checkOperand(&sb, tb, src2, sid, level, out);
         if (!ok)
             continue;
         *a = sa;
@@ -754,621 +851,143 @@ CcController::scrubTick()
 
 void
 CcController::verifyAgainstCircuit(const CcInstruction &instr,
-                                   const Block &a, const Block &b,
-                                   const Block &result)
+                                   const OpPlan &plan,
+                                   const std::vector<Block> &a,
+                                   const std::vector<Block> &b,
+                                   const std::vector<Block> &d)
 {
-    sram::BlockLoc la{0, 0}, lb{0, 1}, ld{0, 2};
-    circuit_->write(la, a);
-    circuit_->write(lb, b);
-    Block circuit_result{};
+    // Disjoint row stacks inside the scratch sub-array; row capacity is
+    // checked at construction (rows = 128 >= 3 * kMaxBitSerialWidth).
+    const sram::BitSerialOperand oa{0, 0};
+    const sram::BitSerialOperand ob{0, kMaxBitSerialWidth};
+    const sram::BitSerialOperand od{0, 2 * kMaxBitSerialWidth};
+    const sram::BlockLoc la{0, oa.row0}, lb{0, ob.row0}, ld{0, od.row0};
+    const std::size_t width = plan.srcRows;
+    for (std::size_t k = 0; k < width; ++k) {
+        circuit_->write({0, oa.row0 + k}, a[k]);
+        circuit_->write({0, ob.row0 + k}, b[k]);
+    }
+    // Clmul parities and compare predicates leave the array through the
+    // XOR tree and the compare latches; every other result is read back
+    // from its dest rows.
+    std::optional<Block> latched;
     switch (instr.op) {
       case CcOpcode::Copy:
         circuit_->opCopy(la, ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::Buz:
         circuit_->opBuz(ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::Not:
         circuit_->opNot(la, ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::And:
         circuit_->opAnd(la, lb, ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::Or:
         circuit_->opOr(la, lb, ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::Xor:
         circuit_->opXor(la, lb, ld);
-        circuit_result = circuit_->read(ld);
         break;
       case CcOpcode::Clmul: {
         auto clres = circuit_->opClmul(la, lb, instr.clmulWordBits);
         std::uint64_t packed = 0;
         for (std::size_t i = 0; i < clres.parities.size(); ++i)
             packed |= static_cast<std::uint64_t>(clres.parities[i]) << i;
-        setBlockWord(circuit_result, 0, packed);
+        latched.emplace();
+        setBlockWord(*latched, 0, packed);
         break;
       }
-      case CcOpcode::Cmp:
-      case CcOpcode::Search:
-        return;  // mask ops verified separately at the sub-array tests
       case CcOpcode::Add:
+        circuit_->opBitSerialAdd(oa, ob, od, width);
+        break;
       case CcOpcode::Sub:
+        circuit_->opBitSerialSub(oa, ob, od, width);
+        break;
       case CcOpcode::Mul:
+        circuit_->opBitSerialMul(oa, ob, od, width);
+        break;
       case CcOpcode::Lt:
       case CcOpcode::Gt:
-      case CcOpcode::Eq:
-        return;  // slice stacks go through verifyBitSerialCircuit
-    }
-    CC_ASSERT(circuit_result == result,
-              "circuit/functional divergence for ", toString(instr.op));
-    if (stats_)
-        circuitVerificationsStat_->inc();
-}
-
-CcExecResult
-CcController::riscFallback(CoreId core, const CcInstruction &instr)
-{
-    if (isBitSerial(instr.op))
-        return riscBitSerial(core, instr);
-
-    // Section IV-E: after repeated lock failures the core translates the
-    // CC operation into RISC operations.
-    CcExecResult res;
-    res.riscFallback = true;
-    res.level = CacheLevel::L1;
-    if (stats_)
-        riscFallbacksStat_->inc();
-
-    std::size_t blocks = divCeil(instr.size, kBlockSize);
-    for (std::size_t i = 0; i < blocks; ++i) {
-        Addr off = i * kBlockSize;
-        Block a{};
-        Block b{};
-        if (instr.src1)
-            res.latency += hier_.read(core, instr.src1 + off, &a).latency;
-        if (instr.src2 && instr.op != CcOpcode::Search)
-            res.latency += hier_.read(core, instr.src2 + off, &b).latency;
-        if (instr.op == CcOpcode::Search)
-            res.latency += hier_.read(core, instr.src2, &b).latency;
-
-        if (isCcR(instr.op)) {
-            std::uint64_t mask = BlockCompute::wordEqualMask(a, b);
-            res.result |= mask << (i * kWordsPerBlock);
-        } else {
-            Block out = BlockCompute::apply(instr.op, a, b,
-                                            instr.clmulWordBits);
-            res.latency +=
-                hier_.write(core, instr.dest + off, &out).latency;
-        }
-        // Word-granular loads/stores/ALU ops on the scalar core.
-        if (energy_)
-            energy_->chargeInstructions(3 * kWordsPerBlock);
-        res.latency += kWordsPerBlock;  // ALU ops overlap the misses
-    }
-    res.blockOps = blocks;
-    return res;
-}
-
-CcExecResult
-CcController::riscBitSerial(CoreId core, const CcInstruction &instr)
-{
-    CcExecResult res;
-    res.riscFallback = true;
-    res.level = CacheLevel::L1;
-    if (stats_)
-        riscFallbacksStat_->inc();
-
-    const std::size_t width = instr.laneBits;
-    const std::size_t groups = instr.size / kBlockSize;
-    const std::size_t dst_slices = instr.sliceCount(instr.dest);
-    const std::size_t steps = BitSerialCompute::steps(instr.op, width);
-
-    std::vector<Block> &a = scratchSliceA_;
-    std::vector<Block> &b = scratchSliceB_;
-    std::vector<Block> &d = scratchSliceD_;
-    for (std::size_t g = 0; g < groups; ++g) {
-        Addr off = g * kBlockSize;
-        a.assign(width, Block{});
-        b.assign(width, Block{});
-        d.assign(dst_slices, Block{});
-        for (std::size_t k = 0; k < width; ++k) {
-            res.latency += hier_.read(
-                core, CcInstruction::sliceAddr(instr.src1, k) + off,
-                &a[k]).latency;
-            res.latency += hier_.read(
-                core, CcInstruction::sliceAddr(instr.src2, k) + off,
-                &b[k]).latency;
-        }
-        // One 64-byte block per slice: the group's slice stride is
-        // kBlockSize in the scratch buffers (vector<Block> is
-        // contiguous).
-        BitSerialCompute::apply(instr, d[0].data(), a[0].data(),
-                                b[0].data(), kBlockSize);
-        for (std::size_t k = 0; k < dst_slices; ++k) {
-            res.latency += hier_.write(
-                core, CcInstruction::sliceAddr(instr.dest, k) + off,
-                &d[k]).latency;
-        }
-        // Word-granular loads/stores plus the shift/mask ALU work of
-        // the software bit-serial recurrences on the scalar core.
-        if (energy_)
-            energy_->chargeInstructions(
-                (2 * width + dst_slices + steps) * kWordsPerBlock);
-        res.latency += steps;  // ALU recurrences overlap the misses
-    }
-    res.blockOps = groups * (2 * width + dst_slices);
-    return res;
-}
-
-void
-CcController::verifyBitSerialCircuit(const CcInstruction &instr,
-                                     const std::vector<Block> &a,
-                                     const std::vector<Block> &b,
-                                     const std::vector<Block> &dst)
-{
-    const std::size_t width = instr.laneBits;
-    // Disjoint row stacks inside the scratch sub-array; row capacity is
-    // checked at construction (rows = 128 >= 3 * kMaxBitSerialWidth).
-    sram::BitSerialOperand oa{0, 0};
-    sram::BitSerialOperand ob{0, kMaxBitSerialWidth};
-    sram::BitSerialOperand od{0, 2 * kMaxBitSerialWidth};
-    for (std::size_t k = 0; k < width; ++k) {
-        circuit_->write({0, oa.row0 + k}, a[k]);
-        circuit_->write({0, ob.row0 + k}, b[k]);
-    }
-    if (isBitSerialCompare(instr.op)) {
+      case CcOpcode::Eq: {
         sram::BitSerialCmpResult cres = circuit_->opBitSerialCompare(
             oa, ob, width, instr.isSigned);
         const BitVector &want = instr.op == CcOpcode::Lt ? cres.lt
             : instr.op == CcOpcode::Gt                   ? cres.gt
                                                          : cres.eq;
-        CC_ASSERT(bitsToBlock(want) == dst[0],
-                  "circuit/functional divergence for ",
-                  toString(instr.op));
-    } else {
-        switch (instr.op) {
-          case CcOpcode::Add:
-            circuit_->opBitSerialAdd(oa, ob, od, width);
-            break;
-          case CcOpcode::Sub:
-            circuit_->opBitSerialSub(oa, ob, od, width);
-            break;
-          case CcOpcode::Mul:
-            circuit_->opBitSerialMul(oa, ob, od, width);
-            break;
-          default:
-            CC_PANIC("not a bit-serial arithmetic op");
-        }
-        for (std::size_t k = 0; k < width; ++k) {
-            CC_ASSERT(circuit_->read({0, od.row0 + k}) == dst[k],
-                      "circuit/functional divergence for ",
-                      toString(instr.op), " slice ", k);
-        }
+        latched = bitsToBlock(want);
+        break;
+      }
+      case CcOpcode::Cmp:
+      case CcOpcode::Search:
+        return;  // mask ops verified separately at the sub-array tests
+    }
+    for (std::size_t k = 0; k < plan.dstRows; ++k) {
+        CC_ASSERT((latched ? *latched : circuit_->read({0, od.row0 + k})) ==
+                      d[k],
+                  "circuit/functional divergence for ", toString(instr.op),
+                  " row ", k);
     }
     if (stats_)
         circuitVerificationsStat_->inc();
 }
 
 CcExecResult
-CcController::executeBitSerial(CoreId core, const CcInstruction &instr)
+CcController::riscFallback(CoreId core, const CcInstruction &instr,
+                           const OpPlan &plan)
 {
+    // Section IV-E: after repeated lock failures the core translates the
+    // CC operation into RISC loads, ALU ops and stores over the rows the
+    // in-cache op would have computed on.
     CcExecResult res;
-    if (!sched_.streaming)
-        sched_.reset(params_.maxActiveSubarrays);
-    else
-        sched_.issueClock += params_.issueLatency;  // dispatch serializes
-    res.latency = params_.issueLatency;
+    res.riscFallback = true;
+    res.level = CacheLevel::L1;
+    if (stats_)
+        riscFallbacksStat_->inc();
 
-    const std::size_t width = instr.laneBits;
-    const std::size_t groups = instr.size / kBlockSize;
-    const std::size_t dst_slices = instr.sliceCount(instr.dest);
-    const std::size_t steps = BitSerialCompute::steps(instr.op, width);
-    res.blockOps = groups * steps;
-    perf::addCcBlockOps(res.blockOps);
-
-    // ------------------------------------------------------------------
-    // Level selection over every slice block of every operand.
-    // ------------------------------------------------------------------
-    std::vector<Addr> &all_blocks = scratchBlocks_;
-    all_blocks.clear();
-    for (std::size_t g = 0; g < groups; ++g) {
-        Addr off = g * kBlockSize;
-        for (std::size_t k = 0; k < width; ++k) {
-            all_blocks.push_back(
-                CcInstruction::sliceAddr(instr.src1, k) + off);
-            all_blocks.push_back(
-                CcInstruction::sliceAddr(instr.src2, k) + off);
+    std::vector<Block> &a = scratchA_;
+    std::vector<Block> &b = scratchB_;
+    std::vector<Block> &d = scratchD_;
+    for (std::size_t i = 0; i < plan.steps; ++i) {
+        const BlockOp op = plan.step(i);
+        for (std::size_t k = 0; k < plan.srcRows; ++k) {
+            a[k] = Block{};
+            b[k] = Block{};
+            if (op.src1)
+                res.latency += hier_.read(core, OpPlan::row(op.src1, k),
+                                          &a[k]).latency;
+            if (op.src2)
+                res.latency += hier_.read(core, OpPlan::row(op.src2, k),
+                                          &b[k]).latency;
         }
-        for (std::size_t k = 0; k < dst_slices; ++k)
-            all_blocks.push_back(
-                CcInstruction::sliceAddr(instr.dest, k) + off);
-    }
-    CacheLevel level = params_.forceLevel
-        ? *params_.forceLevel
-        : hier_.chooseLevel(core, all_blocks);
-    if (params_.useReusePredictor && !params_.forceLevel) {
-        level = reuse_.recommend(level, all_blocks);
-        if (level != CacheLevel::L3 && stats_)
-            reuseHoistsStat_->inc();
-    }
-    if (params_.useReusePredictor) {
-        for (Addr addr : all_blocks)
-            reuse_.touch(addr);
-    }
-    res.level = level;
-
-    auto instr_id = instrTable_.allocate(instr, core, groups);
-    if (!instr_id) {
-        if (stats_)
-            instrTableFullStat_->inc();
-        return riscBitSerial(core, instr);
-    }
-
-    // ------------------------------------------------------------------
-    // Stage + pin every slice block. Sources first, so an aliased
-    // add/sub destination stack is fetched before the for-overwrite
-    // staging of dest sees it resident.
-    // ------------------------------------------------------------------
-    std::vector<Addr> &pinned = scratchPinned_;
-    std::vector<Cycles> &fetch_lats = scratchFetchLats_;
-    pinned.clear();
-    fetch_lats.clear();
-    bool fallback = false;
-
-    auto stage = [&](Addr addr, bool exclusive, bool overwrite) {
-        auto lat = stageOperand(core, addr, level, exclusive, overwrite);
-        if (!lat) {
-            fallback = true;
-            return;
-        }
-        if (*lat > 0)
-            fetch_lats.push_back(*lat);
-        pinned.push_back(addr);
-    };
-
-    for (std::size_t g = 0; g < groups && !fallback; ++g) {
-        Addr off = g * kBlockSize;
-        for (std::size_t k = 0; k < width && !fallback; ++k) {
-            stage(CcInstruction::sliceAddr(instr.src1, k) + off, false,
-                  false);
-            if (!fallback)
-                stage(CcInstruction::sliceAddr(instr.src2, k) + off,
-                      false, false);
-        }
-        for (std::size_t k = 0; k < dst_slices && !fallback; ++k)
-            stage(CcInstruction::sliceAddr(instr.dest, k) + off, true,
-                  true);
-    }
-
-    auto unpin_all = [&]() {
-        for (Addr addr : pinned)
-            hier_.cacheAt(level, core, addr).unpin(addr);
-    };
-
-    if (fallback) {
-        unpin_all();
-        instrTable_.release(*instr_id);
-        return riscBitSerial(core, instr);
-    }
-
-    if (!fetch_lats.empty()) {
-        if (sched_.streaming) {
-            sched_.fetchLats.insert(sched_.fetchLats.end(),
-                                    fetch_lats.begin(), fetch_lats.end());
+        if (isCcR(instr.op)) {
+            std::uint64_t mask = BlockCompute::wordEqualMask(a[0], b[0]);
+            res.result |= mask << (i * kWordsPerBlock);
+        } else if (plan.opsPerDestBlock) {
+            // Merge this op's parities into its slot of the packed dest,
+            // as the result shift register does in place.
+            computeRows(instr, a, b, d);
+            Block packed{};
+            res.latency += hier_.read(core, op.dest, &packed).latency;
+            packParities(packed, d[0], instr, op.index);
+            res.latency += hier_.write(core, op.dest, &packed).latency;
         } else {
-            Cycles fetch = foldFetchLatencies(fetch_lats,
-                                              params_.fetchMlp);
-            res.fetchLatency = fetch;
-            res.latency += fetch;
+            computeRows(instr, a, b, d);
+            for (std::size_t k = 0; k < plan.dstRows; ++k)
+                res.latency += hier_.write(core, OpPlan::row(op.dest, k),
+                                           &d[k]).latency;
         }
+        if (energy_)
+            energy_->chargeInstructions(plan.riscInstrs);
+        res.latency += plan.riscCycles;
     }
-
-    // ------------------------------------------------------------------
-    // One block op per lane group: locality holds when every slice of
-    // every operand sits in the same cache instance and partition (the
-    // page-stride layout guarantees it once the blocks are resident).
-    // ------------------------------------------------------------------
-    std::vector<BlockOp> &ops = scratchOps_;
-    ops.assign(groups, BlockOp{});
-    for (std::size_t g = 0; g < groups; ++g) {
-        BlockOp &op = ops[g];
-        op.index = g;
-        Addr off = g * kBlockSize;
-        op.src1 = instr.src1 + off;  // slice-0 anchor
-        op.src2 = instr.src2 + off;
-        op.dest = instr.dest + off;
-
-        cache::Cache &anchor_cache = hier_.cacheAt(level, core, op.src1);
-        auto place = anchor_cache.placeOf(op.src1);
-        if (!place) {
-            if (stats_)
-                stagingRacesStat_->inc();
-            unpin_all();
-            instrTable_.release(*instr_id);
-            return riscBitSerial(core, instr);
-        }
-        op.cacheIndex = level == CacheLevel::L3
-            ? hier_.sliceFor(core, op.src1)
-            : core;
-        op.partition = place->globalPartition;
-
-        op.inPlace = !params_.forceNearPlace;
-        auto check_member = [&](Addr m) {
-            unsigned idx = level == CacheLevel::L3
-                ? hier_.sliceFor(core, m)
-                : core;
-            cache::Cache &c = hier_.cacheAt(level, core, m);
-            auto p = c.placeOf(m);
-            if (!p) {
-                if (stats_)
-                    stagingRacesStat_->inc();
-                op.inPlace = false;
-                return;
-            }
-            if (idx != op.cacheIndex ||
-                p->globalPartition != op.partition)
-                op.inPlace = false;
-        };
-        for (std::size_t k = 0; k < width; ++k) {
-            check_member(CcInstruction::sliceAddr(instr.src1, k) + off);
-            check_member(CcInstruction::sliceAddr(instr.src2, k) + off);
-        }
-        for (std::size_t k = 0; k < dst_slices; ++k)
-            check_member(CcInstruction::sliceAddr(instr.dest, k) + off);
-    }
-
-    // ------------------------------------------------------------------
-    // Execute + schedule each lane group: the whole carry-latch
-    // sequence occupies its partition; near-place groups serialize on
-    // the controller's single word-serial logic unit.
-    // ------------------------------------------------------------------
-    Cycles finish = sched_.horizon;
-    auto &issue_clock = sched_.issueClock;
-    auto &partition_free = sched_.partitionFree;
-    auto &near_free = sched_.nearFree;
-    auto &power_slots = sched_.powerSlots;
-
-    const Cycles step_latency = params_.inPlaceLatency(level);
-
-    for (BlockOp &op : ops) {
-        issue_clock += 1;  // command delivery on the shared bus
-        Cycles start = issue_clock / params_.commandIssuePerCycle;
-        Cycles end;
-        BlockOpOutcome outcome;
-        Addr off = op.index * kBlockSize;
-
-        auto read_block = [&](Addr addr) -> Block {
-            cache::Cache &c = hier_.cacheAt(level, core, addr);
-            if (const Block *p = c.peek(addr))
-                return *p;
-            if (stats_)
-                operandRefetchesStat_->inc();
-            Block blk{};
-            outcome.extraLatency +=
-                hier_.read(core, addr, &blk, level).latency;
-            return blk;
-        };
-        auto write_block = [&](Addr addr, const Block &data) {
-            cache::Cache &c = hier_.cacheAt(level, core, addr);
-            if (c.poke(addr, data)) {
-                c.markDirty(addr);
-                return;
-            }
-            if (stats_)
-                operandRefetchesStat_->inc();
-            outcome.extraLatency +=
-                hier_.write(core, addr, &data, level).latency;
-        };
-
-        std::vector<Block> &a = scratchSliceA_;
-        std::vector<Block> &b = scratchSliceB_;
-        std::vector<Block> &d = scratchSliceD_;
-        a.assign(width, Block{});
-        b.assign(width, Block{});
-        d.assign(dst_slices, Block{});
-        for (std::size_t k = 0; k < width; ++k) {
-            a[k] = read_block(CcInstruction::sliceAddr(instr.src1, k) +
-                              off);
-            b[k] = read_block(CcInstruction::sliceAddr(instr.src2, k) +
-                              off);
-        }
-
-        // Fault ladder, slice-pair by slice-pair: a pair that exhausts
-        // its retries degrades the WHOLE group to the near-place unit
-        // (the carry latch cannot resume mid-sequence), and a pair that
-        // still fails there refills clean data and recovers on the
-        // scalar core's recurrences.
-        bool group_recovered = false;
-        if (faults_.enabled()) {
-            bool group_degraded = false;
-            for (std::size_t k = 0; k < width && !group_degraded; ++k) {
-                BlockOp sop = op;
-                sop.src1 =
-                    CcInstruction::sliceAddr(instr.src1, k) + off;
-                sop.src2 =
-                    CcInstruction::sliceAddr(instr.src2, k) + off;
-                if (!senseOperands(sop, level, op.inPlace, step_latency,
-                                   energy::CacheOp::Logic, &a[k], &b[k],
-                                   &outcome))
-                    group_degraded = true;
-            }
-            if (group_degraded) {
-                outcome.degradedNearPlace = true;
-                if (stats_)
-                    faultDegradedNearPlaceStat_->inc();
-                traceFault("fault.degrade_near_place", op.src1, level);
-                outcome.extraLatency += params_.nearPlace.latency(level);
-                op.inPlace = false;
-                std::uint64_t sid = fault::subarrayId(
-                    level, op.cacheIndex, op.partition);
-                bool ok = true;
-                for (std::size_t k = 0; k < width && ok; ++k) {
-                    Addr sa =
-                        CcInstruction::sliceAddr(instr.src1, k) + off;
-                    Addr sb =
-                        CcInstruction::sliceAddr(instr.src2, k) + off;
-                    Block ta = read_block(sa);
-                    Block tb = read_block(sb);
-                    a[k] = ta;
-                    b[k] = tb;
-                    ok = checkOperand(&a[k], ta, sa, sid, level,
-                                      &outcome) &&
-                        checkOperand(&b[k], tb, sb, sid, level,
-                                     &outcome);
-                }
-                if (!ok) {
-                    group_recovered = true;
-                    outcome.riscRecovered = true;
-                    if (stats_)
-                        faultRiscRecoveriesStat_->inc();
-                    traceFault("fault.risc_recovery", op.src1, level);
-                    for (std::size_t k = 0; k < width; ++k) {
-                        for (Addr addr :
-                             {CcInstruction::sliceAddr(instr.src1, k) +
-                                  off,
-                              CcInstruction::sliceAddr(instr.src2, k) +
-                                  off}) {
-                            faults_.clearLatent(addr);
-                            faults_.remap(addr);
-                        }
-                        a[k] = read_block(
-                            CcInstruction::sliceAddr(instr.src1, k) +
-                            off);
-                        b[k] = read_block(
-                            CcInstruction::sliceAddr(instr.src2, k) +
-                            off);
-                    }
-                    outcome.extraLatency += params_.faultRefillLatency;
-                    if (energy_) {
-                        energy_->chargeDram(2 * width);
-                        energy_->chargeInstructions(
-                            (2 * width + dst_slices + steps) *
-                            kWordsPerBlock);
-                    }
-                }
-            }
-        }
-
-        // Functional result from the sensed slices: one block per
-        // slice, so the scratch buffers' slice stride is kBlockSize.
-        BitSerialCompute::apply(instr, d[0].data(), a[0].data(),
-                                b[0].data(), kBlockSize);
-        for (std::size_t k = 0; k < dst_slices; ++k)
-            write_block(CcInstruction::sliceAddr(instr.dest, k) + off,
-                        d[k]);
-
-        if (op.inPlace) {
-            if (energy_)
-                energy_->chargeCacheOp(level, energy::CacheOp::Logic,
-                                       steps);
-            if (stats_)
-                inPlaceOpsStat_->inc();
-            if (faults_.enabled()) {
-                // Section IV-I: in-place results bypass the ECC
-                // datapath; the check unit recomputes each written
-                // slice's code.
-                outcome.extraLatency +=
-                    dst_slices * params_.eccCheckLatency;
-                if (energy_)
-                    energy_->addCacheAccess(
-                        level,
-                        energy_->params().eccCheckPerBlock *
-                            static_cast<double>(dst_slices));
-            }
-            if (params_.verifyCircuit)
-                verifyBitSerialCircuit(instr, a, b, d);
-
-            std::uint64_t key =
-                (static_cast<std::uint64_t>(op.cacheIndex) << 32) |
-                (static_cast<std::uint64_t>(op.partition) & 0xffffffffULL);
-            Cycles interval = std::max<Cycles>(
-                1, static_cast<Cycles>(params_.partitionPipelineFactor *
-                                       static_cast<double>(step_latency)));
-            Cycles &pfree = partition_free[key];
-            start = std::max(start, pfree);
-            // The first step pays the full activation latency; later
-            // steps pipeline at the partition interval behind it.
-            Cycles busy = step_latency +
-                static_cast<Cycles>(steps - 1) * interval +
-                outcome.extraLatency;
-            if (!power_slots.empty()) {
-                std::pop_heap(power_slots.begin(), power_slots.end(),
-                              std::greater<>{});
-                auto &slot = power_slots.back();
-                start = std::max(start, slot.first);
-                end = start + busy;
-                slot.first = end;
-                std::push_heap(power_slots.begin(), power_slots.end(),
-                               std::greater<>{});
-            } else {
-                end = start + busy;
-            }
-            // The carry latch holds live state: the partition stays
-            // busy for the whole sequence.
-            pfree = end;
-            ++res.inPlaceOps;
-        } else {
-            // Near-place: 2W slice reads cross the H-tree, the logic
-            // unit runs W word-serial recurrence steps, results write
-            // back.
-            if (energy_ && !group_recovered) {
-                for (std::size_t k = 0; k < 2 * width; ++k)
-                    energy_->chargeCacheOp(level, energy::CacheOp::Read);
-                energy_->chargeNearPlaceLogic(width);
-                for (std::size_t k = 0; k < dst_slices; ++k)
-                    energy_->chargeCacheOp(level,
-                                           energy::CacheOp::Write);
-            }
-            if (stats_)
-                nearPlaceOpsStat_->inc();
-            if (op.cacheIndex >= near_free.size())
-                near_free.resize(op.cacheIndex + 1, 0);
-            start = std::max(start, near_free[op.cacheIndex]);
-            end = start + params_.nearPlace.latency(level) +
-                static_cast<Cycles>(2 * width) + outcome.extraLatency;
-            near_free[op.cacheIndex] = end;
-            ++res.nearPlaceOps;
-        }
-        finish = std::max(finish, end);
-
-        res.faultRetries += outcome.retries;
-        if (outcome.degradedNearPlace)
-            ++res.faultDegradedOps;
-        if (outcome.riscRecovered)
-            ++res.faultRiscRecoveries;
-        instrTable_.complete(*instr_id, 0, 0);
-    }
-
-    sched_.horizon = std::max(sched_.horizon, finish);
-    res.computeLatency = finish;
-    res.latency += finish;
-
-    if (level == CacheLevel::L3 && groups > 0) {
-        unsigned slice = ops.front().cacheIndex;
-        Cycles notify = hier_.ring().send(slice, core % hier_.cores(),
-                                          noc::MsgClass::Control);
-        if (!sched_.streaming)
-            res.latency += notify;
-    }
-
-    unpin_all();
-    instrTable_.release(*instr_id);
-
-    if (stats_) {
-        blockOpsStat_->inc(res.blockOps);
-        levelOpsStat_[static_cast<unsigned>(level)]->inc();
-    }
+    res.blockOps = plan.steps * plan.riscBlocks;
     return res;
 }
 
 CcExecResult
-CcController::executeOnce(CoreId core, const CcInstruction &instr)
+CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
 {
     CcExecResult res;
     if (!sched_.streaming)
@@ -1376,41 +995,21 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     else
         sched_.issueClock += params_.issueLatency;  // dispatch serializes
     res.latency = params_.issueLatency;
-    std::size_t blocks = divCeil(instr.size, kBlockSize);
-    res.blockOps = blocks;
-    perf::addCcBlockOps(blocks);
+
+    const OpPlan plan(instr);
+    res.blockOps = plan.steps * plan.bitlineSteps;
+    perf::addCcBlockOps(res.blockOps);
+    scratchA_.resize(plan.srcRows);
+    scratchB_.resize(plan.srcRows);
+    scratchD_.resize(std::max<std::size_t>(plan.dstRows, 1));
 
     // ------------------------------------------------------------------
     // Level selection (Section IV-E): highest level where all operands
     // hit; L3 when anything is uncached.
     // ------------------------------------------------------------------
-    bool fixed_src2 = instr.op == CcOpcode::Search || instr.src2Replicated;
-    // Replicated clmul packs its parities densely: far fewer dest blocks.
-    std::size_t dest_blocks = blocks;
-    std::size_t ops_per_dest_block = 1;
-    if (instr.src2Replicated) {
-        ops_per_dest_block = (8 * kBlockSize) / instr.clmulBitsPerBlock();
-        dest_blocks = divCeil(blocks, ops_per_dest_block);
-    }
-
     std::vector<Addr> &all_blocks = scratchBlocks_;
     all_blocks.clear();
-    for (std::size_t i = 0; i < blocks; ++i) {
-        Addr off = i * kBlockSize;
-        if (instr.src1)
-            all_blocks.push_back(instr.src1 + off);
-        if (instr.src2 && !fixed_src2)
-            all_blocks.push_back(instr.src2 + off);
-        if (instr.dest && !instr.src2Replicated)
-            all_blocks.push_back(instr.dest + off);
-    }
-    if (fixed_src2)
-        all_blocks.push_back(instr.src2);
-    if (instr.src2Replicated) {
-        for (std::size_t i = 0; i < dest_blocks; ++i)
-            all_blocks.push_back(instr.dest + i * kBlockSize);
-    }
-
+    plan.forEachRow([&](Addr addr, bool) { all_blocks.push_back(addr); });
     CacheLevel level = params_.forceLevel
         ? *params_.forceLevel
         : hier_.chooseLevel(core, all_blocks);
@@ -1426,27 +1025,31 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     res.level = level;
 
     std::uint64_t seq = ++instrSeq_;
-    auto instr_id = instrTable_.allocate(instr, core, blocks);
+    auto instr_id = instrTable_.allocate(instr, core, plan.steps);
     if (!instr_id) {
         // A full instruction table is a structural hazard, not a bug:
         // degrade to the scalar path rather than aborting.
         if (stats_)
             instrTableFullStat_->inc();
-        return riscFallback(core, instr);
+        return riscFallback(core, instr, plan);
     }
 
     // ------------------------------------------------------------------
-    // Operand staging: fetch + pin every block of every operand. Misses
-    // overlap up to fetchMlp deep.
+    // Operand staging: fetch + pin every row, each op's sources before
+    // its dest rows (so an aliased add/sub destination stack is fetched
+    // before its for-overwrite staging sees it resident). Misses overlap
+    // up to fetchMlp deep.
     // ------------------------------------------------------------------
     std::vector<Addr> &pinned = scratchPinned_;
     std::vector<Cycles> &fetch_lats = scratchFetchLats_;
     pinned.clear();
     fetch_lats.clear();
     bool fallback = false;
-
-    auto stage = [&](Addr addr, bool exclusive, bool overwrite) {
-        auto lat = stageOperand(core, addr, level, exclusive, overwrite);
+    plan.forEachRow([&](Addr addr, bool dest) {
+        if (fallback)
+            return;
+        auto lat = stageOperand(core, addr, level, dest,
+                                dest && plan.destOverwritten);
         if (!lat) {
             fallback = true;
             return;
@@ -1454,36 +1057,21 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
         if (*lat > 0)
             fetch_lats.push_back(*lat);
         pinned.push_back(addr);
-    };
-
-    bool dest_overwritten = instr.op != CcOpcode::Clmul ||
-        instr.src2Replicated;
-    for (std::size_t i = 0; i < blocks && !fallback; ++i) {
-        Addr off = i * kBlockSize;
-        if (instr.src1)
-            stage(instr.src1 + off, false, false);
-        if (instr.src2 && !fixed_src2 && !fallback)
-            stage(instr.src2 + off, false, false);
-        if (instr.dest && !instr.src2Replicated && !fallback)
-            stage(instr.dest + off, true, dest_overwritten);
-    }
-    if (fixed_src2 && !fallback)
-        stage(instr.src2, false, false);
-    if (instr.src2Replicated) {
-        for (std::size_t i = 0; i < dest_blocks && !fallback; ++i)
-            stage(instr.dest + i * kBlockSize, true, true);
-    }
+    });
 
     auto unpin_all = [&]() {
         for (Addr a : pinned)
             hier_.cacheAt(level, core, a).unpin(a);
     };
-
-    if (fallback) {
+    // Release everything the instruction holds and run it as RISC.
+    auto abandon = [&]() {
         unpin_all();
+        keys_.releaseInstr(seq);
         instrTable_.release(*instr_id);
-        return riscFallback(core, instr);
-    }
+        return riscFallback(core, instr, plan);
+    };
+    if (fallback)
+        return abandon();
 
     // Fetch latency: the longest miss dominates; the rest overlap with
     // MLP-deep pipelining. In stream mode staging overlaps with other
@@ -1504,18 +1092,9 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     // Build block ops, resolve placement and operand locality.
     // ------------------------------------------------------------------
     std::vector<BlockOp> &ops = scratchOps_;
-    ops.assign(blocks, BlockOp{});
-    for (std::size_t i = 0; i < blocks; ++i) {
-        BlockOp &op = ops[i];
-        op.index = i;
-        Addr off = i * kBlockSize;
-        op.src1 = instr.src1 ? instr.src1 + off : 0;
-        op.src2 = fixed_src2 ? instr.src2
-                             : (instr.src2 ? instr.src2 + off : 0);
-        op.dest = instr.dest ? instr.dest + off : 0;
-        if (instr.src2Replicated)
-            op.dest = instr.dest + (i / ops_per_dest_block) * kBlockSize;
-
+    ops.clear();
+    for (std::size_t i = 0; i < plan.steps; ++i) {
+        BlockOp &op = ops.emplace_back(plan.step(i));
         Addr anchor = op.src1 ? op.src1 : op.dest;
         Cache &anchor_cache = hier_.cacheAt(level, core, anchor);
         auto place = anchor_cache.placeOf(anchor);
@@ -1524,32 +1103,21 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
             // (Section IV-E's lock window): release and degrade.
             if (stats_)
                 stagingRacesStat_->inc();
-            unpin_all();
-            keys_.releaseInstr(seq);
-            instrTable_.release(*instr_id);
-            return riscFallback(core, instr);
+            return abandon();
         }
         op.cacheIndex = level == CacheLevel::L3
             ? hier_.sliceFor(core, anchor)
             : core;
         op.partition = place->globalPartition;
 
-        // Locality: every (non-key) operand must sit in the same cache
-        // instance and block partition. The search key is replicated, so
-        // it never constrains locality.
+        // Locality: every row of the op must sit in the same cache
+        // instance and block partition (the page-stride slice layout
+        // guarantees it for a resident lane group). The search key and
+        // a replicated clmul source are replicated, and a packed dest is
+        // filled by the result shift register, so none of them
+        // constrains bit-line locality.
         op.inPlace = !params_.forceNearPlace;
-        std::array<Addr, 3> members;
-        std::size_t n_members = 0;
-        if (op.src1)
-            members[n_members++] = op.src1;
-        if (op.src2 && !fixed_src2)
-            members[n_members++] = op.src2;
-        // A replicated clmul's dest is filled by the controller's result
-        // shift register, so it does not constrain bit-line locality.
-        if (op.dest && !instr.src2Replicated)
-            members[n_members++] = op.dest;
-        for (std::size_t mi = 0; mi < n_members; ++mi) {
-            Addr m = members[mi];
+        plan.forEachStepRow(op, [&](Addr m, bool) {
             unsigned idx = level == CacheLevel::L3
                 ? hier_.sliceFor(core, m)
                 : core;
@@ -1561,16 +1129,14 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
                 if (stats_)
                     stagingRacesStat_->inc();
                 op.inPlace = false;
-                continue;
+                return;
             }
             if (idx != op.cacheIndex ||
-                p->globalPartition != op.partition) {
+                p->globalPartition != op.partition)
                 op.inPlace = false;
-            }
-        }
+        });
 
-        if (op.inPlace && (instr.op == CcOpcode::Search ||
-                           instr.src2Replicated)) {
+        if (op.inPlace && plan.sharedSrc2) {
             // Replicate the key into this data block's partition once per
             // instruction (Section IV-D key table). The replication write
             // is what Table V's search row adds on top of cmp.
@@ -1595,6 +1161,11 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     auto &partition_free = sched_.partitionFree;
     auto &near_free = sched_.nearFree;
     auto &power_slots = sched_.powerSlots;
+
+    const Cycles op_latency = params_.inPlaceLatency(level);
+    const Cycles interval = std::max<Cycles>(
+        1, static_cast<Cycles>(params_.partitionPipelineFactor *
+                               static_cast<double>(op_latency)));
 
     std::uint64_t result_mask = 0;
     std::size_t result_bits = 0;
@@ -1625,7 +1196,8 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
         // degradations and refills lengthen this op's occupancy below.
         if (op_entry)
             opTable_.markIssued(*op_entry);
-        BlockOpOutcome outcome = performBlockOp(core, instr, op, level);
+        BlockOpOutcome outcome = performBlockOp(core, instr, plan, op,
+                                                level);
         if (op_entry) {
             opTable_.markDone(*op_entry);
             opTable_.release(*op_entry);
@@ -1640,10 +1212,6 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
             std::uint64_t key =
                 (static_cast<std::uint64_t>(op.cacheIndex) << 32) |
                 (static_cast<std::uint64_t>(op.partition) & 0xffffffffULL);
-            Cycles interval = std::max<Cycles>(
-                1, static_cast<Cycles>(params_.partitionPipelineFactor *
-                                       static_cast<double>(
-                                           params_.inPlaceLatency(level))));
             // One probe serves both the read here and the store below;
             // no other PartitionClock access intervenes, so the
             // reference stays valid.
@@ -1654,7 +1222,7 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
                 // the search op can activate. Energy: one H-tree
                 // broadcast per instruction plus an array write per
                 // receiving partition.
-                start += params_.inPlaceLatency(level);
+                start += op_latency;
                 if (energy_) {
                     EnergyPJ write = energy_->params().cacheOpEnergy(
                         level, energy::CacheOp::Write);
@@ -1667,7 +1235,10 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
                     energy_->addCacheAccess(level, write * (1.0 - ic));
                 }
             }
-            Cycles busy = params_.inPlaceLatency(level) +
+            // The first bit-line step pays the full activation latency;
+            // later steps pipeline at the partition interval behind it.
+            Cycles busy = op_latency +
+                static_cast<Cycles>(plan.bitlineSteps - 1) * interval +
                 outcome.extraLatency;
             if (!power_slots.empty()) {
                 // Lexicographic (free-at, index) min-heap: the popped
@@ -1684,14 +1255,19 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
             } else {
                 end = start + busy;
             }
-            pfree = start + interval + outcome.extraLatency;
+            // A carry latch holds live state, so its partition stays
+            // busy for the whole sequence; otherwise the next op may
+            // activate one initiation interval later.
+            pfree = plan.holdsPartition
+                ? end
+                : start + interval + outcome.extraLatency;
             ++res.inPlaceOps;
         } else {
             if (op.cacheIndex >= near_free.size())
                 near_free.resize(op.cacheIndex + 1, 0);
             start = std::max(start, near_free[op.cacheIndex]);
             end = start + params_.nearPlace.latency(level) +
-                outcome.extraLatency;
+                plan.nearPlaceCycles + outcome.extraLatency;
             near_free[op.cacheIndex] = end;
             ++res.nearPlaceOps;
         }
@@ -1718,7 +1294,7 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
 
     // Completion notification: the computing cache notifies the L1 CC
     // controller, which notifies the core (Figure 6 steps 6-7).
-    if (level == CacheLevel::L3 && blocks > 0) {
+    if (level == CacheLevel::L3 && plan.steps > 0) {
         unsigned slice = ops.front().cacheIndex;
         Cycles notify = hier_.ring().send(slice, core % hier_.cores(),
                                           noc::MsgClass::Control);
@@ -1731,7 +1307,7 @@ CcController::executeOnce(CoreId core, const CcInstruction &instr)
     instrTable_.release(*instr_id);
 
     if (stats_) {
-        blockOpsStat_->inc(blocks);
+        blockOpsStat_->inc(res.blockOps);
         levelOpsStat_[static_cast<unsigned>(level)]->inc();
     }
     return res;

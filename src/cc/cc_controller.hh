@@ -10,10 +10,12 @@
  * address-bus and peak-power constraints, and returns the completion
  * latency plus the cmp/search result mask.
  *
- * Functional results are computed with BlockCompute, whose equivalence to
- * the circuit-level sram::SubArray model is established by the test
- * suite; the controller can optionally re-verify every in-place op
- * against a live sub-array (verifyCircuit mode).
+ * Every instruction, Table II or bit-serial, runs through one pipeline
+ * driven by an OpPlan (DESIGN.md §6, "Block-op pipeline"). Functional
+ * results are computed with BlockCompute and BitSerialCompute, whose
+ * equivalence to the circuit-level sram::SubArray model is established
+ * by the test suite; the controller can optionally re-verify every
+ * in-place op against a live sub-array (verifyCircuit mode).
  */
 
 #ifndef CCACHE_CC_CC_CONTROLLER_HH
@@ -235,9 +237,9 @@ class CcController
     /** One simple vector operation, decomposed and placed. */
     struct BlockOp
     {
-        Addr src1 = 0;
-        Addr src2 = 0;   ///< 0 when unused; key address for search
-        Addr dest = 0;   ///< 0 for CC-R
+        Addr src1 = 0;   ///< row 0 of each operand; 0 when unused
+        Addr src2 = 0;   ///< the shared block for search / replicated
+        Addr dest = 0;   ///< 0 for CC-R; the packed block if replicated
         std::size_t index = 0;
 
         bool inPlace = false;
@@ -247,34 +249,100 @@ class CcController
         Cycles fetchLatency = 0;
     };
 
+    /**
+     * One instruction as a sequence of block ops, and the only owner of
+     * the operand layout (DESIGN.md §6, "Block-op pipeline"). A Table II
+     * op is one row per operand and one bit-line step per 64-byte block;
+     * a bit-serial lane group is laneBits slice rows per source,
+     * kSliceStride apart, sequenced BitSerialCompute::steps times
+     * through the carry latch. Every stage after the plan -- level
+     * choice, staging, locality, the fault ladder, the schedule, the
+     * RISC fallback and the circuit check -- walks its rows.
+     */
+    struct OpPlan
+    {
+        explicit OpPlan(const CcInstruction &instr);
+
+        Addr src1 = 0;
+        Addr src2 = 0;
+        Addr dest = 0;
+        std::size_t steps = 0;         ///< block ops: blocks / lane groups
+        std::size_t srcRows = 1;       ///< rows per source and block op
+        std::size_t dstRows = 0;       ///< dest rows (0: CC-R, packed)
+        std::size_t bitlineSteps = 1;  ///< activations per in-place op
+        /** The carry latch holds live state: the partition stays busy
+         *  until the op ends, and a degraded op leaves it wholesale. */
+        bool holdsPartition = false;
+        bool sharedSrc2 = false;       ///< src2 is one block every op reads
+        bool destOverwritten = true;   ///< dest staged without a fetch
+        /** Replicated clmul: parity ops per packed dest block and the
+         *  number of packed blocks (both 0 otherwise). @{ */
+        std::size_t opsPerDestBlock = 0;
+        std::size_t packedDestBlocks = 0;
+        /** @} */
+        Cycles nearPlaceCycles = 0;    ///< word-serial unit cycles per op
+        /** RISC translation per op: scalar instructions, ALU cycles not
+         *  hidden under the misses, and the block ops reported. @{ */
+        std::uint64_t riscInstrs = 0;
+        Cycles riscCycles = 0;
+        std::size_t riscBlocks = 1;
+        /** @} */
+
+        /** Operands of block op @p i (row 0 of each; 0 when unused). */
+        BlockOp step(std::size_t i) const;
+
+        /** Row @p k of the operand rooted at @p base (0 stays 0). */
+        static Addr
+        row(Addr base, std::size_t k)
+        {
+            return base ? CcInstruction::sliceAddr(base, k) : 0;
+        }
+
+        /** Call fn(addr, is_dest) on each row of @p op that locality
+         *  constrains, in staging order: row by row src1 then src2,
+         *  then the dest rows. */
+        template <typename Fn>
+        void
+        forEachStepRow(const BlockOp &op, Fn &&fn) const
+        {
+            for (std::size_t k = 0; k < srcRows; ++k) {
+                if (op.src1)
+                    fn(row(op.src1, k), false);
+                if (op.src2 && !sharedSrc2)
+                    fn(row(op.src2, k), false);
+            }
+            for (std::size_t k = 0; k < dstRows; ++k)
+                fn(row(op.dest, k), true);
+        }
+
+        /** Call fn(addr, is_dest) on every row the instruction stages:
+         *  each op's rows, then the shared src2 block, then the packed
+         *  dest blocks. */
+        template <typename Fn>
+        void
+        forEachRow(Fn &&fn) const
+        {
+            for (std::size_t i = 0; i < steps; ++i)
+                forEachStepRow(step(i), fn);
+            if (sharedSrc2)
+                fn(src2, false);
+            for (std::size_t j = 0; j < packedDestBlocks; ++j)
+                fn(dest + j * kBlockSize, true);
+        }
+    };
+
     /** The pre-instrumentation body of execute(): dispatch, page-split
      *  handling and the fault-model inter-instruction ticks. */
     CcExecResult executeInstr(CoreId core, const CcInstruction &instr);
 
-    CcExecResult executeOnce(CoreId core, const CcInstruction &instr);
-
     /**
-     * Bit-serial arithmetic path: operands are laneBits bit-slice rows
-     * at kSliceStride apart, carved into lane groups of one 64-byte
-     * block per slice. Each group runs as one carry-latch sequence in
-     * its partition (in-place) or as a word-serial pass through the
-     * near-place logic unit.
+     * The pipeline every CC instruction runs through: level choice and
+     * reuse hoist, stage and pin, placement, locality and key
+     * replication, then per block op the fault ladder and the schedule
+     * (command bus, partition clock, power slots, near-place unit),
+     * then result-mask merge, notify, unpin and stats.
      */
-    CcExecResult executeBitSerial(CoreId core, const CcInstruction &instr);
-
-    /** RISC translation of a bit-serial instruction (staging failure /
-     *  structural hazards): slice blocks move through the hierarchy and
-     *  the scalar core runs the same BitSerialCompute recurrences. */
-    CcExecResult riscBitSerial(CoreId core, const CcInstruction &instr);
-
-    /** Optionally verify one bit-serial lane group against the
-     *  sub-array carry-latch circuit model. Slice blocks of a/b hold
-     *  the group's sensed source slices; @p dst the functional result
-     *  (sliceCount(dest) blocks). */
-    void verifyBitSerialCircuit(const CcInstruction &instr,
-                                const std::vector<Block> &a,
-                                const std::vector<Block> &b,
-                                const std::vector<Block> &dst);
+    CcExecResult executeBlockOps(CoreId core, const CcInstruction &instr);
 
     /** Stage + pin one operand; returns latency or nullopt if the line
      *  could not be pinned (all ways pinned by other ops). */
@@ -292,21 +360,25 @@ class CcController
         bool riscRecovered = false;
     };
 
-    /** Execute one block op functionally + charge its energy. */
+    /** Execute one block op functionally + charge its energy. Degrading
+     *  a carry-latch op moves it off its partition (clears
+     *  @p op.inPlace). */
     BlockOpOutcome performBlockOp(CoreId core, const CcInstruction &instr,
-                                  const BlockOp &op, CacheLevel level);
+                                  const OpPlan &plan, BlockOp &op,
+                                  CacheLevel level);
 
     /**
-     * Fault-ladder rung 0/1: sense both operands through the injector
-     * and the ECC check unit, retrying margin failures and detected-
-     * uncorrectable errors up to maxFaultRetries times. On success the
-     * (possibly corrected, possibly silently corrupted) sensed data is
-     * left in @p a / @p b. Returns false when every attempt failed and
-     * the caller must degrade to the next rung.
+     * Fault-ladder rung 0/1: sense source row @p row of both operands
+     * through the injector and the ECC check unit, retrying margin
+     * failures and detected-uncorrectable errors up to maxFaultRetries
+     * times. On success the (possibly corrected, possibly silently
+     * corrupted) sensed data is left in @p a / @p b. Returns false when
+     * every attempt failed and the caller must degrade to the next rung.
      */
-    bool senseOperands(const BlockOp &op, CacheLevel level, bool dual_row,
-                       Cycles retry_latency, energy::CacheOp retry_op,
-                       Block *a, Block *b, BlockOpOutcome *out);
+    bool senseOperands(const BlockOp &op, std::size_t row, CacheLevel level,
+                       bool dual_row, Cycles retry_latency,
+                       energy::CacheOp retry_op, Block *a, Block *b,
+                       BlockOpOutcome *out);
 
     /** One operand through the fault model + ECC check unit. Returns
      *  false on a detected-uncorrectable error. */
@@ -323,12 +395,18 @@ class CcController
      *  these land on the global "system" track. */
     void traceFault(const char *name, Addr addr, CacheLevel level);
 
-    /** Optionally verify an in-place op against the circuit model. */
-    void verifyAgainstCircuit(const CcInstruction &instr, const Block &a,
-                              const Block &b, const Block &result);
+    /** Optionally verify an in-place op against the circuit model: the
+     *  source rows @p a / @p b run through the sub-array, which must
+     *  reproduce the result rows @p d. */
+    void verifyAgainstCircuit(const CcInstruction &instr, const OpPlan &plan,
+                              const std::vector<Block> &a,
+                              const std::vector<Block> &b,
+                              const std::vector<Block> &d);
 
-    /** Fallback: run the instruction as RISC loads/stores. */
-    CcExecResult riscFallback(CoreId core, const CcInstruction &instr);
+    /** Fallback: run the instruction as RISC loads, ALU ops and stores
+     *  over the plan's rows. */
+    CcExecResult riscFallback(CoreId core, const CcInstruction &instr,
+                              const OpPlan &plan);
 
     cache::Hierarchy &hier_;
     energy::EnergyModel *energy_;
@@ -439,18 +517,17 @@ class CcController
     /** @} */
 
     /** Per-instruction scratch buffers, pool-allocated once and reused
-     *  across executeOnce() calls so the block-op hot path performs no
-     *  heap allocation in steady state (DESIGN.md §13 arena rules:
-     *  contents are dead outside one executeOnce activation). @{ */
+     *  across executeBlockOps() calls so the block-op hot path performs
+     *  no heap allocation in steady state (DESIGN.md §13 arena rules:
+     *  contents are dead outside one executeBlockOps activation). @{ */
     std::vector<Addr> scratchBlocks_;
     std::vector<Addr> scratchPinned_;
     std::vector<Cycles> scratchFetchLats_;
     std::vector<BlockOp> scratchOps_;
-    /** Sensed source / result slice blocks of one bit-serial lane
-     *  group. */
-    std::vector<Block> scratchSliceA_;
-    std::vector<Block> scratchSliceB_;
-    std::vector<Block> scratchSliceD_;
+    /** Sensed source rows and result rows of one block op. */
+    std::vector<Block> scratchA_;
+    std::vector<Block> scratchB_;
+    std::vector<Block> scratchD_;
     /** @} */
 
     /** Scratch sub-array for verifyCircuit mode. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -20,33 +19,21 @@ opIndex(BitlineOp op)
     return static_cast<std::size_t>(op);
 }
 
-/** -1 = follow the environment, 0/1 = forced by a test. */
-std::atomic<int> g_scalar_override{-1};
-
-bool
-scalarBitlineEnv()
-{
-    const char *env = std::getenv("CCACHE_SCALAR_BITLINE");
-    return env && env[0] == '1';
-}
+/** Set by the differential tests that run the per-bit reference path. */
+std::atomic<bool> g_scalar_bitline{false};
 
 } // namespace
 
 bool
 SubArray::scalarBitline()
 {
-    int forced = g_scalar_override.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool from_env = scalarBitlineEnv();
-    return from_env;
+    return g_scalar_bitline.load(std::memory_order_relaxed);
 }
 
 void
-SubArray::forceScalarBitline(std::optional<bool> on)
+SubArray::forceScalarBitline(bool on)
 {
-    g_scalar_override.store(on ? (*on ? 1 : 0) : -1,
-                            std::memory_order_relaxed);
+    g_scalar_bitline.store(on, std::memory_order_relaxed);
 }
 
 SubArray::SubArray(const SubArrayParams &params)

@@ -21,7 +21,6 @@
 #define CCACHE_SRAM_SUBARRAY_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/block.hh"
@@ -204,18 +203,18 @@ class SubArray
     bool lastMarginFailed() const { return lastMarginFailed_; }
 
     /**
-     * Scalar-reference gate (DESIGN.md §13): by default every op runs the
-     * vectorized word-at-a-time bit-line evaluation; setting the
-     * environment variable `CCACHE_SCALAR_BITLINE=1` (or calling
-     * forceScalarBitline) selects the per-bit analog scalar path instead.
-     * The two paths are bit-exact — including fault injection and RNG
-     * draw order — and the differential tests hold them to that. @{
+     * Scalar-reference gate (DESIGN.md §13.3): every op runs the
+     * vectorized word-at-a-time bit-line evaluation unless a test
+     * selects the per-bit analog scalar path, the reference the two are
+     * compared against. The two paths are bit-exact — including fault
+     * injection and RNG draw order — and the differential tests hold
+     * them to that. @{
      */
     static bool scalarBitline();
 
-    /** Programmatic override for in-process differential tests:
-     *  true/false force a path, nullopt restores the environment gate. */
-    static void forceScalarBitline(std::optional<bool> on);
+    /** Select the per-bit path (true) or the vectorized default (false)
+     *  process-wide, for in-process differential tests. */
+    static void forceScalarBitline(bool on);
     /** @} */
 
     /** Fault injected into the last single-row sense, if any. */

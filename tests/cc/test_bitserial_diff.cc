@@ -346,12 +346,13 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, BitSerialSubArray,
 
 enum class Variant { InPlace, NearPlace, EccActive, Faulty };
 
-class ControllerBitSerial : public ::testing::TestWithParam<Variant>
+/** A hierarchy and controller under one variant, with helpers for the
+ *  transposed layout. */
+struct BitSerialRig
 {
-  protected:
-    ControllerBitSerial()
+    explicit BitSerialRig(Variant v)
         : hier(cache::HierarchyParams{}, &em, &stats),
-          ctrl(hier, &em, &stats, makeParams(GetParam()))
+          ctrl(hier, &em, &stats, makeParams(v))
     {
     }
 
@@ -411,6 +412,13 @@ class ControllerBitSerial : public ::testing::TestWithParam<Variant>
     StatRegistry stats;
     cache::Hierarchy hier;
     CcController ctrl;
+};
+
+class ControllerBitSerial : public ::testing::TestWithParam<Variant>,
+                            protected BitSerialRig
+{
+  protected:
+    ControllerBitSerial() : BitSerialRig(GetParam()) {}
 };
 
 TEST_P(ControllerBitSerial, ArithMatchesReferenceAcrossWidths)
@@ -534,35 +542,6 @@ TEST_P(ControllerBitSerial, MultiGroupOperandsComputeEveryLaneGroup)
     }
 }
 
-TEST_P(ControllerBitSerial, FaultLadderKeepsResultsExact)
-{
-    if (GetParam() != Variant::Faulty)
-        GTEST_SKIP() << "only meaningful with nonzero fault rates";
-    // Long stream of Muls (the op with the most dual-row senses) so the
-    // margin-fail rate forces retries, near-place degrades and risc
-    // recoveries; every single result must still be exact.
-    Rng rng(0xfa17);
-    const std::size_t w = 16;
-    bool any_degrade = false;
-    for (int trial = 0; trial < 6; ++trial) {
-        Addr base = 0x40000000 + 0x400000 * trial;
-        Addr a = base, b = base + 0x100000, d = base + 0x200000;
-        Lanes va = randomLanes(rng, w);
-        Lanes vb = randomLanes(rng, w);
-        writeOperand(a, va, w);
-        writeOperand(b, vb, w);
-        auto res =
-            ctrl.execute(0, CcInstruction::mul(a, b, d, kSliceBytes, w));
-        any_degrade |= res.faultDegradedOps > 0 ||
-            res.faultRiscRecoveries > 0 || res.faultRetries > 0;
-        ASSERT_EQ(readOperand(d, w), refArith(CcOpcode::Mul, va, vb, w))
-            << "trial " << trial;
-    }
-    // At these rates the ladder must have fired at least once; if not,
-    // the test is vacuous and the rates need raising.
-    EXPECT_TRUE(any_degrade);
-}
-
 INSTANTIATE_TEST_SUITE_P(Variants, ControllerBitSerial,
                          ::testing::Values(Variant::InPlace,
                                            Variant::NearPlace,
@@ -577,6 +556,36 @@ INSTANTIATE_TEST_SUITE_P(Variants, ControllerBitSerial,
                              }
                              return "Unknown";
                          });
+
+// The ladder fires only at nonzero fault rates: the Faulty variant.
+TEST(ControllerBitSerialFaulty, FaultLadderKeepsResultsExact)
+{
+    BitSerialRig rig(Variant::Faulty);
+    // Long stream of Muls (the op with the most dual-row senses) so the
+    // margin-fail rate forces retries, near-place degrades and risc
+    // recoveries; every single result must still be exact.
+    Rng rng(0xfa17);
+    const std::size_t w = 16;
+    bool any_degrade = false;
+    for (int trial = 0; trial < 6; ++trial) {
+        Addr base = 0x40000000 + 0x400000 * trial;
+        Addr a = base, b = base + 0x100000, d = base + 0x200000;
+        Lanes va = randomLanes(rng, w);
+        Lanes vb = randomLanes(rng, w);
+        rig.writeOperand(a, va, w);
+        rig.writeOperand(b, vb, w);
+        auto res = rig.ctrl.execute(
+            0, CcInstruction::mul(a, b, d, kSliceBytes, w));
+        any_degrade |= res.faultDegradedOps > 0 ||
+            res.faultRiscRecoveries > 0 || res.faultRetries > 0;
+        ASSERT_EQ(rig.readOperand(d, w),
+                  refArith(CcOpcode::Mul, va, vb, w))
+            << "trial " << trial;
+    }
+    // At these rates the ladder must have fired at least once; if not,
+    // the test is vacuous and the rates need raising.
+    EXPECT_TRUE(any_degrade);
+}
 
 // Cross-variant identity: the same bit-serial stream under every
 // variant yields byte-identical memory images.

@@ -78,6 +78,61 @@ TEST(ControllerEdges, RiscFallbackCmpMaskCorrect)
     EXPECT_EQ(res.result & 0xff, 0xffu & ~(1u << 2));
 }
 
+TEST(ControllerEdges, ReplicatedClmulRiscFallbackPacksLikeInPlace)
+{
+    // BMM's clmul with a replicated source: when staging fails, the RISC
+    // translation must read the one replicated block and pack each op's
+    // parities into the packed destination, leaving the image the
+    // in-cache run leaves and writing nothing past the packed blocks.
+    const Addr src = 0x400000, key = 0x420000, dst = 0x440000;
+    const std::size_t n = 1024;  // 16 ops x 8 parities: one dest block
+    const std::size_t span = 4096;
+
+    auto run = [&](bool pin_source_set) {
+        energy::EnergyModel em;
+        StatRegistry stats;
+        cache::Hierarchy hier(cache::HierarchyParams{}, &em, &stats);
+        CcControllerParams p;
+        p.forceLevel = CacheLevel::L1;
+        CcController ctrl(hier, &em, &stats, p);
+
+        Rng rng(0xb33);
+        std::vector<std::uint8_t> data(n + kBlockSize);
+        for (auto &x : data)
+            x = static_cast<std::uint8_t>(rng.below(256));
+        hier.memory().writeBytes(src, data.data(), n);
+        hier.memory().writeBytes(key, data.data() + n, kBlockSize);
+        std::vector<std::uint8_t> old(span, 0xa5);
+        hier.memory().writeBytes(dst, old.data(), span);
+
+        if (pin_source_set) {
+            // Every way of the first source block's L1 set is pinned.
+            for (unsigned i = 1; i <= 8; ++i) {
+                Addr filler = src + i * 4096;
+                hier.read(0, filler);
+                EXPECT_TRUE(hier.l1(0).pin(filler));
+            }
+        }
+        auto res = ctrl.execute(
+            0, CcInstruction::clmulReplicated(src, key, dst, n, 64));
+        EXPECT_EQ(res.riscFallback, pin_source_set);
+
+        std::vector<std::uint8_t> image;
+        for (std::size_t off = 0; off < span; off += kBlockSize) {
+            Block blk = hier.debugRead(dst + off);
+            image.insert(image.end(), blk.begin(), blk.end());
+        }
+        return image;
+    };
+
+    std::vector<std::uint8_t> in_place = run(false);
+    std::vector<std::uint8_t> fallback = run(true);
+    EXPECT_EQ(fallback, in_place);
+    EXPECT_EQ(std::vector<std::uint8_t>(fallback.begin() + kBlockSize,
+                                        fallback.end()),
+              std::vector<std::uint8_t>(span - kBlockSize, 0xa5));
+}
+
 TEST(ControllerEdges, ReplicatedClmulDisassemblesAndValidates)
 {
     auto instr = CcInstruction::clmulReplicated(0x1000, 0x2000, 0x3000,

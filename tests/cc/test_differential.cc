@@ -265,35 +265,35 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, SubArrayDifferential,
 
 enum class Variant { InPlace, NearPlace, EccActive };
 
+CcControllerParams
+variantParams(Variant v)
+{
+    CcControllerParams p;
+    switch (v) {
+      case Variant::InPlace:
+        p.verifyCircuit = true;  // cross-check the circuit model too
+        break;
+      case Variant::NearPlace:
+        p.forceNearPlace = true;
+        break;
+      case Variant::EccActive:
+        // Fault ladder armed, zero rates: every sensed operand goes
+        // through the injector and the ECC check unit, and the results
+        // must stay bit-identical to a fault-free run.
+        p.faults.enabled = true;
+        p.faults.seed = 77;
+        break;
+    }
+    return p;
+}
+
 class ControllerDifferential : public ::testing::TestWithParam<Variant>
 {
   protected:
     ControllerDifferential()
         : hier(cache::HierarchyParams{}, &em, &stats),
-          ctrl(hier, &em, &stats, makeParams(GetParam()))
+          ctrl(hier, &em, &stats, variantParams(GetParam()))
     {
-    }
-
-    static CcControllerParams
-    makeParams(Variant v)
-    {
-        CcControllerParams p;
-        switch (v) {
-          case Variant::InPlace:
-            p.verifyCircuit = true;  // cross-check the circuit model too
-            break;
-          case Variant::NearPlace:
-            p.forceNearPlace = true;
-            break;
-          case Variant::EccActive:
-            // Fault ladder armed, zero rates: every sensed operand goes
-            // through the injector and the ECC check unit, and the
-            // results must stay bit-identical to a fault-free run.
-            p.faults.enabled = true;
-            p.faults.seed = 77;
-            break;
-        }
-        return p;
     }
 
     Bytes
@@ -445,21 +445,6 @@ TEST_P(ControllerDifferential, ClmulMatchesGoldenModel)
     }
 }
 
-TEST_P(ControllerDifferential, EccActiveReportsNoFaultActivity)
-{
-    if (GetParam() != Variant::EccActive)
-        GTEST_SKIP() << "only meaningful with the fault ladder armed";
-    Rng rng(555);
-    load(0xd0000, randomBytes(rng, 2048));
-    load(0xe0000, randomBytes(rng, 2048));
-    auto res = ctrl.execute(
-        0, CcInstruction::logicalXor(0xd0000, 0xe0000, 0xf0000, 2048));
-    // Zero rates: the check unit ran but found nothing to correct.
-    EXPECT_EQ(res.faultRetries, 0u);
-    EXPECT_EQ(res.faultDegradedOps, 0u);
-    EXPECT_EQ(res.faultRiscRecoveries, 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(Variants, ControllerDifferential,
                          ::testing::Values(Variant::InPlace,
                                            Variant::NearPlace,
@@ -472,6 +457,26 @@ INSTANTIATE_TEST_SUITE_P(Variants, ControllerDifferential,
                              }
                              return "Unknown";
                          });
+
+// The check unit runs only with the fault ladder armed: EccActive.
+TEST(ControllerDifferentialEccActive, ReportsNoFaultActivity)
+{
+    energy::EnergyModel em;
+    StatRegistry stats;
+    cache::Hierarchy hier(cache::HierarchyParams{}, &em, &stats);
+    CcController ctrl(hier, &em, &stats, variantParams(Variant::EccActive));
+    Rng rng(555);
+    Bytes a = randomBytes(rng, 2048);
+    Bytes b = randomBytes(rng, 2048);
+    hier.memory().writeBytes(0xd0000, a.data(), a.size());
+    hier.memory().writeBytes(0xe0000, b.data(), b.size());
+    auto res = ctrl.execute(
+        0, CcInstruction::logicalXor(0xd0000, 0xe0000, 0xf0000, 2048));
+    // Zero rates: the check unit ran but found nothing to correct.
+    EXPECT_EQ(res.faultRetries, 0u);
+    EXPECT_EQ(res.faultDegradedOps, 0u);
+    EXPECT_EQ(res.faultRiscRecoveries, 0u);
+}
 
 // The three variants must agree with each other, not only with the
 // reference: run the same instruction stream under each and compare

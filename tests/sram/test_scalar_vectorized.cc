@@ -30,14 +30,15 @@ namespace {
 
 using Bytes = std::vector<std::uint8_t>;
 
-/** RAII scope forcing one bit-line path; restores the env gate. */
+/** RAII scope forcing one bit-line path; restores the vectorized
+ *  default. */
 struct BitlinePath
 {
     explicit BitlinePath(bool scalar)
     {
         SubArray::forceScalarBitline(scalar);
     }
-    ~BitlinePath() { SubArray::forceScalarBitline(std::nullopt); }
+    ~BitlinePath() { SubArray::forceScalarBitline(false); }
 };
 
 Block

@@ -21,6 +21,14 @@ struct SweepCase
     std::size_t cols;
 };
 
+/** Print by value: gtest would otherwise dump the raw bytes, `name`'s
+ *  pointer included, and that address changes from build to build. */
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.name << ' ' << c.rows << 'x' << c.cols;
+}
+
 class SubArraySweep : public ::testing::TestWithParam<SweepCase>
 {
 };
