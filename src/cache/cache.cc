@@ -26,27 +26,19 @@ Cache::Cache(const CacheParams &params, energy::EnergyModel *energy,
     }
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    return locate(addr).has_value();
-}
-
 Mesi
 Cache::state(Addr addr) const
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return Mesi::Invalid;
-    return tags_.line(loc->set, loc->way).state;
+    LineRef line = find(addr);
+    return line ? state(line) : Mesi::Invalid;
 }
 
 void
 Cache::setState(Addr addr, Mesi state)
 {
-    auto loc = locate(addr);
-    CC_ASSERT(loc, "setState on absent line 0x", std::hex, addr);
-    tags_.line(loc->set, loc->way).state = state;
+    LineRef line = find(addr);
+    CC_ASSERT(line, "setState on absent line 0x", std::hex, addr);
+    setState(line, state);
 }
 
 void
@@ -70,27 +62,37 @@ Cache::chargeWrite()
 bool
 Cache::read(Addr addr, Block &out)
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return false;
-    tags_.touch(loc->set, loc->way);
-    out = data_[dataIndex(loc->set, loc->way)];
+    LineRef line = find(addr);
+    if (line)
+        read(line, out);
+    return bool(line);
+}
+
+void
+Cache::read(LineRef line, Block &out)
+{
+    tags_.touch(line.set(), line.way());
+    out = data_[dataIndex(line)];
     chargeRead();
-    return true;
 }
 
 bool
 Cache::write(Addr addr, const Block &data, bool set_dirty)
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return false;
-    tags_.touch(loc->set, loc->way);
-    data_[dataIndex(loc->set, loc->way)] = data;
+    LineRef line = find(addr);
+    if (line)
+        write(line, data, set_dirty);
+    return bool(line);
+}
+
+void
+Cache::write(LineRef line, const Block &data, bool set_dirty)
+{
+    tags_.touch(line.set(), line.way());
+    data_[dataIndex(line)] = data;
     if (set_dirty)
-        tags_.line(loc->set, loc->way).dirty = true;
+        lineAt(line).dirty = true;
     chargeWrite();
-    return true;
 }
 
 std::optional<FillResult>
@@ -99,33 +101,33 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
     CC_ASSERT(isAligned(addr, kBlockSize), "fill of unaligned 0x", std::hex,
               addr);
     auto f = geom_.decode(addr);
+    // One named result, returned from every path, so the evicted block
+    // is built in place: its 64 bytes are copied once.
+    std::optional<FillResult> result;
 
     // Refill of a line that is already resident just updates it.
-    if (Lookup l = tags_.lookup(f.set, f.tag); l.hit) {
-        tags_.touch(f.set, l.way);
-        tags_.line(f.set, l.way).state = state;
-        data_[dataIndex(f.set, l.way)] = data;
+    if (LineRef hit = probe(f.set, f.tag)) {
+        tags_.touch(f.set, hit.way());
+        lineAt(hit).state = state;
+        data_[dataIndex(hit)] = data;
         chargeWrite();
-        return FillResult{l.way, std::nullopt};
+        result.emplace().line = hit;
+        return result;
     }
 
     auto victim_way = tags_.victim(f.set);
     if (!victim_way) {
         if (fillBlockedStat_)
             fillBlockedStat_->inc();
-        return std::nullopt;
+        return result;
     }
 
-    FillResult result{*victim_way, std::nullopt};
-    Line &line = tags_.line(f.set, *victim_way);
+    FillResult &r = result.emplace();
+    r.line = LineRef(f.set, *victim_way);
+    Line &line = lineAt(r.line);
     if (line.valid()) {
-        Eviction ev;
-        ev.addr = ((line.tag << geom_.setIndexBits()) | f.set)
-            << geom_.blockOffsetBits();
-        ev.data = data_[dataIndex(f.set, *victim_way)];
-        ev.dirty = line.dirty;
-        ev.state = line.state;
-        result.evicted = ev;
+        r.evicted.emplace(addrOf(f.set, *victim_way),
+                          data_[dataIndex(r.line)], line.dirty, line.state);
         if (evictionsStat_)
             evictionsStat_->inc();
     }
@@ -135,7 +137,7 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
     line.dirty = false;
     line.pinned = false;
     tags_.touch(f.set, *victim_way);
-    data_[dataIndex(f.set, *victim_way)] = data;
+    data_[dataIndex(r.line)] = data;
     chargeWrite();
     if (fillsStat_)
         fillsStat_->inc();
@@ -145,15 +147,12 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
 std::optional<Eviction>
 Cache::invalidate(Addr addr)
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return std::nullopt;
-    Line &line = tags_.line(loc->set, loc->way);
-    Eviction ev;
-    ev.addr = addr;
-    ev.data = data_[dataIndex(loc->set, loc->way)];
-    ev.dirty = line.dirty;
-    ev.state = line.state;
+    std::optional<Eviction> ev;
+    LineRef ref = find(addr);
+    if (!ref)
+        return ev;
+    Line &line = lineAt(ref);
+    ev.emplace(addr, data_[dataIndex(ref)], line.dirty, line.state);
     line.state = Mesi::Invalid;
     line.dirty = false;
     line.pinned = false;
@@ -165,84 +164,78 @@ Cache::invalidate(Addr addr)
 bool
 Cache::pin(Addr addr)
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return false;
-    tags_.line(loc->set, loc->way).pinned = true;
-    return true;
+    LineRef line = find(addr);
+    if (line)
+        pin(line);
+    return bool(line);
 }
 
 void
 Cache::unpin(Addr addr)
 {
-    if (auto loc = locate(addr))
-        tags_.line(loc->set, loc->way).pinned = false;
+    if (LineRef line = find(addr))
+        unpin(line);
 }
 
 bool
 Cache::isPinned(Addr addr) const
 {
-    auto loc = locate(addr);
-    return loc && tags_.line(loc->set, loc->way).pinned;
+    LineRef line = find(addr);
+    return line && lineAt(line).pinned;
 }
 
 void
 Cache::promoteMRU(Addr addr)
 {
-    if (auto loc = locate(addr))
-        tags_.touch(loc->set, loc->way);
+    if (LineRef line = find(addr))
+        promoteMRU(line);
 }
 
 void
 Cache::markDirty(Addr addr)
 {
-    auto loc = locate(addr);
-    CC_ASSERT(loc, "markDirty on absent line 0x", std::hex, addr);
-    Line &l = tags_.line(loc->set, loc->way);
-    l.dirty = true;
-    l.state = Mesi::Modified;
+    LineRef line = find(addr);
+    CC_ASSERT(line, "markDirty on absent line 0x", std::hex, addr);
+    markDirty(line);
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    auto loc = locate(addr);
-    return loc && tags_.line(loc->set, loc->way).dirty;
+    LineRef line = find(addr);
+    return line && isDirty(line);
 }
 
 void
 Cache::clearDirty(Addr addr)
 {
-    if (auto loc = locate(addr))
-        tags_.line(loc->set, loc->way).dirty = false;
+    if (LineRef line = find(addr))
+        clearDirty(line);
 }
 
 const Block *
 Cache::dirtyPeek(Addr addr) const
 {
-    auto loc = locate(addr);
-    if (!loc || !tags_.line(loc->set, loc->way).dirty)
+    LineRef line = find(addr);
+    if (!line || !isDirty(line))
         return nullptr;
-    return &data_[dataIndex(loc->set, loc->way)];
+    return &peek(line);
 }
 
 const Block *
 Cache::peek(Addr addr) const
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return nullptr;
-    return &data_[dataIndex(loc->set, loc->way)];
+    LineRef line = find(addr);
+    return line ? &peek(line) : nullptr;
 }
 
 bool
 Cache::poke(Addr addr, const Block &data)
 {
-    auto loc = locate(addr);
-    if (!loc)
-        return false;
-    data_[dataIndex(loc->set, loc->way)] = data;
-    return true;
+    LineRef line = find(addr);
+    if (line)
+        poke(line, data);
+    return bool(line);
 }
 
 Addr
@@ -271,10 +264,10 @@ Cache::forEachLine(
 std::optional<geometry::BlockPlace>
 Cache::placeOf(Addr addr) const
 {
-    auto loc = locate(addr);
-    if (!loc)
+    LineRef line = find(addr);
+    if (!line)
         return std::nullopt;
-    return geom_.place(loc->set, loc->way);
+    return placeOf(line);
 }
 
 } // namespace ccache::cache

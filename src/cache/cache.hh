@@ -11,6 +11,7 @@
 #ifndef CCACHE_CACHE_CACHE_HH
 #define CCACHE_CACHE_CACHE_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -42,10 +43,44 @@ struct Eviction
     Mesi state;
 };
 
+/**
+ * The (set, way) slot of a resident line, as Cache::find returned it,
+ * or an empty handle (the default) when the line is absent. The handle
+ * forms of the per-line operations take it in place of an address and
+ * skip the lookup; they require a non-empty handle. A handle is a hint,
+ * not a reference: once its line is invalidated or evicted the slot can
+ * hold another line, so a holder that let other accesses run since
+ * find() revalidates it with find(addr, hint), and never keeps it past
+ * the operation it was found for (DESIGN.md §13.4).
+ *
+ * One 64-bit word, so a handle travels in a register: the hot paths
+ * pass and return it on every staged row.
+ */
+class LineRef
+{
+  public:
+    LineRef() = default;
+    LineRef(std::size_t set, std::size_t way)
+        : bits_((static_cast<std::uint64_t>(set) << 32) |
+                static_cast<std::uint32_t>(way))
+    {
+    }
+
+    explicit operator bool() const { return bits_ != kEmpty; }
+    std::size_t set() const { return bits_ >> 32; }
+    std::size_t way() const { return static_cast<std::uint32_t>(bits_); }
+
+    bool operator==(const LineRef &) const = default;
+
+  private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    std::uint64_t bits_ = kEmpty;
+};
+
 /** Outcome of a fill. */
 struct FillResult
 {
-    std::size_t way;
+    LineRef line;                      ///< where the filled line lives
     std::optional<Eviction> evicted;
 };
 
@@ -61,20 +96,49 @@ class Cache
     CacheLevel level() const { return params_.level; }
     Cycles latency() const { return params_.accessLatency; }
 
+    /** The slot of resident line @p addr, empty if absent: one
+     *  address decode and tag probe, without LRU update or energy
+     *  charge. Every per-line operation below has a handle form that
+     *  reuses it; each address form is find() plus the handle form. */
+    LineRef
+    find(Addr addr) const
+    {
+        auto f = geom_.decode(addr);
+        return probe(f.set, f.tag);
+    }
+
+    /** find(@p addr), trying @p hint first: the hint is returned iff
+     *  its slot still holds @p addr (valid bit and tag); on a mismatch
+     *  the line is looked up by address. */
+    LineRef
+    find(Addr addr, LineRef hint) const
+    {
+        auto f = geom_.decode(addr);
+        if (hint && hint.set() == f.set) {
+            const Line &l = lineAt(hint);
+            if (l.valid() && l.tag == f.tag)
+                return hint;
+        }
+        return probe(f.set, f.tag);
+    }
+
     /** Tag probe without LRU update or energy charge. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return bool(find(addr)); }
 
     /** State of @p addr, Invalid if absent. */
     Mesi state(Addr addr) const;
+    Mesi state(LineRef line) const { return lineAt(line).state; }
 
     /** Set the MESI state of a resident line. */
     void setState(Addr addr, Mesi state);
+    void setState(LineRef line, Mesi state) { lineAt(line).state = state; }
 
     /**
      * Read a resident block. Charges read energy, updates LRU.
      * Returns false on miss.
      */
     bool read(Addr addr, Block &out);
+    void read(LineRef line, Block &out);
 
     /**
      * Write a resident block (marks it dirty/Modified is left to the
@@ -82,6 +146,7 @@ class Cache
      * energy, updates LRU. Returns false on miss.
      */
     bool write(Addr addr, const Block &data, bool set_dirty = true);
+    void write(LineRef line, const Block &data, bool set_dirty = true);
 
     /**
      * Insert @p addr with @p data in state @p state, evicting if needed.
@@ -98,20 +163,32 @@ class Cache
 
     /** Operand pinning for the CC controller (Section IV-E). @{ */
     bool pin(Addr addr);
+    void pin(LineRef line) { lineAt(line).pinned = true; }
     void unpin(Addr addr);
+    void unpin(LineRef line) { lineAt(line).pinned = false; }
     bool isPinned(Addr addr) const;
     /** Promote a line to MRU so it survives until its operation issues. */
     void promoteMRU(Addr addr);
+    void promoteMRU(LineRef line) { tags_.touch(line.set(), line.way()); }
     /** @} */
 
     /** Mark a resident line dirty (after an in-place CC write). */
     void markDirty(Addr addr);
+    void
+    markDirty(LineRef line)
+    {
+        Line &l = lineAt(line);
+        l.dirty = true;
+        l.state = Mesi::Modified;
+    }
 
     /** True iff @p addr is resident and holds dirty data. */
     bool isDirty(Addr addr) const;
+    bool isDirty(LineRef line) const { return lineAt(line).dirty; }
 
     /** Clear the dirty flag after the data has been written back. */
     void clearDirty(Addr addr);
+    void clearDirty(LineRef line) { lineAt(line).dirty = false; }
 
     /**
      * Data access for in-place compute: read/write the resident block
@@ -119,7 +196,13 @@ class Cache
      * charges the Table V in-place cost instead. @{
      */
     const Block *peek(Addr addr) const;
+    const Block &peek(LineRef line) const { return data_[dataIndex(line)]; }
     bool poke(Addr addr, const Block &data);
+    void
+    poke(LineRef line, const Block &data)
+    {
+        data_[dataIndex(line)] = data;
+    }
     /** @} */
 
     /** Data of a resident DIRTY line, nullptr otherwise: one address
@@ -130,6 +213,11 @@ class Cache
 
     /** Physical placement of a resident line, for the CC scheduler. */
     std::optional<geometry::BlockPlace> placeOf(Addr addr) const;
+    geometry::BlockPlace
+    placeOf(LineRef line) const
+    {
+        return geom_.place(line.set(), line.way());
+    }
 
     /** Occupancy for stats. */
     std::size_t validLines() const { return tags_.validLines(); }
@@ -147,23 +235,22 @@ class Cache
     {
         return set * params_.geometry.ways + way;
     }
-
-    /** A resident line located by one address decode. */
-    struct Located
+    std::size_t dataIndex(LineRef line) const
     {
-        std::size_t set;
-        std::size_t way;
-    };
+        return dataIndex(line.set(), line.way());
+    }
 
-    /** Locate a resident line with a single geometry decode; every public
-     *  entry point reuses the returned set instead of re-decoding. */
-    std::optional<Located> locate(Addr addr) const
+    LineRef
+    probe(std::size_t set, Addr tag) const
     {
-        auto f = geom_.decode(addr);
-        Lookup l = tags_.lookup(f.set, f.tag);
-        if (!l.hit)
-            return std::nullopt;
-        return Located{f.set, l.way};
+        Lookup l = tags_.lookup(set, tag);
+        return l.hit ? LineRef(set, l.way) : LineRef();
+    }
+
+    Line &lineAt(LineRef line) { return tags_.line(line.set(), line.way()); }
+    const Line &lineAt(LineRef line) const
+    {
+        return tags_.line(line.set(), line.way());
     }
 
     void chargeRead();

@@ -108,21 +108,22 @@ Hierarchy::mapPage(Addr addr, unsigned slice)
     if (slice >= l3_.size())
         CC_FATAL("mapPage slice ", slice, " out of range (", l3_.size(),
                  " slices)");
-    pageSlice_[alignDown(addr, kPageSize)] = slice;
-    lastPage_ = ~Addr{0};   // drop the sliceFor memo: it may now be stale
+    Addr page = alignDown(addr, kPageSize);
+    pageSlice_[page] = slice;
+    memoFor(page) = {page, slice};
 }
 
 std::optional<unsigned>
 Hierarchy::homeSliceIfMapped(Addr addr) const
 {
     Addr page = alignDown(addr, kPageSize);
-    if (page == lastPage_)
-        return lastSlice_;
+    PageMemo &memo = memoFor(page);
+    if (memo.page == page)
+        return memo.slice;
     auto it = pageSlice_.find(page);
     if (it == pageSlice_.end())
         return std::nullopt;
-    lastPage_ = page;
-    lastSlice_ = it->second;
+    memo = {page, it->second};
     return it->second;
 }
 
@@ -139,20 +140,13 @@ unsigned
 Hierarchy::sliceFor(CoreId core, Addr addr)
 {
     Addr page = alignDown(addr, kPageSize);
-    if (page == lastPage_)
-        return lastSlice_;
-    auto it = pageSlice_.find(page);
-    if (it != pageSlice_.end()) {
-        lastPage_ = page;
-        lastSlice_ = it->second;
-        return it->second;
-    }
+    PageMemo &memo = memoFor(page);
+    if (memo.page == page)
+        return memo.slice;
     // First touch: the page lands on the accessing core's local slice
     // (Section IV-C assumption).
-    unsigned slice = stopOf(core);
-    pageSlice_.emplace(page, slice);
-    lastPage_ = page;
-    lastSlice_ = slice;
+    unsigned slice = pageSlice_.try_emplace(page, stopOf(core)).first->second;
+    memo = {page, slice};
     return slice;
 }
 
@@ -162,10 +156,12 @@ Hierarchy::l1Writeback(CoreId core, const Eviction &victim)
     if (!victim.dirty)
         return;
     // Inclusion: L2 must hold the line; it now owns the modified data.
-    bool ok = l2(core).write(victim.addr, victim.data);
-    CC_ASSERT(ok, "L1 victim 0x", std::hex, victim.addr,
+    Cache &c2 = l2(core);
+    LineRef line = c2.find(victim.addr);
+    CC_ASSERT(line, "L1 victim 0x", std::hex, victim.addr,
               " absent from inclusive L2");
-    l2(core).setState(victim.addr, Mesi::Modified);
+    c2.write(line, victim.data);
+    c2.setState(line, Mesi::Modified);
 }
 
 Cycles
@@ -262,26 +258,29 @@ Hierarchy::recallFromOwner(CoreId requester, CoreId owner, Addr addr,
         directory(slice).removeSharer(addr, owner);
     } else {
         // Downgrade to Shared, pulling the newest data.
-        if (const Block *d = l1(owner).peek(addr)) {
-            newest = *d;
+        Cache &o1 = l1(owner);
+        Cache &o2 = l2(owner);
+        LineRef line1 = o1.find(addr);
+        LineRef line2 = o2.find(addr);
+        if (line1) {
+            newest = o1.peek(line1);
             have = true;
-            dirty = l1(owner).isDirty(addr) ||
-                l1(owner).state(addr) == Mesi::Modified;
-            l1(owner).setState(addr, Mesi::Shared);
+            dirty = o1.isDirty(line1) ||
+                o1.state(line1) == Mesi::Modified;
+            o1.setState(line1, Mesi::Shared);
+        } else if (line2) {
+            newest = o2.peek(line2);
+            have = true;
+            dirty = o2.isDirty(line2) ||
+                o2.state(line2) == Mesi::Modified;
         }
-        if (!have) {
-            if (const Block *d = l2(owner).peek(addr)) {
-                newest = *d;
-                have = true;
-                dirty = l2(owner).isDirty(addr) ||
-                    l2(owner).state(addr) == Mesi::Modified;
-            }
-        }
-        if (l2(owner).contains(addr))
-            l2(owner).setState(addr, Mesi::Shared);
         // The written-back data is clean-shared from here on.
-        l1(owner).clearDirty(addr);
-        l2(owner).clearDirty(addr);
+        if (line1)
+            o1.clearDirty(line1);
+        if (line2) {
+            o2.setState(line2, Mesi::Shared);
+            o2.clearDirty(line2);
+        }
         directory(slice).downgradeOwner(addr);
     }
 
@@ -338,8 +337,8 @@ Hierarchy::invalidateSharers(Addr addr, unsigned slice, CoreId keeper)
 }
 
 Cycles
-Hierarchy::fillUpward(CoreId core, Addr addr, const Block &data, Mesi state,
-                      CacheLevel fill_to)
+Hierarchy::fillUpward(CoreId core, Addr addr, unsigned slice,
+                      const Block &data, Mesi state, CacheLevel fill_to)
 {
     Cycles latency = 0;
     if (fill_to == CacheLevel::L3)
@@ -352,7 +351,7 @@ Hierarchy::fillUpward(CoreId core, Addr addr, const Block &data, Mesi state,
         return latency;
     if (fill2->evicted)
         latency += l2Eviction(core, *fill2->evicted);
-    directory(sliceFor(core, addr)).addSharer(addr, core);
+    directory(slice).addSharer(addr, core);
 
     if (fill_to == CacheLevel::L2)
         return latency;
@@ -365,13 +364,10 @@ Hierarchy::fillUpward(CoreId core, Addr addr, const Block &data, Mesi state,
     return latency;
 }
 
-Cycles
-Hierarchy::ensureInL3(unsigned slice, Addr addr, bool for_overwrite)
+LineRef
+Hierarchy::allocateInL3(unsigned slice, Addr addr, bool for_overwrite,
+                        Cycles &latency)
 {
-    if (l3Slice(slice).contains(addr))
-        return 0;
-
-    Cycles latency = 0;
     Block data{};
     if (for_overwrite) {
         // Figure 6 step 4 note: a destination that will be fully
@@ -393,9 +389,11 @@ Hierarchy::ensureInL3(unsigned slice, Addr addr, bool for_overwrite)
     if (!fill)
         CC_FATAL("L3 slice ", slice, " fill blocked at 0x", std::hex, addr,
                  std::dec, ": every way of the set is pinned by CC operands");
+    // The victim's recall touches only private copies and memory, so
+    // the new line stays in its slot.
     if (fill->evicted)
         l3Eviction(slice, *fill->evicted);
-    return latency;
+    return fill->line;
 }
 
 AccessResult
@@ -440,31 +438,37 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
     addr = alignDown(addr, kBlockSize);
     AccessResult res;
     Block data;
+    Cache &c1 = l1(core);
+    Cache &c2 = l2(core);
 
     // L1.
-    if (fill_to == CacheLevel::L1 && l1(core).read(addr, data)) {
-        res.latency = l1(core).latency();
-        res.servedBy = ServedBy::L1;
-        if (stats_)
-            l1HitsStat_->inc();
-        if (out)
-            *out = data;
-        return res;
+    if (fill_to == CacheLevel::L1) {
+        if (LineRef line = c1.find(addr)) {
+            c1.read(line, data);
+            res.latency = c1.latency();
+            res.servedBy = ServedBy::L1;
+            if (stats_)
+                l1HitsStat_->inc();
+            if (out)
+                *out = data;
+            return res;
+        }
     }
-    res.latency += l1(core).latency();
+    res.latency += c1.latency();
     if (stats_)
         l1MissesStat_->inc();
 
     // L2.
-    if (l2(core).read(addr, data)) {
-        res.latency += l2(core).latency();
+    if (LineRef line = c2.find(addr)) {
+        c2.read(line, data);
+        res.latency += c2.latency();
         res.servedBy = ServedBy::L2;
         if (stats_)
             l2HitsStat_->inc();
         if (fill_to == CacheLevel::L1) {
             // A set full of pinned CC operands refuses the fill; the
             // access is served from L2 without allocating.
-            auto fill1 = l1(core).fill(addr, data, l2(core).state(addr));
+            auto fill1 = c1.fill(addr, data, c2.state(line));
             if (fill1 && fill1->evicted)
                 l1Writeback(core, *fill1->evicted);
         }
@@ -473,7 +477,7 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
         traceAccess("read.l2", core, addr, res);
         return res;
     }
-    res.latency += l2(core).latency();
+    res.latency += c2.latency();
     if (stats_)
         l2MissesStat_->inc();
 
@@ -482,7 +486,11 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
     res.latency += ring_.send(stopOf(core), slice, noc::MsgClass::Control);
     res.latency += params_.l3.accessLatency + params_.l3QueueDelay;
 
-    if (l3Slice(slice).contains(addr)) {
+    // An owner recall only writes the home line in place, so the slot
+    // found here serves the read below.
+    Cache &home = l3Slice(slice);
+    LineRef line3 = home.find(addr);
+    if (line3) {
         res.servedBy = ServedBy::L3;
         if (stats_)
             l3HitsStat_->inc();
@@ -494,11 +502,10 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
         res.servedBy = ServedBy::Memory;
         if (stats_)
             l3MissesStat_->inc();
-        res.latency += ensureInL3(slice, addr, /*for_overwrite=*/false);
+        line3 = allocateInL3(slice, addr, /*for_overwrite=*/false,
+                             res.latency);
     }
-
-    bool read_ok = l3Slice(slice).read(addr, data);
-    CC_ASSERT(read_ok, "L3 read failed after ensure at 0x", std::hex, addr);
+    home.read(line3, data);
 
     // Grant: Exclusive if no other private copy, else Shared. The
     // exclusive owner is recorded so later readers trigger a downgrade.
@@ -515,14 +522,14 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
                                            false);
             // The former owner keeps a Shared copy; reflect that here.
             Cache &oL1 = l1(*e.owner);
-            if (oL1.contains(addr))
-                oL1.setState(addr, Mesi::Shared);
+            if (LineRef line = oL1.find(addr))
+                oL1.setState(line, Mesi::Shared);
         }
         directory(slice).addSharer(addr, core);
     }
 
     res.latency += ring_.send(slice, stopOf(core), noc::MsgClass::Data);
-    res.latency += fillUpward(core, addr, data, grant, fill_to);
+    res.latency += fillUpward(core, addr, slice, data, grant, fill_to);
     if (out)
         *out = data;
     traceAccess(res.servedBy == ServedBy::Memory ? "read.mem" : "read.l3",
@@ -536,24 +543,33 @@ Hierarchy::writeImpl(CoreId core, Addr addr, const Block *data,
 {
     addr = alignDown(addr, kBlockSize);
     AccessResult res;
+    Cache &c1 = l1(core);
+    Cache &c2 = l2(core);
+
+    // Keep the inclusive L2 image fresh after an L1 store (dirtiness
+    // stays in L1): a stale-but-valid L2 copy would serve old data
+    // after the L1 line is downgraded and silently dropped.
+    auto refresh_l2 = [&](const Block &merged) {
+        if (LineRef line2 = c2.find(addr)) {
+            c2.poke(line2, merged);
+            c2.setState(line2, Mesi::Modified);
+        }
+    };
 
     // Fast path: writable copy in L1.
-    if (fill_to == CacheLevel::L1 && writable(l1(core).state(addr))) {
-        Block merged = data ? *data : *l1(core).peek(addr);
-        l1(core).write(addr, merged);
-        l1(core).setState(addr, Mesi::Modified);
-        // Keep the inclusive L2 image fresh (dirtiness stays in L1): a
-        // stale-but-valid L2 copy would serve old data after the L1 line
-        // is downgraded and silently dropped.
-        if (l2(core).contains(addr)) {
-            l2(core).poke(addr, merged);
-            l2(core).setState(addr, Mesi::Modified);
+    if (fill_to == CacheLevel::L1) {
+        LineRef line1 = c1.find(addr);
+        if (line1 && writable(c1.state(line1))) {
+            Block merged = data ? *data : c1.peek(line1);
+            c1.write(line1, merged);
+            c1.setState(line1, Mesi::Modified);
+            refresh_l2(merged);
+            res.latency = c1.latency();
+            res.servedBy = ServedBy::L1;
+            if (stats_)
+                l1WriteHitsStat_->inc();
+            return res;
         }
-        res.latency = l1(core).latency();
-        res.servedBy = ServedBy::L1;
-        if (stats_)
-            l1WriteHitsStat_->inc();
-        return res;
     }
 
     // Need ownership: read the current data (which may already traverse
@@ -562,11 +578,15 @@ Hierarchy::writeImpl(CoreId core, Addr addr, const Block *data,
     res = read(core, addr, &current, fill_to);
 
     unsigned slice = sliceFor(core, addr);
-    Cache &target = fill_to == CacheLevel::L1 ? l1(core)
-        : fill_to == CacheLevel::L2 ? l2(core)
+    Cache &target = fill_to == CacheLevel::L1 ? c1
+        : fill_to == CacheLevel::L2 ? c2
                                     : l3Slice(slice);
+    // Invalidating the other sharers touches only their copies and
+    // writes the home line in place, so this slot stays valid for the
+    // store below.
+    LineRef line = target.find(addr);
 
-    if (!writable(target.state(addr))) {
+    if (!line || !writable(target.state(line))) {
         // Upgrade request to the home slice: invalidate other sharers.
         res.latency +=
             ring_.send(stopOf(core), slice, noc::MsgClass::Control);
@@ -580,30 +600,29 @@ Hierarchy::writeImpl(CoreId core, Addr addr, const Block *data,
     }
 
     Block merged = data ? *data : current;
-    if (!target.write(addr, merged)) {
+    if (!line) {
         // The fill was blocked by a set full of pinned CC operands; the
         // store completes at the home slice instead, and any private
         // copies of the requester are dropped so nothing stale remains.
-        l1(core).invalidate(addr);
-        l2(core).invalidate(addr);
+        c1.invalidate(addr);
+        c2.invalidate(addr);
         bool ok = l3Slice(slice).write(addr, merged);
         CC_ASSERT(ok, "inclusive L3 lost line 0x", std::hex, addr);
         directory(slice).clear(addr);
         return res;
     }
-    target.setState(addr, Mesi::Modified);
-    if (fill_to == CacheLevel::L1 && l2(core).contains(addr)) {
-        l2(core).poke(addr, merged);
-        l2(core).setState(addr, Mesi::Modified);
-    }
+    target.write(line, merged);
+    target.setState(line, Mesi::Modified);
+    if (fill_to == CacheLevel::L1)
+        refresh_l2(merged);
 
     if (fill_to == CacheLevel::L3) {
         // Dropping the directory entry while a requester-side copy
         // survives would orphan that copy (no later invalidation could
         // reach it); the L3 line just written holds the newest data, so
         // the private copies can simply be discarded.
-        l1(core).invalidate(addr);
-        l2(core).invalidate(addr);
+        c1.invalidate(addr);
+        c2.invalidate(addr);
         directory(slice).clear(addr);
     } else {
         directory(slice).setOwner(addr, core);
@@ -676,9 +695,9 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         // compute senses the bit-cells directly, so no extra port access
         // is charged.
         Cache &target = level == CacheLevel::L1 ? l1(core) : l2(core);
-        if (target.contains(addr) &&
-            (!exclusive || writable(target.state(addr)))) {
-            target.promoteMRU(addr);
+        LineRef line = target.find(addr);
+        if (line && (!exclusive || writable(target.state(line)))) {
+            target.promoteMRU(line);
             return 0;
         }
 
@@ -693,15 +712,16 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
     // using the existing writeback mechanism; exclusivity for CC writes
     // invalidates all private copies.
     unsigned slice = sliceFor(core, addr);
+    bool resident = l3Slice(slice).contains(addr);
+    DirEntry e = directory(slice).entry(addr);
 
     // Fast path: already resident with nothing to recall or invalidate.
     // The per-block residence check is part of the CC command issue the
     // controller models, so it costs no separate hierarchy transaction.
-    if (l3Slice(slice).contains(addr)) {
-        DirEntry quick = directory(slice).entry(addr);
+    if (resident) {
         bool needs_action = false;
         for (unsigned c = 0; c < params_.cores && !needs_action; ++c) {
-            if (!(quick.sharers & (1u << c)))
+            if (!(e.sharers & (1u << c)))
                 continue;
             if (exclusive) {
                 needs_action = true;
@@ -716,7 +736,6 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
     Cycles latency =
         ring_.send(stopOf(core), slice, noc::MsgClass::Control);
 
-    DirEntry e = directory(slice).entry(addr);
     for (unsigned c = 0; c < params_.cores; ++c) {
         if (!(e.sharers & (1u << c)))
             continue;
@@ -729,21 +748,23 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         }
     }
 
-    latency += ensureInL3(slice, addr, for_overwrite);
+    // Recalls write the home line in place; they never allocate it.
+    if (!resident)
+        allocateInL3(slice, addr, for_overwrite, latency);
     latency += params_.l3.accessLatency + params_.l3QueueDelay;
     return latency;
 }
 
 Cache &
-Hierarchy::cacheAt(CacheLevel level, CoreId core, Addr addr)
+Hierarchy::cacheInstance(CacheLevel level, unsigned index)
 {
     switch (level) {
       case CacheLevel::L1:
-        return l1(core);
+        return l1(index);
       case CacheLevel::L2:
-        return l2(core);
+        return l2(index);
       case CacheLevel::L3:
-        return l3Slice(sliceFor(core, addr));
+        return l3Slice(index);
     }
     CC_PANIC("bad level");
 }
@@ -755,11 +776,11 @@ Hierarchy::chooseLevel(CoreId core, const std::vector<Addr> &operands)
     // present; if any operand is uncached, compute at L3. No L3 probe is
     // needed: L3 is the unconditional fallback, and the probe's only
     // side effect — sliceFor's first-touch page pinning — is reproduced
-    // exactly by ensureInL3 with the same core whenever the op actually
-    // computes at L3 (an operand resident in L1/L2 had its page pinned
-    // by the fill that brought it there). This runs once per block
-    // operand per instruction, so it early-exits as soon as both
-    // candidate levels are ruled out.
+    // exactly by the L3 staging with the same core whenever the op
+    // actually computes at L3 (an operand resident in L1/L2 had its
+    // page pinned by the fill that brought it there). This runs once
+    // per block operand per instruction, so it early-exits as soon as
+    // both candidate levels are ruled out.
     bool all_l1 = true, all_l2 = true;
     for (Addr a : operands) {
         Addr blk = alignDown(a, kBlockSize);
@@ -798,7 +819,7 @@ Hierarchy::debugRead(Addr addr)
                 return *d;
         }
         // L3 residency is possible only at the home slice: every fill
-        // goes through ensureInL3 with a sliceFor-derived target, and
+        // goes through allocateInL3 with a sliceFor-derived target, and
         // sliceFor pins the page mapping on first touch (mapPage is
         // pre-access test setup only). L3 data is newest unless a
         // private M copy exists (checked above); L3-dirty beats memory.

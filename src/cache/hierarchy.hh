@@ -153,8 +153,15 @@ class Hierarchy
     Cycles fetchToLevel(CoreId core, Addr addr, CacheLevel level,
                         bool exclusive, bool for_overwrite = false);
 
-    /** The cache that holds @p addr at @p level for @p core. */
-    Cache &cacheAt(CacheLevel level, CoreId core, Addr addr);
+    /** Index of the cache instance that holds @p addr at @p level for
+     *  @p core: the core at L1 and L2, the page's home slice at L3. */
+    unsigned cacheIndex(CacheLevel level, CoreId core, Addr addr)
+    {
+        return level == CacheLevel::L3 ? sliceFor(core, addr) : core;
+    }
+
+    /** The cache instance @p index (a cacheIndex() result) at @p level. */
+    Cache &cacheInstance(CacheLevel level, unsigned index);
 
     /** Highest (fastest) level at which ALL operands are present for
      *  @p core; L3 if any operand is uncached (Section IV-E policy). */
@@ -208,13 +215,15 @@ class Hierarchy
     /** Invalidate every private copy except @p keeper's. */
     Cycles invalidateSharers(Addr addr, unsigned slice, CoreId keeper);
 
-    /** Fill path L3 -> L2 -> L1 after a slice grant. */
-    Cycles fillUpward(CoreId core, Addr addr, const Block &data, Mesi state,
-                      CacheLevel fill_to);
+    /** Fill path L3 -> L2 -> L1 after a grant from home @p slice. */
+    Cycles fillUpward(CoreId core, Addr addr, unsigned slice,
+                      const Block &data, Mesi state, CacheLevel fill_to);
 
-    /** Ensure the home slice holds @p addr; fetch from memory if not.
-     *  Returns added latency. */
-    Cycles ensureInL3(unsigned slice, Addr addr, bool for_overwrite);
+    /** Allocate @p addr, absent from its home @p slice, there: read from
+     *  memory unless @p for_overwrite. Adds the latency to @p latency
+     *  and returns the line's slot. */
+    LineRef allocateInL3(unsigned slice, Addr addr, bool for_overwrite,
+                         Cycles &latency);
 
     /** Record one served-beyond-L1 access on @p core's timeline track. */
     void traceAccess(const char *name, CoreId core, Addr addr,
@@ -234,13 +243,30 @@ class Hierarchy
     mem::Memory memory_;
     noc::Ring ring_;
     std::unordered_map<Addr, unsigned> pageSlice_;
-    /** One-entry memo over pageSlice_: accesses stream through a page
-     *  (64 blocks), so the last-page hit rate is high enough to skip
-     *  most hash probes on the sliceFor / homeSliceIfMapped hot paths
-     *  (DESIGN.md §13). Only mapped pages are memoized; invalidated by
-     *  mapPage. Mutable: homeSliceIfMapped is logically const. @{ */
-    mutable Addr lastPage_ = ~Addr{0};
-    mutable unsigned lastSlice_ = 0;
+    /** Direct-mapped memo over pageSlice_ for the sliceFor /
+     *  homeSliceIfMapped hot paths (DESIGN.md §13.4). A block op cycles
+     *  through its src1, src2 and dest pages, which a one-entry memo
+     *  misses every time; entries are picked by a multiplicative hash
+     *  of the page number because operand bases tend to share their low
+     *  page bits. Only mapped pages are memoized, and mapPage rewrites
+     *  its page's entry; homeSliceIfMapped, logically const, updates
+     *  it too. The table lives beside pageSlice_ on the heap rather
+     *  than inside the Hierarchy: a 1 KB member shifts the heap layout
+     *  of runs that build many hierarchies, which moved their peak RSS
+     *  by ~3%. @{ */
+    struct PageMemo
+    {
+        Addr page = ~Addr{0};   ///< never a page address: empty entry
+        unsigned slice = 0;
+    };
+    static constexpr unsigned kPageMemoBits = 6;
+    PageMemo &memoFor(Addr page) const
+    {
+        std::uint64_t n = (page >> kPageOffsetBits) * 0x9e3779b97f4a7c15ULL;
+        return pageMemo_[n >> (64 - kPageMemoBits)];
+    }
+    std::unique_ptr<PageMemo[]> pageMemo_ =
+        std::make_unique<PageMemo[]>(std::size_t{1} << kPageMemoBits);
     /** @} */
 
     /** Counters pre-registered under "hier." so the transaction hot

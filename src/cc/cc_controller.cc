@@ -15,6 +15,7 @@
 namespace ccache::cc {
 
 using cache::Cache;
+using cache::LineRef;
 
 Cycles &
 CcController::PartitionClock::operator[](std::uint64_t key)
@@ -206,6 +207,16 @@ CcController::CcController(cache::Hierarchy &hier,
       nearPlace_(params.nearPlace, energy, stats),
       faults_(params.faults)
 {
+    // A StagedRow packs a way and a cache index into 16 bits each.
+    const cache::HierarchyParams &hp = hier.params();
+    for (const cache::CacheParams *cp : {&hp.l1, &hp.l2, &hp.l3}) {
+        if (cp->geometry.ways > 0xffff)
+            CC_FATAL(cp->geometry.name, ": ", cp->geometry.ways,
+                     " ways exceed the controller's 65535");
+    }
+    if (hp.cores > 0xffff || hp.ring.nodes > 0xffff)
+        CC_FATAL("more than 65535 cores or L3 slices");
+
     if (params_.verifyCircuit) {
         sram::SubArrayParams sp;
         // Three bit-serial slice stacks of up to kMaxBitSerialWidth rows
@@ -397,13 +408,18 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
          ++attempt) {
         latency += hier_.fetchToLevel(core, addr, level, exclusive,
                                       for_overwrite);
-        Cache &cache = hier_.cacheAt(level, core, addr);
-        if (cache.contains(addr)) {
+        unsigned index = hier_.cacheIndex(level, core, addr);
+        Cache &cache = hier_.cacheInstance(level, index);
+        if (LineRef line = cache.find(addr)) {
             // Pin + promote to MRU so the operand survives until issue
             // (Section IV-E).
-            cache.pin(addr);
-            cache.promoteMRU(addr);
+            cache.pin(line);
+            cache.promoteMRU(line);
             faults_.noteResident(addr);
+            scratchStaged_.push_back(
+                {static_cast<std::uint32_t>(line.set()),
+                 static_cast<std::uint16_t>(line.way()),
+                 static_cast<std::uint16_t>(index)});
             return latency;
         }
         if (stats_)
@@ -412,6 +428,14 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
             watchdog_->noteRetry("lock", addr);
     }
     return std::nullopt;
+}
+
+CcController::ResolvedRow
+CcController::resolveRow(CacheLevel level, std::size_t rec, Addr addr)
+{
+    const StagedRow &r = scratchStaged_[rec];
+    Cache &cache = hier_.cacheInstance(level, r.cacheIndex);
+    return {cache, cache.find(addr, LineRef(r.set, r.way))};
 }
 
 CcController::OpPlan::OpPlan(const CcInstruction &instr)
@@ -474,15 +498,16 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
 {
     BlockOpOutcome out;
 
+    // Staged rows are reached through their staging records (@p rec).
     // An unused operand (address 0) reads as zeros.
-    auto read_block = [&](Addr addr, Block &dst) {
+    auto read_block = [&](Addr addr, std::size_t rec, Block &dst) {
         if (!addr) {
             dst = Block{};
             return;
         }
-        Cache &c = hier_.cacheAt(level, core, addr);
-        if (const Block *p = c.peek(addr)) {
-            dst = *p;
+        auto [c, line] = resolveRow(level, rec, addr);
+        if (line) {
+            dst = c.peek(line);
             return;
         }
         // A staged operand can be lost to an unexpected invalidation;
@@ -493,10 +518,11 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         out.extraLatency += hier_.read(core, addr, &dst, level).latency;
     };
 
-    auto write_block = [&](Addr a, const Block &data) {
-        Cache &c = hier_.cacheAt(level, core, a);
-        if (c.poke(a, data)) {
-            c.markDirty(a);
+    auto write_block = [&](Addr a, std::size_t rec, const Block &data) {
+        auto [c, line] = resolveRow(level, rec, a);
+        if (line) {
+            c.poke(line, data);
+            c.markDirty(line);
             return;
         }
         if (stats_)
@@ -509,8 +535,10 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
     std::vector<Block> &a = scratchA_;
     std::vector<Block> &b = scratchB_;
     auto read_row = [&](std::size_t k) {
-        read_block(OpPlan::row(op.src1, k), a[k]);
-        read_block(OpPlan::row(op.src2, k), b[k]);
+        read_block(OpPlan::row(op.src1, k), plan.src1Record(op.index, k),
+                   a[k]);
+        read_block(OpPlan::row(op.src2, k), plan.src2Record(op.index, k),
+                   b[k]);
     };
     for (std::size_t k = 0; k < plan.srcRows; ++k)
         read_row(k);
@@ -621,7 +649,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         if (isCcR(instr.op))
             out.mask = res.wordEqualMask;
         else
-            write_block(op.dest, res.result);
+            write_block(op.dest, plan.destRecord(op.index, 0), res.result);
         return out;
     }
 
@@ -635,10 +663,11 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
     if (packed) {
         // Replicated clmul: the XOR tree's parities stream into the
         // controller's result register and land packed in dest.
-        Cache &dst_cache = hier_.cacheAt(level, core, op.dest);
+        auto [dst_cache, line] =
+            resolveRow(level, plan.destRecord(op.index, 0), op.dest);
         Block merged{};
-        if (const Block *cur = dst_cache.peek(op.dest)) {
-            merged = *cur;
+        if (line) {
+            merged = dst_cache.peek(line);
         } else {
             // The packed destination was evicted mid-instruction;
             // recover the partial parities instead of aborting.
@@ -646,10 +675,13 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
                 operandRefetchesStat_->inc();
             out.extraLatency +=
                 hier_.read(core, op.dest, &merged, level).latency;
+            line = dst_cache.find(op.dest);
+            CC_ASSERT(line, "markDirty on absent line 0x", std::hex,
+                      op.dest);
         }
         std::size_t bit_off = packParities(merged, d[0], instr, op.index);
-        dst_cache.poke(op.dest, merged);
-        dst_cache.markDirty(op.dest);
+        dst_cache.poke(line, merged);
+        dst_cache.markDirty(line);
         // One result-register drain (a block write) per filled dest.
         if (energy_ &&
             bit_off + instr.clmulBitsPerBlock() == 8 * kBlockSize)
@@ -658,7 +690,8 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
     }
 
     for (std::size_t k = 0; k < plan.dstRows; ++k)
-        write_block(OpPlan::row(op.dest, k), d[k]);
+        write_block(OpPlan::row(op.dest, k), plan.destRecord(op.index, k),
+                    d[k]);
 
     if (bit_serial) {
         if (op.inPlace) {
@@ -1040,9 +1073,9 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     // before its for-overwrite staging sees it resident). Misses overlap
     // up to fetchMlp deep.
     // ------------------------------------------------------------------
-    std::vector<Addr> &pinned = scratchPinned_;
+    std::vector<StagedRow> &staged = scratchStaged_;
     std::vector<Cycles> &fetch_lats = scratchFetchLats_;
-    pinned.clear();
+    staged.clear();
     fetch_lats.clear();
     bool fallback = false;
     plan.forEachRow([&](Addr addr, bool dest) {
@@ -1056,12 +1089,20 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
         }
         if (*lat > 0)
             fetch_lats.push_back(*lat);
-        pinned.push_back(addr);
     });
 
+    // Every later use of a staged row goes through its record; a record
+    // never outlives this call (DESIGN.md §13.4).
     auto unpin_all = [&]() {
-        for (Addr a : pinned)
-            hier_.cacheAt(level, core, a).unpin(a);
+        std::size_t rec = 0;
+        plan.forEachRow([&](Addr addr, bool) {
+            if (rec < staged.size()) {
+                auto [c, line] = resolveRow(level, rec, addr);
+                if (line)
+                    c.unpin(line);
+            }
+            ++rec;
+        });
     };
     // Release everything the instruction holds and run it as RISC.
     auto abandon = [&]() {
@@ -1096,19 +1137,19 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     for (std::size_t i = 0; i < plan.steps; ++i) {
         BlockOp &op = ops.emplace_back(plan.step(i));
         Addr anchor = op.src1 ? op.src1 : op.dest;
-        Cache &anchor_cache = hier_.cacheAt(level, core, anchor);
-        auto place = anchor_cache.placeOf(anchor);
-        if (!place) {
+        std::size_t anchor_rec = op.src1 ? plan.src1Record(i, 0)
+                                         : plan.destRecord(i, 0);
+        auto [anchor_cache, anchor_line] =
+            resolveRow(level, anchor_rec, anchor);
+        if (!anchor_line) {
             // Lost to an invalidation race between staging and issue
             // (Section IV-E's lock window): release and degrade.
             if (stats_)
                 stagingRacesStat_->inc();
             return abandon();
         }
-        op.cacheIndex = level == CacheLevel::L3
-            ? hier_.sliceFor(core, anchor)
-            : core;
-        op.partition = place->globalPartition;
+        op.cacheIndex = staged[anchor_rec].cacheIndex;
+        op.partition = anchor_cache.placeOf(anchor_line).globalPartition;
 
         // Locality: every row of the op must sit in the same cache
         // instance and block partition (the page-stride slice layout
@@ -1117,13 +1158,11 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
         // filled by the result shift register, so none of them
         // constrains bit-line locality.
         op.inPlace = !params_.forceNearPlace;
+        std::size_t rec = i * plan.stepRows();
         plan.forEachStepRow(op, [&](Addr m, bool) {
-            unsigned idx = level == CacheLevel::L3
-                ? hier_.sliceFor(core, m)
-                : core;
-            Cache &c = hier_.cacheAt(level, core, m);
-            auto p = c.placeOf(m);
-            if (!p) {
+            const StagedRow &row = staged[rec];
+            auto [c, line] = resolveRow(level, rec++, m);
+            if (!line) {
                 // Same race as the anchor, but survivable: the near-
                 // place path re-reads through the hierarchy.
                 if (stats_)
@@ -1131,8 +1170,8 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
                 op.inPlace = false;
                 return;
             }
-            if (idx != op.cacheIndex ||
-                p->globalPartition != op.partition)
+            if (row.cacheIndex != op.cacheIndex ||
+                c.placeOf(line).globalPartition != op.partition)
                 op.inPlace = false;
         });
 

@@ -291,6 +291,45 @@ class CcController
         /** Operands of block op @p i (row 0 of each; 0 when unused). */
         BlockOp step(std::size_t i) const;
 
+        /** Source rows forEachStepRow visits per k: src1's, then src2's
+         *  unless it is the shared block. */
+        std::size_t
+        srcPerRow() const
+        {
+            return (src1 != 0) + (src2 != 0 && !sharedSrc2);
+        }
+
+        /** Rows forEachStepRow visits per block op. */
+        std::size_t
+        stepRows() const
+        {
+            return srcRows * srcPerRow() + dstRows;
+        }
+
+        /** Position in forEachRow order, the order staging records its
+         *  rows in, of row @p k of block op @p i's src1, src2 (the
+         *  shared block when sharedSrc2) or dest (the packed block when
+         *  packed). @{ */
+        std::size_t
+        src1Record(std::size_t i, std::size_t k) const
+        {
+            return i * stepRows() + k * srcPerRow();
+        }
+        std::size_t
+        src2Record(std::size_t i, std::size_t k) const
+        {
+            return sharedSrc2 ? steps * stepRows()
+                              : src1Record(i, k) + (src1 != 0);
+        }
+        std::size_t
+        destRecord(std::size_t i, std::size_t k) const
+        {
+            return opsPerDestBlock
+                ? steps * stepRows() + sharedSrc2 + i / opsPerDestBlock
+                : i * stepRows() + srcRows * srcPerRow() + k;
+        }
+        /** @} */
+
         /** Row @p k of the operand rooted at @p base (0 stays 0). */
         static Addr
         row(Addr base, std::size_t k)
@@ -344,11 +383,38 @@ class CcController
      */
     CcExecResult executeBlockOps(CoreId core, const CcInstruction &instr);
 
-    /** Stage + pin one operand; returns latency or nullopt if the line
-     *  could not be pinned (all ways pinned by other ops). */
+    /** Stage + pin one operand and append its StagedRow; returns
+     *  latency or nullopt if the line could not be pinned (all ways
+     *  pinned by other ops). */
     std::optional<Cycles> stageOperand(CoreId core, Addr addr,
                                        CacheLevel level, bool exclusive,
                                        bool for_overwrite);
+
+    /**
+     * One staged row, kept in OpPlan::forEachRow order: the slot
+     * stageOperand found it in and the cache instance holding it
+     * (Hierarchy::cacheIndex). The row's address is not stored: every
+     * user walks the plan in the same order. 8 bytes, as the pinned
+     * address it replaced.
+     */
+    struct StagedRow
+    {
+        std::uint32_t set;
+        std::uint16_t way;
+        std::uint16_t cacheIndex;
+    };
+
+    /** A staged row's cache and line: the recorded slot if it still
+     *  holds the row (valid bit and tag), else an address lookup in
+     *  the same cache; no line if the row was lost since staging. */
+    struct ResolvedRow
+    {
+        cache::Cache &cache;
+        cache::LineRef line;
+    };
+
+    /** Resolve staging record @p rec, whose row is @p addr. */
+    ResolvedRow resolveRow(CacheLevel level, std::size_t rec, Addr addr);
 
     /** Outcome of one block op, including fault-ladder effects. */
     struct BlockOpOutcome
@@ -521,7 +587,7 @@ class CcController
      *  no heap allocation in steady state (DESIGN.md §13 arena rules:
      *  contents are dead outside one executeBlockOps activation). @{ */
     std::vector<Addr> scratchBlocks_;
-    std::vector<Addr> scratchPinned_;
+    std::vector<StagedRow> scratchStaged_;
     std::vector<Cycles> scratchFetchLats_;
     std::vector<BlockOp> scratchOps_;
     /** Sensed source rows and result rows of one block op. */

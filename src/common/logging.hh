@@ -23,7 +23,7 @@
  * The audit line between the two: if a CC_PANIC site is reachable by
  * feeding the public API valid-but-extreme parameters, it is
  * misclassified and must become CC_FATAL (the pinned-set exhaustion in
- * Hierarchy::ensureInL3 and mapPage's slice range are the converted
+ * Hierarchy::allocateInL3 and mapPage's slice range are the converted
  * precedents). Unreachable enum-default panics (bad CacheLevel, bad
  * BulkKernel, unknown SplashApp) stay panics: hitting one means the
  * program itself is wrong, not its inputs.

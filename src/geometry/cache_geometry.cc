@@ -66,6 +66,7 @@ CacheGeometry::CacheGeometry(const CacheGeometryParams &params)
     bankBits_ = log2Exact(params_.banks);
     bpBits_ = log2Exact(params_.blockPartitionsPerBank);
     setBits_ = log2Exact(numSets_);
+    bprBits_ = log2Exact(params_.blocksPerRow);
 
     if (setBits_ < bankBits_ + bpBits_)
         CC_FATAL("geometry '", params_.name, "': set index (", setBits_,

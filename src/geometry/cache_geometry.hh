@@ -161,8 +161,9 @@ class CacheGeometry
         p.bank = set & ((std::size_t{1} << bankBits_) - 1);
         std::size_t bp = (set >> bankBits_) &
             ((std::size_t{1} << bpBits_) - 1);
-        p.subarray = bp / params_.blocksPerRow;
-        p.partition = bp % params_.blocksPerRow;
+        // blocksPerRow is a power of two: shift and mask, no divide.
+        p.subarray = bp >> bprBits_;
+        p.partition = bp & (params_.blocksPerRow - 1);
 
         // Sets sharing a (bank, bp) stack vertically; all ways of a set
         // are consecutive rows within the partition (design choice 1).
@@ -190,6 +191,7 @@ class CacheGeometry
     std::size_t bankBits_;
     std::size_t bpBits_;
     std::size_t setBits_;
+    std::size_t bprBits_;   ///< log2(blocksPerRow)
     std::size_t subarraysPerBank_;
     std::size_t rowsPerSubarray_;
 };

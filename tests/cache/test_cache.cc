@@ -4,6 +4,9 @@
  * pinning, and geometry-mapped placement.
  */
 
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
@@ -195,6 +198,146 @@ TEST_F(CacheTest, ForEachLineAndAddrOf)
         }
     });
     EXPECT_EQ(seen.size(), 2u);
+}
+
+/** Two caches driven alike, one through the address forms and one
+ *  through the handle forms. */
+struct HandlePair
+{
+    energy::EnergyModel emAddr, emHandle;
+    StatRegistry statsAddr, statsHandle;
+    Cache byAddr{tinyParams(), &emAddr, &statsAddr, "l1.0"};
+    Cache byHandle{tinyParams(), &emHandle, &statsHandle, "l1.0"};
+};
+
+/** Every line of @p c with its state, dirty bit and data. */
+std::vector<std::tuple<Addr, Mesi, bool, Block>>
+image(const Cache &c)
+{
+    std::vector<std::tuple<Addr, Mesi, bool, Block>> lines;
+    c.forEachLine([&](Addr addr, Mesi state, bool dirty, const Block &d) {
+        lines.emplace_back(addr, state, dirty, d);
+    });
+    return lines;
+}
+
+TEST(CacheHandle, HandleFormsMatchAddressForms)
+{
+    HandlePair p;
+    Cache &a = p.byAddr;
+    Cache &h = p.byHandle;
+    // Eight lines in one L1 set (the set index repeats every 4 KB).
+    auto blk = [](unsigned i) { return Addr{0x100000} + i * 4096; };
+    for (unsigned i = 0; i < 8; ++i) {
+        auto fa = a.fill(blk(i), patternBlock(i), Mesi::Shared);
+        auto fh = h.fill(blk(i), patternBlock(i), Mesi::Shared);
+        ASSERT_TRUE(fa && fh);
+        EXPECT_EQ(fh->line, h.find(blk(i)));
+    }
+    auto ref = [&](unsigned i) {
+        LineRef line = h.find(blk(i));
+        EXPECT_TRUE(line) << i;
+        return line;
+    };
+
+    Block out_a, out_h;
+    EXPECT_TRUE(a.read(blk(0), out_a));
+    h.read(ref(0), out_h);
+    EXPECT_EQ(out_a, out_h);
+    EXPECT_TRUE(a.write(blk(1), patternBlock(20)));
+    h.write(ref(1), patternBlock(20));
+    EXPECT_TRUE(a.write(blk(2), patternBlock(21), false));
+    h.write(ref(2), patternBlock(21), false);
+    a.setState(blk(3), Mesi::Exclusive);
+    h.setState(ref(3), Mesi::Exclusive);
+    EXPECT_EQ(a.state(blk(3)), h.state(ref(3)));
+    a.markDirty(blk(4));
+    h.markDirty(ref(4));
+    EXPECT_EQ(a.isDirty(blk(4)), h.isDirty(ref(4)));
+    a.clearDirty(blk(1));
+    h.clearDirty(ref(1));
+    EXPECT_TRUE(a.pin(blk(5)));
+    h.pin(ref(5));
+    EXPECT_TRUE(a.pin(blk(6)));
+    h.pin(ref(6));
+    a.unpin(blk(6));
+    h.unpin(ref(6));
+    a.promoteMRU(blk(7));
+    h.promoteMRU(ref(7));
+    EXPECT_TRUE(a.poke(blk(0), patternBlock(22)));
+    h.poke(ref(0), patternBlock(22));
+    ASSERT_NE(a.peek(blk(0)), nullptr);
+    EXPECT_EQ(*a.peek(blk(0)), h.peek(ref(0)));
+    ASSERT_TRUE(a.placeOf(blk(7)));
+    EXPECT_EQ(*a.placeOf(blk(7)), h.placeOf(ref(7)));
+
+    // Same lines, states, dirty bits, data and pins...
+    EXPECT_EQ(image(a), image(h));
+    for (unsigned i = 0; i < 8; ++i)
+        EXPECT_EQ(a.isPinned(blk(i)), h.isPinned(blk(i))) << i;
+    // ...the same LRU order, so later fills pick the same victims...
+    for (unsigned i = 8; i < 16; ++i) {
+        auto fa = a.fill(blk(i), patternBlock(i), Mesi::Shared);
+        auto fh = h.fill(blk(i), patternBlock(i), Mesi::Shared);
+        ASSERT_TRUE(fa && fh);
+        EXPECT_EQ(fa->line, fh->line) << i;
+        ASSERT_EQ(fa->evicted.has_value(), fh->evicted.has_value()) << i;
+        EXPECT_EQ(fa->evicted->addr, fh->evicted->addr) << i;
+        EXPECT_EQ(fa->evicted->dirty, fh->evicted->dirty) << i;
+    }
+    // ...and the same energy and access counters.
+    EXPECT_EQ(p.emAddr.dynamic().dynamicTotal(),
+              p.emHandle.dynamic().dynamicTotal());
+    for (const char *stat : {"l1.0.reads", "l1.0.writes", "l1.0.fills",
+                             "l1.0.evictions"})
+        EXPECT_EQ(p.statsAddr.value(stat), p.statsHandle.value(stat))
+            << stat;
+}
+
+TEST_F(CacheTest, HandleStopsValidatingAfterInvalidate)
+{
+    const Addr x = 0x1000;
+    cache.fill(x, patternBlock(1), Mesi::Exclusive);
+    LineRef line = cache.find(x);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(cache.find(x, line), line);
+
+    cache.invalidate(x);
+    EXPECT_FALSE(cache.find(x, line));
+    EXPECT_FALSE(cache.find(x));
+    EXPECT_FALSE(LineRef());
+}
+
+TEST_F(CacheTest, HandleStopsValidatingAfterRefillIntoAnotherWay)
+{
+    // x fills way 0 of its set, seven more lines fill ways 1-7.
+    auto blk = [](unsigned i) { return Addr{0x100000} + i * 4096; };
+    const Addr x = blk(0);
+    for (unsigned i = 0; i < 8; ++i)
+        cache.fill(blk(i), patternBlock(i), Mesi::Shared);
+    LineRef old = cache.find(x);
+    ASSERT_TRUE(old);
+    EXPECT_EQ(old.way(), 0u);
+
+    // Evict x (the LRU line): its slot now holds blk(8), for which the
+    // old handle validates.
+    auto fill = cache.fill(blk(8), patternBlock(8), Mesi::Shared);
+    ASSERT_TRUE(fill && fill->evicted);
+    EXPECT_EQ(fill->evicted->addr, x);
+    EXPECT_EQ(fill->line, old);
+    EXPECT_FALSE(cache.find(x, old));
+    EXPECT_EQ(cache.find(blk(8), old), old);
+
+    // Refill x: it lands in the next LRU way, and only the address
+    // lookup finds it there.
+    auto refill = cache.fill(x, patternBlock(9), Mesi::Shared);
+    ASSERT_TRUE(refill);
+    EXPECT_NE(refill->line, old);
+    LineRef found = cache.find(x);
+    ASSERT_TRUE(found);
+    EXPECT_EQ(found, refill->line);
+    EXPECT_EQ(cache.find(x, old), found);
+    EXPECT_EQ(cache.peek(found), patternBlock(9));
 }
 
 TEST(TagArray, VictimPrefersInvalid)

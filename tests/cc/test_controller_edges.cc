@@ -1,8 +1,9 @@
 /**
  * @file
  * Controller edge cases: cross-slice operands (near-place fallback at
- * L3), RISC-fallback result correctness for CC-R, odd vector sizes
- * through the engines, and replicated-clmul bookkeeping.
+ * L3), RISC-fallback result correctness for CC-R, staging races,
+ * odd vector sizes through the engines, and replicated-clmul
+ * bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -131,6 +132,80 @@ TEST(ControllerEdges, ReplicatedClmulRiscFallbackPacksLikeInPlace)
     EXPECT_EQ(std::vector<std::uint8_t>(fallback.begin() + kBlockSize,
                                         fallback.end()),
               std::vector<std::uint8_t>(span - kBlockSize, 0xa5));
+}
+
+TEST(ControllerEdges, StagingRaceKeepsResultsExact)
+{
+    // Operands staged at L1 over a one-set, 8-way L2: the ninth row's L2
+    // fill evicts the L2 copy of an earlier row, and inclusion
+    // back-invalidates that row's pinned L1 copy before the op issues
+    // (Section IV-E's lock window). Lost as op 0's anchor, the
+    // instruction is abandoned to the RISC fallback; with the first
+    // source's L2 copy pinned, op 0's src2 row is lost instead, and the
+    // op goes near-place and re-fetches through the hierarchy. Either
+    // way the result must be exact.
+    const Addr s1 = 0x100000, s2 = 0x200000, dst = 0x300000;
+    const std::size_t n = 3 * kBlockSize;   // three ops, nine rows
+
+    auto run = [&](bool pin_first_source) {
+        energy::EnergyModel em;
+        StatRegistry stats;
+        cache::HierarchyParams hp;
+        hp.l2.geometry.sizeBytes = hp.l2.geometry.ways * kBlockSize;
+        hp.l2.geometry.banks = 1;
+        hp.l2.geometry.blockPartitionsPerBank = 1;
+        hp.l2.geometry.blocksPerRow = 1;
+        cache::Hierarchy hier(hp, &em, &stats);
+        CcControllerParams p;
+        p.forceLevel = CacheLevel::L1;
+        CcController ctrl(hier, &em, &stats, p);
+
+        Rng rng(0x5ace);
+        std::vector<std::uint8_t> a(n), b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            a[i] = static_cast<std::uint8_t>(rng.below(256));
+            b[i] = static_cast<std::uint8_t>(rng.below(256));
+        }
+        std::vector<std::uint8_t> old(n, 0x5a);
+        hier.memory().writeBytes(s1, a.data(), n);
+        hier.memory().writeBytes(s2, b.data(), n);
+        hier.memory().writeBytes(dst, old.data(), n);
+        if (pin_first_source) {
+            hier.read(0, s1);
+            EXPECT_TRUE(hier.l2(0).pin(s1));
+        }
+
+        auto res =
+            ctrl.execute(0, CcInstruction::logicalAnd(s1, s2, dst, n));
+        EXPECT_GT(stats.value("cc.staging_races"), 0u);
+        EXPECT_EQ(res.riscFallback, !pin_first_source);
+        if (pin_first_source) {
+            EXPECT_GT(stats.value("cc.operand_refetches"), 0u);
+        }
+
+        auto dump = [&](Addr base) {
+            std::vector<std::uint8_t> bytes;
+            for (std::size_t off = 0; off < n; off += kBlockSize) {
+                Block blk = hier.debugRead(base + off);
+                bytes.insert(bytes.end(), blk.begin(), blk.end());
+            }
+            return bytes;
+        };
+        std::vector<std::uint8_t> expect(n);
+        for (std::size_t i = 0; i < n; ++i)
+            expect[i] = a[i] & b[i];
+        EXPECT_EQ(dump(dst), expect);
+        EXPECT_EQ(dump(s1), a);
+        EXPECT_EQ(dump(s2), b);
+        // Nothing the instruction pinned stays pinned.
+        for (std::size_t off = 0; off < n; off += kBlockSize) {
+            for (Addr base : {s1, s2, dst})
+                EXPECT_FALSE(hier.l1(0).isPinned(base + off))
+                    << std::hex << base + off;
+        }
+    };
+    run(false);
+    run(true);
 }
 
 TEST(ControllerEdges, ReplicatedClmulDisassemblesAndValidates)

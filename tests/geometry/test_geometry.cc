@@ -4,6 +4,8 @@
  * locality guarantees of Section IV-C / Table III.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -12,6 +14,19 @@
 #include "geometry/operand_locality.hh"
 
 namespace ccache::geometry {
+
+/** Print by value: gtest would otherwise dump the raw bytes, the name
+ *  string's heap pointer included, and the ctest names of the
+ *  LocalityProperty instances embed the printed parameter. Defined in
+ *  the type's namespace so gtest finds it by argument lookup. */
+void
+PrintTo(const CacheGeometryParams &p, std::ostream *os)
+{
+    *os << p.name << ' ' << p.sizeBytes << "B " << p.ways << "-way "
+        << p.banks << " banks x " << p.blockPartitionsPerBank << " BPs, "
+        << p.blocksPerRow << " blocks/row";
+}
+
 namespace {
 
 TEST(CacheGeometry, TableIIIMinMatchBits)
