@@ -73,7 +73,7 @@ main(int argc, char **argv)
                 intact &= sa.read({0, r}) == originals[r];
 
             Rng mc = ctx.rngFor("monte_carlo");
-            double fail = SenseAmpArray::monteCarloFailureRate(
+            double fail = monteCarloFailureRate(
                 sense.margin, 0.015, 100000, mc);
 
             out[i] = RowResult{sense.margin, fail, intact};

@@ -34,6 +34,25 @@ VectorAccess::of(const CcInstruction &instr)
         a.reads.push_back({instr.src2, instr.size});
         a.writes.push_back({instr.dest, instr.size});
         break;
+      case CcOpcode::Add:
+      case CcOpcode::Sub:
+      case CcOpcode::Mul:
+      case CcOpcode::Lt:
+      case CcOpcode::Gt:
+      case CcOpcode::Eq: {
+        // One range per transposed operand, from slice 0 to the end of its
+        // last slice. It also covers the gaps between slices: a
+        // conservative overlap test that keeps the entry at 3 comparators.
+        auto stack = [&](Addr base) {
+            Addr last = CcInstruction::sliceAddr(
+                base, instr.sliceCount(base) - 1);
+            return AddrRange{base, last + instr.size - base};
+        };
+        a.reads.push_back(stack(instr.src1));
+        a.reads.push_back(stack(instr.src2));
+        a.writes.push_back(stack(instr.dest));
+        break;
+      }
     }
     return a;
 }

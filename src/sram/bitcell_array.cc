@@ -12,22 +12,6 @@ BitcellArray::BitcellArray(std::size_t rows, std::size_t cols)
     CC_ASSERT(rows > 0 && cols > 0, "empty bit-cell array");
 }
 
-bool
-BitcellArray::get(std::size_t row, std::size_t col) const
-{
-    CC_ASSERT(row < rows_ && col < cols_, "cell (", row, ",", col,
-              ") out of range");
-    return cells_[row].get(col);
-}
-
-void
-BitcellArray::set(std::size_t row, std::size_t col, bool value)
-{
-    CC_ASSERT(row < rows_ && col < cols_, "cell (", row, ",", col,
-              ") out of range");
-    cells_[row].set(col, value);
-}
-
 void
 BitcellArray::writeRow(std::size_t row, const BitVector &data)
 {
@@ -35,13 +19,6 @@ BitcellArray::writeRow(std::size_t row, const BitVector &data)
     CC_ASSERT(data.size() == cols_, "row data width ", data.size(),
               " != ", cols_);
     cells_[row] = data;
-}
-
-BitVector
-BitcellArray::readRow(std::size_t row) const
-{
-    CC_ASSERT(row < rows_, "row ", row, " out of range");
-    return cells_[row];
 }
 
 const BitVector &
@@ -139,54 +116,6 @@ BitcellArray::activateWords(const std::vector<std::size_t> &active_rows,
     }
 
     return sense;
-}
-
-BitlineLevels
-BitcellArray::activate(const std::vector<std::size_t> &active_rows,
-                       double underdrive)
-{
-    CC_ASSERT(!active_rows.empty(), "activation needs at least one row");
-    for (auto r : active_rows)
-        CC_ASSERT(r < rows_, "row ", r, " out of range");
-
-    BitlineLevels levels;
-    levels.bl.assign(cols_, 1.0);
-    levels.blb.assign(cols_, 1.0);
-
-    for (std::size_t col = 0; col < cols_; ++col) {
-        unsigned zeros = 0;
-        unsigned ones = 0;
-        for (auto r : active_rows) {
-            if (cells_[r].get(col))
-                ++ones;
-            else
-                ++zeros;
-        }
-        // Cells storing '0' discharge BL; cells storing '1' discharge BLB.
-        levels.bl[col] = std::max(0.0, 1.0 - kPullStrength * zeros);
-        levels.blb[col] = std::max(0.0, 1.0 - kPullStrength * ones);
-    }
-
-    // Read-disturb model: with more than one row active and insufficient
-    // word-line underdrive, a cell storing '1' whose BL has been discharged
-    // by a '0' in the other activated row gets written toward '0'. This is
-    // exactly the corruption the lowered word-line voltage prevents.
-    if (active_rows.size() > 1 && underdrive > kDisturbThreshold) {
-        for (std::size_t col = 0; col < cols_; ++col) {
-            if (levels.bl[col] < 0.5) {
-                for (auto r : active_rows)
-                    cells_[r].set(col, false);
-            }
-        }
-    }
-
-    return levels;
-}
-
-void
-BitcellArray::writeThroughBitlines(std::size_t row, const BitVector &data)
-{
-    writeRow(row, data);
 }
 
 } // namespace ccache::sram

@@ -24,16 +24,6 @@
 
 namespace ccache::sram {
 
-/** Analog bit-line levels after an activation, one pair per column. */
-struct BitlineLevels
-{
-    /** Voltage on BL per column, as a fraction of VDD. */
-    std::vector<double> bl;
-
-    /** Voltage on BLB per column, as a fraction of VDD. */
-    std::vector<double> blb;
-};
-
 /** Dense bit storage plus the activation/discharge circuit model. */
 class BitcellArray
 {
@@ -43,20 +33,14 @@ class BitcellArray
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    bool get(std::size_t row, std::size_t col) const;
-    void set(std::size_t row, std::size_t col, bool value);
-
     /** Overwrite an entire row. @p data must have cols() bits. */
     void writeRow(std::size_t row, const BitVector &data);
-
-    /** Copy of an entire row's contents. */
-    BitVector readRow(std::size_t row) const;
 
     /**
      * Packed-row accessor: the row's backing bit vector, without copying.
      * Bit `c` of the row is bit `c % 64` of `row(r).words()[c / 64]`; this
-     * is the representation the vectorized bit-line path operates on
-     * (DESIGN.md §13).
+     * is the representation the bit-line model operates on (DESIGN.md
+     * §13).
      */
     const BitVector &row(std::size_t r) const;
 
@@ -68,26 +52,7 @@ class BitcellArray
     void writeWordsThroughBitlines(std::size_t row, std::size_t word_lo,
                                    const BitVector &data);
 
-    /**
-     * Activate a set of word-lines simultaneously and return the resulting
-     * analog bit-line levels.
-     *
-     * @param active_rows word-lines to raise (1 for a normal read,
-     *                    2 for an in-place compute, up to 64 shown safe
-     *                    on silicon).
-     * @param underdrive  word-line voltage as a fraction of nominal; the
-     *                    bias against write that prevents disturb. Values
-     *                    above kDisturbThreshold with more than one active
-     *                    row corrupt cells, as a real array would.
-     * @return bit-line levels for sensing.
-     */
-    BitlineLevels activate(const std::vector<std::size_t> &active_rows,
-                           double underdrive);
-
-    /**
-     * Digital word-packed equivalent of activate() + single-ended sensing
-     * at Vref = 0.5, the only reference the sub-array sense amplifiers use.
-     */
+    /** What the single-ended sense amplifiers observe at Vref = 0.5. */
     struct DigitalSense
     {
         /** Per column: every activated cell stores '1' (the BL sense). */
@@ -102,27 +67,30 @@ class BitcellArray
     };
 
     /**
-     * Vectorized activation: computes the AND/NOR senses word-at-a-time
-     * over the packed 64-bit row words, applies the same read-disturb
-     * corruption as activate(), and (optionally) the sense margin.
+     * Activate a set of word-lines simultaneously and sense both
+     * bit-lines of every column, word-at-a-time over the packed rows.
      *
-     * Bit-exact to activate() followed by SenseAmpArray::senseBL /
-     * senseBLB / senseMargin at Vref = 0.5: with kPullStrength = 0.6 a
-     * bit-line sits at 1.0 (no pulling cell), 0.4 (exactly one) or 0.0
-     * (two or more), so the threshold comparison against 0.5 reduces to
-     * "no pulling cell" and the margin to 0.1 iff some column has exactly
-     * one puller on either line, else 0.5.
+     * Each activated cell pulls its line down by kPullStrength = 0.6 VDD,
+     * so a bit-line sits at 1.0 (no pulling cell), 0.4 (exactly one) or
+     * 0.0 (two or more, clamped). Against Vref = 0.5 that reduces the BL
+     * sense to "no cell stores '0'" (AND) and the BLB sense to "no cell
+     * stores '1'" (NOR), and the margin to 0.1 iff some column has
+     * exactly one puller on either line, else 0.5. The per-column analog
+     * form of this model is the test oracle in tests/sram/.
+     *
+     * @param active_rows word-lines to raise (1 for a normal read,
+     *                    2 for an in-place compute, up to 64 shown safe
+     *                    on silicon).
+     * @param underdrive  word-line voltage as a fraction of nominal; the
+     *                    bias against write that prevents disturb. Above
+     *                    kDisturbThreshold with more than one active row,
+     *                    every cell on a discharged BL is written to '0',
+     *                    as a real array would (read disturb).
+     * @param track_margin compute DigitalSense::margin.
      */
     DigitalSense activateWords(const std::vector<std::size_t> &active_rows,
                                double underdrive,
                                bool track_margin = false);
-
-    /**
-     * Drive values directly onto the bit-lines and write into @p row
-     * (the write port used by copy's sense-amp feedback path and by
-     * normal writes).
-     */
-    void writeThroughBitlines(std::size_t row, const BitVector &data);
 
     /** Word-line underdrive above which multi-row activation disturbs. */
     static constexpr double kDisturbThreshold = 0.85;

@@ -1,7 +1,7 @@
 #include "sram/subarray.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -19,27 +19,11 @@ opIndex(BitlineOp op)
     return static_cast<std::size_t>(op);
 }
 
-/** Set by the differential tests that run the per-bit reference path. */
-std::atomic<bool> g_scalar_bitline{false};
-
 } // namespace
-
-bool
-SubArray::scalarBitline()
-{
-    return g_scalar_bitline.load(std::memory_order_relaxed);
-}
-
-void
-SubArray::forceScalarBitline(bool on)
-{
-    g_scalar_bitline.store(on, std::memory_order_relaxed);
-}
 
 SubArray::SubArray(const SubArrayParams &params)
     : params_(params), cells_(params.rows, params.cols),
-      senseAmps_(params.cols), xorTree_(8 * kBlockSize),
-      opCounts_(kNumOps, 0)
+      xorTree_(8 * kBlockSize), opCounts_(kNumOps, 0)
 {
     params_.validate();
 }
@@ -56,17 +40,12 @@ SubArray::extractPartition(const BitVector &row_bits, std::size_t p) const
 {
     auto [lo, hi] = columnRange(p);
     BitVector out(hi - lo);
-    if (!scalarBitline()) {
-        // Partitions are whole 64-bit words (the block width is 512 bits
-        // and cols is a multiple of it), so the extraction is a word copy.
-        const auto &src = row_bits.words();
-        auto &dst = out.words();
-        std::copy(src.begin() + lo / 64, src.begin() + lo / 64 + dst.size(),
-                  dst.begin());
-        return out;
-    }
-    for (std::size_t c = lo; c < hi; ++c)
-        out.set(c - lo, row_bits.get(c));
+    // Partitions are whole 64-bit words (the block width is 512 bits and
+    // cols is a multiple of it), so the extraction is a word copy.
+    const auto &src = row_bits.words();
+    auto &dst = out.words();
+    std::copy(src.begin() + lo / 64, src.begin() + lo / 64 + dst.size(),
+              dst.begin());
     return out;
 }
 
@@ -100,17 +79,10 @@ SubArray::attachFaults(fault::FaultInjector *injector,
 BitVector
 SubArray::senseBlock(const BlockLoc &loc)
 {
-    BitVector bits;
-    if (scalarBitline()) {
-        auto levels = cells_.activate({loc.row}, params_.wordlineUnderdrive);
-        auto full = senseAmps_.senseDifferential(levels);
-        bits = extractPartition(full, loc.partition);
-    } else {
-        // A single-row differential sense observes exactly the stored bits
-        // (BL/BLB sit at 1.0 vs 0.4) and one active row can never disturb,
-        // so the sense is a word copy of the packed row (DESIGN.md §13).
-        bits = extractPartition(cells_.row(loc.row), loc.partition);
-    }
+    // A single-row differential sense observes exactly the stored bits
+    // (BL/BLB sit at 1.0 vs 0.4) and one active row can never disturb,
+    // so the sense is a word copy of the packed row (DESIGN.md §13).
+    BitVector bits = extractPartition(cells_.row(loc.row), loc.partition);
 
     // Single-row sensing sees full margin: only cell defects and
     // in-flight soft errors can corrupt the observed bits.
@@ -132,15 +104,9 @@ void
 SubArray::storeBlock(const BlockLoc &loc, const BitVector &bits)
 {
     CC_ASSERT(bits.size() == 8 * kBlockSize, "block bit width mismatch");
-    auto [lo, hi] = columnRange(loc.partition);
-    if (!scalarBitline()) {
-        cells_.writeWordsThroughBitlines(loc.row, lo / 64, bits);
-        return;
-    }
-    BitVector row = cells_.readRow(loc.row);
-    for (std::size_t c = lo; c < hi; ++c)
-        row.set(c, bits.get(c - lo));
-    cells_.writeThroughBitlines(loc.row, row);
+    cells_.writeWordsThroughBitlines(loc.row,
+                                     columnRange(loc.partition).first / 64,
+                                     bits);
 }
 
 Block
@@ -172,35 +138,30 @@ SubArray::activatePair(const BlockLoc &a, const BlockLoc &b)
 {
     checkSamePartition(a, b);
     CC_ASSERT(a.row != b.row, "in-place op needs two distinct rows");
-    TwoRowSense sense;
-    if (scalarBitline()) {
-        auto levels = cells_.activate({a.row, b.row},
-                                      params_.wordlineUnderdrive);
-        sense.andBits = extractPartition(senseAmps_.senseBL(levels),
-                                         a.partition);
-        sense.norBits = extractPartition(senseAmps_.senseBLB(levels),
-                                         a.partition);
-    } else {
-        pairRows_[0] = a.row;
-        pairRows_[1] = b.row;
-        auto digital =
-            cells_.activateWords(pairRows_, params_.wordlineUnderdrive);
-        sense.andBits = extractPartition(digital.andBits, a.partition);
-        sense.norBits = extractPartition(digital.norBits, a.partition);
-    }
-
-    // Dual-row activation halves the worst-case sense margin: an
-    // injected margin failure flips the weakest column's observation on
-    // both the BL and BLB senses.
-    lastMarginFailed_ = false;
-    if (faults_ && faults_->enabled() &&
-        faults_->drawMarginFailure(faultBaseId_)) {
-        lastMarginFailed_ = true;
-        std::size_t bit = faults_->drawBelow(sense.andBits.size());
-        sense.andBits.set(bit, !sense.andBits.get(bit));
-        sense.norBits.set(bit, !sense.norBits.get(bit));
-    }
+    pairRows_[0] = a.row;
+    pairRows_[1] = b.row;
+    auto digital =
+        cells_.activateWords(pairRows_, params_.wordlineUnderdrive);
+    TwoRowSense sense{extractPartition(digital.andBits, a.partition),
+                      extractPartition(digital.norBits, a.partition)};
+    injectMarginFailure(sense.andBits, sense.norBits);
     return sense;
+}
+
+bool
+SubArray::injectMarginFailure(BitVector &and_bits, BitVector &nor_bits)
+{
+    // Multi-row activation narrows the sense margin: an injected margin
+    // failure flips the weakest column's observation on both the BL and
+    // BLB senses.
+    lastMarginFailed_ = faults_ && faults_->enabled() &&
+        faults_->drawMarginFailure(faultBaseId_);
+    if (lastMarginFailed_) {
+        std::size_t bit = faults_->drawBelow(and_bits.size());
+        and_bits.set(bit, !and_bits.get(bit));
+        nor_bits.set(bit, !nor_bits.get(bit));
+    }
+    return lastMarginFailed_;
 }
 
 OpCost
@@ -267,15 +228,7 @@ SubArray::opNot(const BlockLoc &src, const BlockLoc &dst)
     ++opCounts_[opIndex(BitlineOp::Not)];
 
     // Single-row activation; BLB carries the complement of the stored data.
-    BitVector result;
-    if (scalarBitline()) {
-        auto levels = cells_.activate({src.row}, params_.wordlineUnderdrive);
-        result = extractPartition(senseAmps_.senseBLB(levels),
-                                  src.partition);
-    } else {
-        result = ~extractPartition(cells_.row(src.row), src.partition);
-    }
-    storeBlock(dst, result);
+    storeBlock(dst, ~extractPartition(cells_.row(src.row), src.partition));
     return {params_.opDelay(BitlineOp::Not),
             params_.opEnergy(BitlineOp::Not)};
 }
@@ -309,54 +262,40 @@ SubArray::opBuz(const BlockLoc &loc)
 }
 
 CmpResult
-SubArray::opCmp(const BlockLoc &a, const BlockLoc &b)
+SubArray::compareWords(BitlineOp op, const BlockLoc &a, const BlockLoc &b)
 {
     checkSamePartition(a, b);
-    ++opCounts_[opIndex(BitlineOp::Cmp)];
+    ++opCounts_[opIndex(op)];
 
     // Bit-wise XOR computed on the bit-lines; per-word equality is the
-    // wired-NOR of the 64 XOR outputs of that word.
+    // wired-NOR of the 64 XOR outputs of that word. Each 64-bit block
+    // word is exactly one packed word of the 512-bit partition, so the
+    // wired-NOR is a zero test.
     auto sense = activatePair(a, b);
     BitVector xorBits = ~(sense.andBits | sense.norBits);
+    const auto &xor_w = xorBits.words();
 
     CmpResult result;
-    if (!scalarBitline()) {
-        // Each 64-bit block word is exactly one packed word of the 512-bit
-        // partition, so the wired-NOR per word is a zero test.
-        const auto &xor_w = xorBits.words();
-        for (std::size_t w = 0; w < kWordsPerBlock; ++w) {
-            if (xor_w[w] == 0)
-                result.wordEqualMask |= std::uint64_t{1} << w;
-        }
-    } else {
-        for (std::size_t w = 0; w < kWordsPerBlock; ++w) {
-            bool any_diff = false;
-            for (std::size_t bit = 0; bit < 64; ++bit)
-                any_diff |= xorBits.get(w * 64 + bit);
-            if (!any_diff)
-                result.wordEqualMask |= std::uint64_t{1} << w;
-        }
+    for (std::size_t w = 0; w < kWordsPerBlock; ++w) {
+        if (xor_w[w] == 0)
+            result.wordEqualMask |= std::uint64_t{1} << w;
     }
     result.allEqual =
         result.wordEqualMask == (std::uint64_t{1} << kWordsPerBlock) - 1;
-    result.cost = {params_.opDelay(BitlineOp::Cmp),
-                   params_.opEnergy(BitlineOp::Cmp)};
+    result.cost = {params_.opDelay(op), params_.opEnergy(op)};
     return result;
+}
+
+CmpResult
+SubArray::opCmp(const BlockLoc &a, const BlockLoc &b)
+{
+    return compareWords(BitlineOp::Cmp, a, b);
 }
 
 CmpResult
 SubArray::opSearch(const BlockLoc &key, const BlockLoc &data)
 {
-    checkSamePartition(key, data);
-    ++opCounts_[opIndex(BitlineOp::Search)];
-
-    CmpResult result = opCmp(key, data);
-    // opCmp above already counted itself; attribute the activity to search
-    // instead so op counts stay meaningful.
-    --opCounts_[opIndex(BitlineOp::Cmp)];
-    result.cost = {params_.opDelay(BitlineOp::Search),
-                   params_.opEnergy(BitlineOp::Search)};
-    return result;
+    return compareWords(BitlineOp::Search, key, data);
 }
 
 ClmulResult
@@ -387,6 +326,33 @@ SubArray::checkBitSerial(const BitSerialOperand &o, std::size_t width) const
 }
 
 void
+SubArray::checkBitSerialOperands(const BitSerialOperand &a,
+                                 const BitSerialOperand &b,
+                                 const BitSerialOperand &dst,
+                                 std::size_t width, bool exact_alias) const
+{
+    checkBitSerial(a, width);
+    checkBitSerial(b, width);
+    checkBitSerial(dst, width);
+    CC_ASSERT(a.partition == b.partition && a.partition == dst.partition,
+              "bit-serial operands must share a block partition");
+    // Exact aliasing (dst == a or dst == b) is safe for add/sub -- slice
+    // k is consumed before it is overwritten -- but a partially
+    // overlapping destination would clobber not-yet-read source slices,
+    // and mul's accumulator is read-modify-written per partial product,
+    // so it cannot overlay a source at all.
+    auto clear_of = [&](const BitSerialOperand &s) {
+        return dst.row0 + width <= s.row0 || s.row0 + width <= dst.row0 ||
+            (exact_alias && dst.row0 == s.row0);
+    };
+    CC_ASSERT(clear_of(a) && clear_of(b),
+              exact_alias ? "bit-serial destination partially overlaps a "
+                            "source"
+                          : "bit-serial mul accumulator must not alias a "
+                            "source");
+}
+
+void
 SubArray::chargeStep(BitlineOp op, OpCost *cost)
 {
     ++opCounts_[opIndex(op)];
@@ -398,20 +364,7 @@ OpCost
 SubArray::opBitSerialAdd(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
-    checkBitSerial(a, width);
-    checkBitSerial(b, width);
-    checkBitSerial(dst, width);
-    CC_ASSERT(a.partition == b.partition && a.partition == dst.partition,
-              "bit-serial operands must share a block partition");
-    // Exact aliasing (dst == a or dst == b) is safe -- slice k is
-    // consumed before it is overwritten -- but a partially-overlapping
-    // destination would clobber not-yet-read source slices.
-    auto aligned_or_disjoint = [&](const BitSerialOperand &s) {
-        return dst.row0 == s.row0 ||
-            dst.row0 + width <= s.row0 || s.row0 + width <= dst.row0;
-    };
-    CC_ASSERT(aligned_or_disjoint(a) && aligned_or_disjoint(b),
-              "bit-serial destination partially overlaps a source");
+    checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/true);
 
     OpCost cost;
     carryLatch_ = BitVector(8 * kBlockSize);
@@ -434,17 +387,7 @@ OpCost
 SubArray::opBitSerialSub(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
-    checkBitSerial(a, width);
-    checkBitSerial(b, width);
-    checkBitSerial(dst, width);
-    CC_ASSERT(a.partition == b.partition && a.partition == dst.partition,
-              "bit-serial operands must share a block partition");
-    auto aligned_or_disjoint = [&](const BitSerialOperand &s) {
-        return dst.row0 == s.row0 ||
-            dst.row0 + width <= s.row0 || s.row0 + width <= dst.row0;
-    };
-    CC_ASSERT(aligned_or_disjoint(a) && aligned_or_disjoint(b),
-              "bit-serial destination partially overlaps a source");
+    checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/true);
 
     OpCost cost;
     carryLatch_ = BitVector(8 * kBlockSize);  // borrow latch
@@ -468,18 +411,7 @@ OpCost
 SubArray::opBitSerialMul(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
-    checkBitSerial(a, width);
-    checkBitSerial(b, width);
-    checkBitSerial(dst, width);
-    CC_ASSERT(a.partition == b.partition && a.partition == dst.partition,
-              "bit-serial operands must share a block partition");
-    // The accumulator is read-modify-written per partial product, so it
-    // cannot overlay either source.
-    auto overlaps = [&](const BitSerialOperand &s) {
-        return dst.row0 < s.row0 + width && s.row0 < dst.row0 + width;
-    };
-    CC_ASSERT(!overlaps(a) && !overlaps(b),
-              "bit-serial mul accumulator must not alias a source");
+    checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/false);
 
     OpCost cost;
     // Zero the accumulator slices through the reset data latch.
@@ -560,33 +492,17 @@ SubArray::rawActivate(const std::vector<std::size_t> &rows)
     if (rows.size() > params_.maxSafeActiveRows)
         underdrive = 1.0;
 
-    RawSense sense;
-    if (scalarBitline()) {
-        auto levels = cells_.activate(rows, underdrive);
-        sense.andResult = senseAmps_.senseBL(levels);
-        sense.norResult = senseAmps_.senseBLB(levels);
-        double margin_bl = senseAmps_.senseMargin(levels.bl);
-        double margin_blb = senseAmps_.senseMargin(levels.blb);
-        sense.margin = margin_bl < margin_blb ? margin_bl : margin_blb;
-    } else {
-        auto digital =
-            cells_.activateWords(rows, underdrive, /*track_margin=*/true);
-        sense.andResult = std::move(digital.andBits);
-        sense.norResult = std::move(digital.norBits);
-        sense.margin = digital.margin;
-    }
+    auto digital =
+        cells_.activateWords(rows, underdrive, /*track_margin=*/true);
+    RawSense sense{std::move(digital.andBits), std::move(digital.norBits),
+                   digital.margin};
 
     // An injected margin failure collapses the observed margin and
     // corrupts the weakest column, like amplifier offset noise would.
     lastMarginFailed_ = false;
-    if (faults_ && faults_->enabled() && rows.size() > 1 &&
-        faults_->drawMarginFailure(faultBaseId_)) {
-        lastMarginFailed_ = true;
+    if (rows.size() > 1 &&
+        injectMarginFailure(sense.andResult, sense.norResult))
         sense.margin = 0.0;
-        std::size_t bit = faults_->drawBelow(sense.andResult.size());
-        sense.andResult.set(bit, !sense.andResult.get(bit));
-        sense.norResult.set(bit, !sense.norResult.get(bit));
-    }
     return sense;
 }
 
@@ -594,6 +510,24 @@ std::uint64_t
 SubArray::opCount(BitlineOp op) const
 {
     return opCounts_[opIndex(op)];
+}
+
+double
+monteCarloFailureRate(double margin, double offset_sigma,
+                      std::size_t trials, Rng &rng)
+{
+    CC_ASSERT(trials > 0, "need at least one trial");
+    std::size_t failures = 0;
+    for (std::size_t i = 0; i < trials; ++i) {
+        // Box-Muller transform for a Gaussian offset sample.
+        double u1 = std::max(rng.uniform(), 1e-12);
+        double u2 = rng.uniform();
+        double gauss = std::sqrt(-2.0 * std::log(u1)) *
+            std::cos(2.0 * M_PI * u2);
+        if (std::abs(gauss * offset_sigma) >= margin)
+            ++failures;
+    }
+    return static_cast<double>(failures) / static_cast<double>(trials);
 }
 
 } // namespace ccache::sram

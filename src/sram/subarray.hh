@@ -3,8 +3,9 @@
  * Compute-capable SRAM sub-array (paper Sections II-B and IV-B).
  *
  * A SubArray assembles the bit-cell array, a second word-line decoder (so
- * two rows can be activated at once), re-configurable sense amplifiers and
- * the XOR-reduction tree into the unit the Compute Cache controller issues
+ * two rows can be activated at once), sense amplifiers re-configured from
+ * differential reads to single-ended BL/BLB senses at Vref = 0.5, and the
+ * XOR-reduction tree into the unit the Compute Cache controller issues
  * operations to.
  *
  * Blocks within the sub-array are addressed as (partition, row): a block
@@ -24,10 +25,10 @@
 #include <vector>
 
 #include "common/block.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "fault/fault_injector.hh"
 #include "sram/bitcell_array.hh"
-#include "sram/sense_amp.hh"
 #include "sram/subarray_params.hh"
 #include "sram/xor_reduction_tree.hh"
 
@@ -202,21 +203,6 @@ class SubArray
     /** True iff the last dual-row activation had a margin failure. */
     bool lastMarginFailed() const { return lastMarginFailed_; }
 
-    /**
-     * Scalar-reference gate (DESIGN.md §13.3): every op runs the
-     * vectorized word-at-a-time bit-line evaluation unless a test
-     * selects the per-bit analog scalar path, the reference the two are
-     * compared against. The two paths are bit-exact — including fault
-     * injection and RNG draw order — and the differential tests hold
-     * them to that. @{
-     */
-    static bool scalarBitline();
-
-    /** Select the per-bit path (true) or the vectorized default (false)
-     *  process-wide, for in-process differential tests. */
-    static void forceScalarBitline(bool on);
-    /** @} */
-
     /** Fault injected into the last single-row sense, if any. */
     const fault::FaultEvent &lastSenseFault() const
     {
@@ -250,11 +236,29 @@ class SubArray
     };
     TwoRowSense activatePair(const BlockLoc &a, const BlockLoc &b);
 
+    /** Draw a multi-row margin failure from the attached injector; on a
+     *  failure, flip one drawn column of both senses. Sets and returns
+     *  lastMarginFailed(). */
+    bool injectMarginFailure(BitVector &and_bits, BitVector &nor_bits);
+
+    /** Word-granular equality of two blocks, counted and costed as
+     *  @p op (cmp or search). */
+    CmpResult compareWords(BitlineOp op, const BlockLoc &a,
+                           const BlockLoc &b);
+
     void checkLoc(const BlockLoc &loc) const;
     void checkSamePartition(const BlockLoc &a, const BlockLoc &b) const;
 
     /** Bounds/partition checks for a bit-serial operand. */
     void checkBitSerial(const BitSerialOperand &o, std::size_t width) const;
+
+    /** Checks for a bit-serial op writing @p dst from @p a and @p b: all
+     *  three in one partition, and @p dst clear of both sources, except
+     *  that @p exact_alias allows it to coincide with one. */
+    void checkBitSerialOperands(const BitSerialOperand &a,
+                                const BitSerialOperand &b,
+                                const BitSerialOperand &dst,
+                                std::size_t width, bool exact_alias) const;
 
     /** Slice row @p k of a bit-serial operand as a block location. */
     static BlockLoc sliceLoc(const BitSerialOperand &o, std::size_t k)
@@ -267,7 +271,6 @@ class SubArray
 
     SubArrayParams params_;
     BitcellArray cells_;
-    SenseAmpArray senseAmps_;
     XorReductionTree xorTree_;
     std::vector<std::uint64_t> opCounts_;
 
@@ -283,6 +286,16 @@ class SubArray
     bool lastMarginFailed_ = false;
     fault::FaultEvent lastSenseFault_;
 };
+
+/**
+ * Monte-Carlo failure-probability estimate for a sense at
+ * SubArray::RawSense::margin: draw @p trials Gaussian amplifier offsets
+ * with standard deviation @p offset_sigma and count how many exceed
+ * @p margin. Jeloka et al. report more than six-sigma robustness; tests
+ * assert zero failures at realistic sigma.
+ */
+double monteCarloFailureRate(double margin, double offset_sigma,
+                             std::size_t trials, Rng &rng);
 
 } // namespace ccache::sram
 

@@ -30,46 +30,6 @@ toString(BitlineOp op)
     return "?";
 }
 
-bool
-isTwoRowOp(BitlineOp op)
-{
-    switch (op) {
-      case BitlineOp::And:
-      case BitlineOp::Nor:
-      case BitlineOp::Or:
-      case BitlineOp::Xor:
-      case BitlineOp::Cmp:
-      case BitlineOp::Search:
-      case BitlineOp::Clmul:
-      case BitlineOp::AddStep:
-      case BitlineOp::SubStep:
-      case BitlineOp::CmpStep:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-writesResultRow(BitlineOp op)
-{
-    switch (op) {
-      case BitlineOp::Write:
-      case BitlineOp::And:
-      case BitlineOp::Nor:
-      case BitlineOp::Or:
-      case BitlineOp::Xor:
-      case BitlineOp::Not:
-      case BitlineOp::Copy:
-      case BitlineOp::Buz:
-      case BitlineOp::AddStep:
-      case BitlineOp::SubStep:
-        return true;
-      default:
-        return false;
-    }
-}
-
 Cycles
 SubArrayParams::opDelay(BitlineOp op) const
 {

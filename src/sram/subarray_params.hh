@@ -41,12 +41,6 @@ enum class BitlineOp {
 
 const char *toString(BitlineOp op);
 
-/** True for ops that activate two word-lines simultaneously. */
-bool isTwoRowOp(BitlineOp op);
-
-/** True for ops that write a result row back into the array. */
-bool writesResultRow(BitlineOp op);
-
 /** Static configuration of one sub-array. */
 struct SubArrayParams
 {

@@ -18,49 +18,18 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
 #include "common/rng.hh"
+#include "tests/digest.hh"
 
 namespace ccache::cc {
 namespace {
 
-/** 64-bit FNV-1a over everything fed to it. */
-struct Digest
-{
-    std::uint64_t h = 1469598103934665603ULL;
-
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const auto *c = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= c[i];
-            h *= 1099511628211ULL;
-        }
-    }
-
-    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-};
+using test::Digest;
 
 // Table II operands: two 8 KB sources, a key block and a 32 KB
 // destination region every Table II op writes into.

@@ -32,6 +32,33 @@ TEST(VectorAccessTest, RangesPerOpcode)
     EXPECT_EQ(x.comparisons(), 3u);
 }
 
+TEST(VectorAccessTest, BitSerialOperandsCoverEverySlice)
+{
+    // cc_add of 8-bit lanes over 64-byte slice rows: each operand is 8
+    // slices one page apart, and a scalar load from the destination's
+    // last slice must wait for the pending add.
+    auto add = CcInstruction::add(0x10000, 0x20000, 0x30000, 64, 8);
+    auto access = VectorAccess::of(add);
+    ASSERT_EQ(access.reads.size(), 2u);
+    ASSERT_EQ(access.writes.size(), 1u);
+    EXPECT_EQ(access.writes[0].base, 0x30000u);
+    EXPECT_EQ(access.writes[0].end(),
+              CcInstruction::sliceAddr(0x30000, 7) + 64);
+
+    VectorLsq lsq;
+    ASSERT_TRUE(lsq.insertVector(add));
+    EXPECT_FALSE(
+        lsq.scalarLoadMayExecute(CcInstruction::sliceAddr(0x30000, 7)));
+    EXPECT_TRUE(
+        lsq.scalarLoadMayExecute(CcInstruction::sliceAddr(0x30000, 8)));
+
+    // A compare writes one predicate slice.
+    auto lt = VectorAccess::of(
+        CcInstruction::cmpLt(0x10000, 0x20000, 0x30000, 64, 8, false));
+    EXPECT_EQ(lt.writes[0].len, 64u);
+    EXPECT_EQ(lt.reads[1].end(), CcInstruction::sliceAddr(0x20000, 7) + 64);
+}
+
 TEST(AddrRangeTest, OverlapSemantics)
 {
     AddrRange a{0x1000, 0x100};

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sram/subarray.hh"
@@ -244,6 +247,17 @@ TEST_F(SubArrayTest, OpCostReported)
     EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::And));
 }
 
+TEST_F(SubArrayTest, ReadWriteCostReported)
+{
+    OpCost cost;
+    sa.write({0, 0}, randomBlock(rng), &cost);
+    EXPECT_EQ(cost.delay, sa.params().opDelay(BitlineOp::Write));
+    EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::Write));
+    sa.read({0, 0}, &cost);
+    EXPECT_EQ(cost.delay, sa.params().opDelay(BitlineOp::Read));
+    EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::Read));
+}
+
 TEST_F(SubArrayTest, OpCountsTracked)
 {
     Block a = randomBlock(rng);
@@ -270,6 +284,16 @@ TEST(SubArrayParams, ValidateRejectsBadConfigs)
     p = SubArrayParams{};
     p.wordlineUnderdrive = 1.5;
     EXPECT_THROW(p.validate(), FatalError);
+}
+
+TEST(SubArrayParams, EveryOpHasADistinctName)
+{
+    constexpr auto kOps = static_cast<std::size_t>(BitlineOp::CmpStep) + 1;
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < kOps; ++i)
+        names.insert(toString(static_cast<BitlineOp>(i)));
+    EXPECT_EQ(names.size(), kOps);
+    EXPECT_EQ(names.count("?"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -352,7 +376,7 @@ TEST(SubArrayRobustness, SenseMarginSupportsSixSigma)
     // VDD; a 15 mV-sigma amplifier offset (0.015 VDD) gives > 6 sigma.
     EXPECT_GE(sense.margin, 0.1 - 1e-9);
     Rng rng(99);
-    double fail = SenseAmpArray::monteCarloFailureRate(
+    double fail = monteCarloFailureRate(
         sense.margin, 0.015, 200000, rng);
     EXPECT_EQ(fail, 0.0);
 }

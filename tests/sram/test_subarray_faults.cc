@@ -64,6 +64,40 @@ TEST(SubArrayFaults, UnattachedAndDisabledInjectorsAreInert)
     EXPECT_TRUE(sa.lastSenseFault().none());
 }
 
+TEST(SubArrayFaults, RawActivateMarginFailureZeroesMargin)
+{
+    // rawActivate shares the dual-row ops' margin-failure draw: a failure
+    // flips one column of both senses and reports a zero margin, and a
+    // single-row activation never draws.
+    fault::FaultParams fp;
+    fp.enabled = true;
+    fp.seed = 3;
+    fp.marginFailPerDualRowOp = 1.0;
+    fault::FaultInjector inj(fp);
+
+    SubArray clean(smallParams());
+    SubArray faulty(smallParams());
+    faulty.attachFaults(&inj, 5);
+    Rng rng(4);
+    for (std::size_t r = 0; r < 2; ++r) {
+        Block b = randomBlock(rng);
+        clean.write({0, r}, b);
+        faulty.write({0, r}, b);
+    }
+
+    auto want = clean.rawActivate({0, 1});
+    auto got = faulty.rawActivate({0, 1});
+    EXPECT_TRUE(faulty.lastMarginFailed());
+    EXPECT_EQ(got.margin, 0.0);
+    BitVector flipped = got.andResult ^ want.andResult;
+    EXPECT_EQ(flipped.popcount(), 1u);
+    EXPECT_TRUE(flipped == (got.norResult ^ want.norResult));
+
+    auto single = faulty.rawActivate({0});
+    EXPECT_FALSE(faulty.lastMarginFailed());
+    EXPECT_EQ(single.margin, clean.rawActivate({0}).margin);
+}
+
 TEST(SubArrayFaults, MarginFailureOnlyOnDualRowActivation)
 {
     fault::FaultParams fp;

@@ -127,14 +127,16 @@ TEST(SplashTrace, RadixDirtiesMostPages)
     // overhead; our profiles must preserve that ordering.
     double radix = profileFor(SplashApp::Radix).dirtyPagesPer100k;
     for (auto app : allSplashApps()) {
-        if (app != SplashApp::Radix)
+        if (app != SplashApp::Radix) {
             EXPECT_GT(radix, profileFor(app).dirtyPagesPer100k);
+        }
     }
     // raytrace is the tamest.
     double raytrace = profileFor(SplashApp::Raytrace).dirtyPagesPer100k;
     for (auto app : allSplashApps()) {
-        if (app != SplashApp::Raytrace)
+        if (app != SplashApp::Raytrace) {
             EXPECT_LT(raytrace, profileFor(app).dirtyPagesPer100k);
+        }
     }
 }
 
