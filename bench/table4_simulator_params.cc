@@ -94,9 +94,7 @@ main(int argc, char **argv)
                     cfg.cc.nearPlace.latency(CacheLevel::L2)),
                 static_cast<unsigned long long>(
                     cfg.cc.nearPlace.latency(CacheLevel::L3)));
-    std::printf("                instruction table %zu entries, operation "
-                "table %zu, power cap %u sub-arrays\n",
-                cfg.cc.instrTableEntries, cfg.cc.opTableEntries,
+    std::printf("                power cap %u sub-arrays\n",
                 cfg.cc.maxActiveSubarrays);
 
     bench::rule();

@@ -195,8 +195,8 @@ Bmm::runCc(sim::System &sys)
                     config_.aBase + chunk, rot_addr, dest, page_chunk,
                     n));
 
-                // Streams are bounded by the instruction table depth;
-                // flush periodically.
+                // Streams hold at most eight instructions, the
+                // paper's instruction-table depth (Section IV-D).
                 if (instrs.size() == 8) {
                     Cycles stream_lat = 0;
                     sys.cc().executeStream(0, instrs, &stream_lat);

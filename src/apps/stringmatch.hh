@@ -34,7 +34,6 @@ struct StringMatchConfig
     /** Words per encrypted batch (512 bytes = one cc_search). */
     std::size_t batchWords = 8;
 
-    Addr textBase = 0x0100'0000;
     Addr batchBase = 0x0040'0000;
     Addr keysBase = 0x0042'0000;
 };

@@ -202,11 +202,19 @@ CcController::CcController(cache::Hierarchy &hier,
                            energy::EnergyModel *energy, StatRegistry *stats,
                            const CcControllerParams &params)
     : hier_(hier), energy_(energy), stats_(stats), params_(params),
-      instrTable_(params.instrTableEntries),
-      opTable_(params.opTableEntries),
       nearPlace_(params.nearPlace, energy, stats),
       faults_(params.faults)
 {
+    // The schedule divides by the command rate and converts the scaled
+    // op latency to Cycles; written as a negation, the factor check
+    // also rejects NaN.
+    if (params_.commandIssuePerCycle == 0)
+        CC_FATAL("commandIssuePerCycle must be at least 1");
+    if (!(params_.partitionPipelineFactor > 0.0 &&
+          params_.partitionPipelineFactor <= 1.0))
+        CC_FATAL("partitionPipelineFactor ",
+                 params_.partitionPipelineFactor, " is outside (0, 1]");
+
     // A StagedRow packs a way and a cache index into 16 bits each.
     const cache::HierarchyParams &hp = hier.params();
     for (const cache::CacheParams *cp : {&hp.l1, &hp.l2, &hp.l3}) {
@@ -242,11 +250,8 @@ CcController::CcController(cache::Hierarchy &hier,
         circuitVerificationsStat_ =
             &stats_->counter("cc.circuit_verifications");
         riscFallbacksStat_ = &stats_->counter("cc.risc_fallbacks");
-        reuseHoistsStat_ = &stats_->counter("cc.reuse_hoists");
-        instrTableFullStat_ = &stats_->counter("cc.instr_table_full");
         stagingRacesStat_ = &stats_->counter("cc.staging_races");
         keyReplicationsStat_ = &stats_->counter("cc.key_replications");
-        opTableOverflowsStat_ = &stats_->counter("cc.op_table_overflows");
         faultRiscRecoveriesStat_ =
             &stats_->counter("cc.fault.risc_recoveries");
         faultDegradedNearPlaceStat_ =
@@ -1035,6 +1040,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     scratchA_.resize(plan.srcRows);
     scratchB_.resize(plan.srcRows);
     scratchD_.resize(std::max<std::size_t>(plan.dstRows, 1));
+    scratchKeyPartitions_.clear();
 
     // ------------------------------------------------------------------
     // Level selection (Section IV-E): highest level where all operands
@@ -1043,29 +1049,10 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     std::vector<Addr> &all_blocks = scratchBlocks_;
     all_blocks.clear();
     plan.forEachRow([&](Addr addr, bool) { all_blocks.push_back(addr); });
-    CacheLevel level = params_.forceLevel
+    const CacheLevel level = params_.forceLevel
         ? *params_.forceLevel
         : hier_.chooseLevel(core, all_blocks);
-    if (params_.useReusePredictor && !params_.forceLevel) {
-        level = reuse_.recommend(level, all_blocks);
-        if (level != CacheLevel::L3 && stats_)
-            reuseHoistsStat_->inc();
-    }
-    if (params_.useReusePredictor) {
-        for (Addr a : all_blocks)
-            reuse_.touch(a);
-    }
     res.level = level;
-
-    std::uint64_t seq = ++instrSeq_;
-    auto instr_id = instrTable_.allocate(instr, core, plan.steps);
-    if (!instr_id) {
-        // A full instruction table is a structural hazard, not a bug:
-        // degrade to the scalar path rather than aborting.
-        if (stats_)
-            instrTableFullStat_->inc();
-        return riscFallback(core, instr, plan);
-    }
 
     // ------------------------------------------------------------------
     // Operand staging: fetch + pin every row, each op's sources before
@@ -1107,8 +1094,6 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     // Release everything the instruction holds and run it as RISC.
     auto abandon = [&]() {
         unpin_all();
-        keys_.releaseInstr(seq);
-        instrTable_.release(*instr_id);
         return riscFallback(core, instr, plan);
     };
     if (fallback)
@@ -1179,8 +1164,10 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             // Replicate the key into this data block's partition once per
             // instruction (Section IV-D key table). The replication write
             // is what Table V's search row adds on top of cmp.
-            PartitionId pid{level, op.cacheIndex, op.partition};
-            if (keys_.needsReplication(seq, instr.src2, pid)) {
+            std::vector<std::uint64_t> &held = scratchKeyPartitions_;
+            if (std::find(held.begin(), held.end(), op.partitionKey()) ==
+                held.end()) {
+                held.push_back(op.partitionKey());
                 op.keyWrite = true;
                 ++res.keyReplications;
                 if (stats_)
@@ -1215,32 +1202,14 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     bool key_htree_charged = false;
 
     for (BlockOp &op : ops) {
-        auto op_entry = opTable_.allocate(*instr_id, op.index,
-                                          {op.src1, op.src2, op.dest});
-        // Synchronous mode drains the table every iteration, so
-        // allocation only fails on undersized configurations; overflow
-        // is survivable -- the op just executes untracked.
-        if (op_entry) {
-            for (std::size_t oi = 0; oi < 3; ++oi)
-                opTable_.markFetched(*op_entry, oi);
-        } else if (stats_) {
-            opTableOverflowsStat_->inc();
-        }
-
         issue_clock += 1;  // command delivery on the shared bus
         Cycles start = issue_clock / params_.commandIssuePerCycle;
         Cycles end;
 
         // Execute functionally first: the fault ladder's retries,
         // degradations and refills lengthen this op's occupancy below.
-        if (op_entry)
-            opTable_.markIssued(*op_entry);
         BlockOpOutcome outcome = performBlockOp(core, instr, plan, op,
                                                 level);
-        if (op_entry) {
-            opTable_.markDone(*op_entry);
-            opTable_.release(*op_entry);
-        }
         res.faultRetries += outcome.retries;
         if (outcome.degradedNearPlace)
             ++res.faultDegradedOps;
@@ -1248,13 +1217,10 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             ++res.faultRiscRecoveries;
 
         if (op.inPlace) {
-            std::uint64_t key =
-                (static_cast<std::uint64_t>(op.cacheIndex) << 32) |
-                (static_cast<std::uint64_t>(op.partition) & 0xffffffffULL);
             // One probe serves both the read here and the store below;
             // no other PartitionClock access intervenes, so the
             // reference stays valid.
-            Cycles &pfree = partition_free[key];
+            Cycles &pfree = partition_free[op.partitionKey()];
             start = std::max(start, pfree);
             if (op.keyWrite) {
                 // The key replication write occupies the partition before
@@ -1323,7 +1289,6 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
                 << result_bits;
             result_bits += bits;
         }
-        instrTable_.complete(*instr_id, 0, 0);
     }
 
     sched_.horizon = std::max(sched_.horizon, finish);
@@ -1342,8 +1307,6 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     }
 
     unpin_all();
-    keys_.releaseInstr(seq);
-    instrTable_.release(*instr_id);
 
     if (stats_) {
         blockOpsStat_->inc(res.blockOps);

@@ -22,7 +22,6 @@
 #define CCACHE_CC_CC_CONTROLLER_HH
 
 #include <array>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,12 +29,8 @@
 #include "cache/hierarchy.hh"
 #include "cc/ecc.hh"
 #include "common/event_trace.hh"
-#include "cc/instruction_table.hh"
 #include "cc/isa.hh"
-#include "cc/key_table.hh"
 #include "cc/near_place_unit.hh"
-#include "cc/operation_table.hh"
-#include "cc/reuse_predictor.hh"
 #include "fault/fault_injector.hh"
 #include "sram/subarray.hh"
 
@@ -54,7 +49,7 @@ struct CcControllerParams
 
     /** Back-to-back in-place ops in one partition overlap precharge with
      *  the previous op's write-back: the initiation interval is this
-     *  fraction of the op latency. */
+     *  fraction of the op latency, in (0, 1]. */
     double partitionPipelineFactor = 0.5;
 
     /** In-place op latency at @p level. */
@@ -75,7 +70,8 @@ struct CcControllerParams
      *  (Section IV-D limits concurrency to bound peak power). 0 = no cap. */
     unsigned maxActiveSubarrays = 128;
 
-    /** Commands deliverable per cycle on the shared address H-tree. */
+    /** Commands deliverable per cycle on the shared address H-tree
+     *  (at least 1). */
     unsigned commandIssuePerCycle = 1;
 
     /** Operand-lock retry budget before RISC fallback (Section IV-E). */
@@ -100,14 +96,6 @@ struct CcControllerParams
     /** Re-execute every in-place op on a circuit-level sub-array and
      *  compare (slow; integration tests enable it). */
     bool verifyCircuit = false;
-
-    /** Enhance level selection with the page-reuse predictor
-     *  (Section IV-E future-work extension): L3-policy instructions
-     *  whose operand pages show recent reuse are hoisted to L2. */
-    bool useReusePredictor = false;
-
-    std::size_t instrTableEntries = 8;
-    std::size_t opTableEntries = 64;
 
     /**
      * Fault injection and the graceful-degradation ladder. With
@@ -208,11 +196,11 @@ class CcController
 
     /**
      * Execute a stream of INDEPENDENT CC instructions with instruction-
-     * level overlap: the instruction table keeps several in flight, so
-     * successive instructions share the command bus, power slots and
-     * partition schedule instead of serializing end-to-end (how DB-BitMap
-     * issues its many independent cc_or operations, Section VI-E, and
-     * how consecutive 512-byte cc_cmp/cc_search chunks pipeline).
+     * level overlap: successive instructions share one schedule (command
+     * bus, power slots and partition clocks) instead of serializing
+     * end-to-end (how DB-BitMap issues its many independent cc_or
+     * operations, Section VI-E, and how consecutive 512-byte
+     * cc_cmp/cc_search chunks pipeline).
      *
      * The caller must guarantee independence (no RAW/WAW overlap between
      * the instructions); each returned entry carries its own result mask.
@@ -222,11 +210,8 @@ class CcController
         CoreId core, const std::vector<CcInstruction> &instrs,
         Cycles *total_latency);
 
-    /** Tables exposed for inspection in tests. @{ */
-    const KeyTable &keyTable() const { return keys_; }
-    const ReusePredictor &reusePredictor() const { return reuse_; }
+    /** The fault injector, exposed for inspection in tests. */
     const fault::FaultInjector &faultInjector() const { return faults_; }
-    /** @} */
 
     /** Mutable injector access for runtime fault-rate scheduling (the
      *  chaos harness raises and clears per-shard fault storms through
@@ -246,7 +231,14 @@ class CcController
         bool keyWrite = false;          ///< search key replication first
         unsigned cacheIndex = 0;        ///< slice (L3) or core (L1/L2)
         std::size_t partition = 0;      ///< global partition in that cache
-        Cycles fetchLatency = 0;
+
+        /** (cache index, partition) packed into one key. */
+        std::uint64_t
+        partitionKey() const
+        {
+            return (static_cast<std::uint64_t>(cacheIndex) << 32) |
+                (static_cast<std::uint64_t>(partition) & 0xffffffffULL);
+        }
     };
 
     /**
@@ -375,9 +367,9 @@ class CcController
     CcExecResult executeInstr(CoreId core, const CcInstruction &instr);
 
     /**
-     * The pipeline every CC instruction runs through: level choice and
-     * reuse hoist, stage and pin, placement, locality and key
-     * replication, then per block op the fault ladder and the schedule
+     * The pipeline every CC instruction runs through: level choice,
+     * stage and pin, placement, locality and key replication, then per
+     * block op the fault ladder and the schedule
      * (command bus, partition clock, power slots, near-place unit),
      * then result-mask merge, notify, unpin and stats.
      */
@@ -537,14 +529,9 @@ class CcController
         void reset(unsigned power_cap);
     };
 
-    InstructionTable instrTable_;
-    OperationTable opTable_;
-    KeyTable keys_;
     NearPlaceUnit nearPlace_;
-    ReusePredictor reuse_;
     fault::FaultInjector faults_;
     ScheduleState sched_;
-    std::uint64_t instrSeq_ = 0;
 
     /** Stats pre-registered in the constructor under "cc." so the
      *  per-block-op paths increment through stable pointers instead of
@@ -562,11 +549,8 @@ class CcController
     StatCounter *blockOpsStat_ = nullptr;
     StatCounter *circuitVerificationsStat_ = nullptr;
     StatCounter *riscFallbacksStat_ = nullptr;
-    StatCounter *reuseHoistsStat_ = nullptr;
-    StatCounter *instrTableFullStat_ = nullptr;
     StatCounter *stagingRacesStat_ = nullptr;
     StatCounter *keyReplicationsStat_ = nullptr;
-    StatCounter *opTableOverflowsStat_ = nullptr;
     StatCounter *faultRiscRecoveriesStat_ = nullptr;
     StatCounter *faultDegradedNearPlaceStat_ = nullptr;
     StatCounter *faultRetriesStat_ = nullptr;
@@ -590,6 +574,9 @@ class CcController
     std::vector<StagedRow> scratchStaged_;
     std::vector<Cycles> scratchFetchLats_;
     std::vector<BlockOp> scratchOps_;
+    /** Partitions (BlockOp::partitionKey) that already hold the search
+     *  key (Section IV-D's key table): each is replicated into once. */
+    std::vector<std::uint64_t> scratchKeyPartitions_;
     /** Sensed source rows and result rows of one block op. */
     std::vector<Block> scratchA_;
     std::vector<Block> scratchB_;

@@ -54,10 +54,6 @@ struct NearPlaceParams
         }
         return opLatency;
     }
-
-    /** Controller operand registers (one vector logic unit per cache
-     *  controller in the paper's near-place design). */
-    std::size_t operandRegisters = 2;
 };
 
 /** The logic unit itself: pure block-level compute plus cost model. */

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
 #include "cc/near_place_unit.hh"
@@ -136,22 +138,48 @@ TEST_F(ControllerTest, CmpProducesWordMask)
 TEST_F(ControllerTest, SearchFindsKeyAndReplicatesOncePerPartition)
 {
     // Data: 8 blocks; key equals block 5.
-    auto data = loadRandom(0xa0000, 512);
+    const Addr base = 0xa0000;
+    auto data = loadRandom(base, 512);
     std::vector<std::uint8_t> key(data.begin() + 5 * 64,
                                   data.begin() + 6 * 64);
     hier.memory().writeBytes(0xb0000, key.data(), key.size());
+    const CcInstruction search = CcInstruction::search(base, 0xb0000, 512);
 
-    auto res = ctrl.execute(0, CcInstruction::search(0xa0000, 0xb0000,
-                                                     512));
-    // Word-granular mask: block 5's eight words all match the key.
-    std::uint64_t block5 = res.result >> (5 * 8) & 0xff;
-    EXPECT_EQ(block5, 0xffu);
-    EXPECT_GT(res.keyReplications, 0u);
-    EXPECT_LE(res.keyReplications, 8u);
+    // Distinct (cache, block partition) pairs holding the data at
+    // @p level: the key is written once into each, and again by the
+    // next search.
+    auto data_partitions = [&](CacheLevel level) {
+        std::set<std::pair<unsigned, std::size_t>> parts;
+        for (Addr a = base; a < base + 512; a += kBlockSize) {
+            unsigned index = hier.cacheIndex(level, 0, a);
+            auto place = hier.cacheInstance(level, index).placeOf(a);
+            EXPECT_TRUE(place) << std::hex << a;
+            if (place)
+                parts.emplace(index, place->globalPartition);
+        }
+        return parts.size();
+    };
 
-    // A second search with the same key in the same instruction would
-    // reuse replicas; across instructions the table is cleared.
-    EXPECT_EQ(ctrl.keyTable().trackedInstructions(), 0u);
+    // Two identical searches at @p level; returns the partition count.
+    auto check = [&](CacheLevel level) {
+        std::size_t partitions = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+            auto res = ctrl.execute(0, search);
+            // Word-granular mask: block 5's eight words all match the key.
+            EXPECT_EQ(res.result >> (5 * 8) & 0xff, 0xffu);
+            EXPECT_EQ(res.level, level);
+            EXPECT_EQ(res.inPlaceOps, 8u);
+            partitions = data_partitions(level);
+            EXPECT_EQ(res.keyReplications, partitions)
+                << toString(level) << " pass " << pass;
+        }
+        return partitions;
+    };
+    // Uncached data computes at L3, each block in its own partition.
+    EXPECT_EQ(check(CacheLevel::L3), 8u);
+    // In the L1 the eight blocks share partitions: replication dedupes.
+    ctrl.mutableParams().forceLevel = CacheLevel::L1;
+    EXPECT_LT(check(CacheLevel::L1), 8u);
 }
 
 TEST_F(ControllerTest, ClmulComputesCarrylessParities)

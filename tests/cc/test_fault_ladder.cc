@@ -3,13 +3,16 @@
  * Integration tests for the graceful-degradation ladder: ECC correction
  * in place, bounded retry on margin failures, degradation to the
  * near-place unit, discard-and-refill with RISC recompute, background
- * scrubbing -- plus the two global guarantees: fixed-seed determinism
- * and zero cost/behavior change with injection disabled.
+ * scrubbing, the rungs' trace events -- plus the two global guarantees:
+ * fixed-seed determinism and zero cost/behavior change with injection
+ * disabled.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <string>
 
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
@@ -269,6 +272,44 @@ TEST(FaultLadderTest, StuckCellsFallThroughToRiscAndRemap)
     EXPECT_EQ(again.faultRiscRecoveries, 0u);
     EXPECT_EQ(again.faultDegradedOps, 0u);
     EXPECT_EQ(sim.dumpBytes(0x30000, kLen), refAnd(a, b));
+}
+
+TEST(FaultLadderTest, RungsLandOnTheTraceTimeline)
+{
+    // Two stuck bits per line drive every op down the whole ladder.
+    CcControllerParams p;
+    p.faults.enabled = true;
+    p.faults.seed = 8;
+    p.faults.stuckAtPerBlock = 1.0;
+    p.faults.stuckAtDoubleFraction = 1.0;
+
+    Sim sim(p);
+    EventTrace trace;
+    trace.enable();
+    sim.ctrl.setTraceSink(&trace);
+    sim.loadRandom(0x10000, kLen, 1);
+    sim.loadRandom(0x20000, kLen, 2);
+    auto res = sim.ctrl.execute(
+        0, CcInstruction::logicalAnd(0x10000, 0x20000, 0x30000, kLen));
+
+    std::map<std::string, std::uint64_t> rungs;
+    std::size_t instrs = 0;
+    const Json doc = trace.toJson();
+    for (const Json &e : doc.find("traceEvents")->asArray()) {
+        const Json *cat = e.find("cat");
+        if (cat && cat->asString() == tracecat::kFault)
+            ++rungs[e.find("name")->asString()];
+        else if (cat && cat->asString() == tracecat::kCc)
+            ++instrs;
+    }
+    // The instruction, and one event per rung the stats count.
+    EXPECT_EQ(instrs, 1u);
+    EXPECT_GT(res.faultRiscRecoveries, 0u);
+    EXPECT_EQ(rungs["fault.ecc_uncorrectable"],
+              sim.stats.value("cc.fault.ecc_uncorrectable"));
+    EXPECT_EQ(rungs["fault.retry"], sim.stats.value("cc.fault.retries"));
+    EXPECT_EQ(rungs["fault.degrade_near_place"], res.faultDegradedOps);
+    EXPECT_EQ(rungs["fault.risc_recovery"], res.faultRiscRecoveries);
 }
 
 TEST(FaultLadderTest, BurstsAliasIntoSilentCorruption)

@@ -10,7 +10,6 @@
 
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
-#include "cc/vector_lsq.hh"
 #include "common/rng.hh"
 
 namespace ccache::cc {
@@ -183,22 +182,6 @@ TEST_F(MultiCoreTest, RandomizedMultiCoreCcSoak)
 
     for (std::size_t i = 0; i < pool.size(); ++i)
         ASSERT_EQ(hier.debugRead(pool[i]), ref[i]) << "page " << i;
-}
-
-TEST_F(MultiCoreTest, FenceSemanticsWithVectorLsq)
-{
-    // Section IV-G: a fence commits only after all pending scalar and
-    // vector operations complete.
-    VectorLsq lsq;
-    auto s = lsq.insertScalarStore(0x100);
-    auto v = lsq.insertVector(CcInstruction::buz(0x2000, 256));
-    ASSERT_TRUE(s);
-    ASSERT_TRUE(v);
-    EXPECT_FALSE(lsq.fenceMayCommit());
-    lsq.retireVector(*v);
-    EXPECT_FALSE(lsq.fenceMayCommit());
-    lsq.retireScalarStore(*s);
-    EXPECT_TRUE(lsq.fenceMayCommit());
 }
 
 } // namespace
