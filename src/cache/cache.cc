@@ -34,14 +34,6 @@ Cache::state(Addr addr) const
 }
 
 void
-Cache::setState(Addr addr, Mesi state)
-{
-    LineRef line = find(addr);
-    CC_ASSERT(line, "setState on absent line 0x", std::hex, addr);
-    setState(line, state);
-}
-
-void
 Cache::chargeRead()
 {
     if (energy_)
@@ -59,30 +51,12 @@ Cache::chargeWrite()
         writesStat_->inc();
 }
 
-bool
-Cache::read(Addr addr, Block &out)
-{
-    LineRef line = find(addr);
-    if (line)
-        read(line, out);
-    return bool(line);
-}
-
 void
 Cache::read(LineRef line, Block &out)
 {
     tags_.touch(line.set(), line.way());
     out = data_[dataIndex(line)];
     chargeRead();
-}
-
-bool
-Cache::write(Addr addr, const Block &data, bool set_dirty)
-{
-    LineRef line = find(addr);
-    if (line)
-        write(line, data, set_dirty);
-    return bool(line);
 }
 
 void
@@ -161,58 +135,6 @@ Cache::invalidate(Addr addr)
     return ev;
 }
 
-bool
-Cache::pin(Addr addr)
-{
-    LineRef line = find(addr);
-    if (line)
-        pin(line);
-    return bool(line);
-}
-
-void
-Cache::unpin(Addr addr)
-{
-    if (LineRef line = find(addr))
-        unpin(line);
-}
-
-bool
-Cache::isPinned(Addr addr) const
-{
-    LineRef line = find(addr);
-    return line && lineAt(line).pinned;
-}
-
-void
-Cache::promoteMRU(Addr addr)
-{
-    if (LineRef line = find(addr))
-        promoteMRU(line);
-}
-
-void
-Cache::markDirty(Addr addr)
-{
-    LineRef line = find(addr);
-    CC_ASSERT(line, "markDirty on absent line 0x", std::hex, addr);
-    markDirty(line);
-}
-
-bool
-Cache::isDirty(Addr addr) const
-{
-    LineRef line = find(addr);
-    return line && isDirty(line);
-}
-
-void
-Cache::clearDirty(Addr addr)
-{
-    if (LineRef line = find(addr))
-        clearDirty(line);
-}
-
 const Block *
 Cache::dirtyPeek(Addr addr) const
 {
@@ -220,22 +142,6 @@ Cache::dirtyPeek(Addr addr) const
     if (!line || !isDirty(line))
         return nullptr;
     return &peek(line);
-}
-
-const Block *
-Cache::peek(Addr addr) const
-{
-    LineRef line = find(addr);
-    return line ? &peek(line) : nullptr;
-}
-
-bool
-Cache::poke(Addr addr, const Block &data)
-{
-    LineRef line = find(addr);
-    if (line)
-        poke(line, data);
-    return bool(line);
 }
 
 Addr
@@ -259,15 +165,6 @@ Cache::forEachLine(
                data_[dataIndex(set, way)]);
         }
     }
-}
-
-std::optional<geometry::BlockPlace>
-Cache::placeOf(Addr addr) const
-{
-    LineRef line = find(addr);
-    if (!line)
-        return std::nullopt;
-    return placeOf(line);
 }
 
 } // namespace ccache::cache

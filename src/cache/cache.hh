@@ -45,13 +45,13 @@ struct Eviction
 
 /**
  * The (set, way) slot of a resident line, as Cache::find returned it,
- * or an empty handle (the default) when the line is absent. The handle
- * forms of the per-line operations take it in place of an address and
- * skip the lookup; they require a non-empty handle. A handle is a hint,
- * not a reference: once its line is invalidated or evicted the slot can
- * hold another line, so a holder that let other accesses run since
- * find() revalidates it with find(addr, hint), and never keeps it past
- * the operation it was found for (DESIGN.md §13.4).
+ * or an empty handle (the default) when the line is absent. Every
+ * per-line operation takes one, and requires it non-empty; only
+ * questions about a line that may be absent take an address. A handle
+ * is a hint, not a reference: once its line is invalidated or evicted
+ * the slot can hold another line, so a holder that let other accesses
+ * run since find() revalidates it with find(addr, hint), and never
+ * keeps it past the operation it was found for (DESIGN.md §13.4).
  *
  * One 64-bit word, so a handle travels in a register: the hot paths
  * pass and return it on every staged row.
@@ -98,8 +98,8 @@ class Cache
 
     /** The slot of resident line @p addr, empty if absent: one
      *  address decode and tag probe, without LRU update or energy
-     *  charge. Every per-line operation below has a handle form that
-     *  reuses it; each address form is find() plus the handle form. */
+     *  charge. This is the one address lookup: every per-line
+     *  operation below takes the handle it returns. */
     LineRef
     find(Addr addr) const
     {
@@ -130,22 +130,16 @@ class Cache
     Mesi state(LineRef line) const { return lineAt(line).state; }
 
     /** Set the MESI state of a resident line. */
-    void setState(Addr addr, Mesi state);
     void setState(LineRef line, Mesi state) { lineAt(line).state = state; }
 
-    /**
-     * Read a resident block. Charges read energy, updates LRU.
-     * Returns false on miss.
-     */
-    bool read(Addr addr, Block &out);
+    /** Read a resident block. Charges read energy, updates LRU. */
     void read(LineRef line, Block &out);
 
     /**
      * Write a resident block (marks it dirty/Modified is left to the
      * caller's coherence logic; this only moves data). Charges write
-     * energy, updates LRU. Returns false on miss.
+     * energy, updates LRU.
      */
-    bool write(Addr addr, const Block &data, bool set_dirty = true);
     void write(LineRef line, const Block &data, bool set_dirty = true);
 
     /**
@@ -162,18 +156,14 @@ class Cache
     std::optional<Eviction> invalidate(Addr addr);
 
     /** Operand pinning for the CC controller (Section IV-E). @{ */
-    bool pin(Addr addr);
     void pin(LineRef line) { lineAt(line).pinned = true; }
-    void unpin(Addr addr);
     void unpin(LineRef line) { lineAt(line).pinned = false; }
-    bool isPinned(Addr addr) const;
+    bool isPinned(LineRef line) const { return lineAt(line).pinned; }
     /** Promote a line to MRU so it survives until its operation issues. */
-    void promoteMRU(Addr addr);
     void promoteMRU(LineRef line) { tags_.touch(line.set(), line.way()); }
     /** @} */
 
     /** Mark a resident line dirty (after an in-place CC write). */
-    void markDirty(Addr addr);
     void
     markDirty(LineRef line)
     {
@@ -182,12 +172,10 @@ class Cache
         l.state = Mesi::Modified;
     }
 
-    /** True iff @p addr is resident and holds dirty data. */
-    bool isDirty(Addr addr) const;
+    /** True iff the resident line holds dirty data. */
     bool isDirty(LineRef line) const { return lineAt(line).dirty; }
 
     /** Clear the dirty flag after the data has been written back. */
-    void clearDirty(Addr addr);
     void clearDirty(LineRef line) { lineAt(line).dirty = false; }
 
     /**
@@ -195,9 +183,7 @@ class Cache
      * WITHOUT charging the baseline access energy — the CC controller
      * charges the Table V in-place cost instead. @{
      */
-    const Block *peek(Addr addr) const;
     const Block &peek(LineRef line) const { return data_[dataIndex(line)]; }
-    bool poke(Addr addr, const Block &data);
     void
     poke(LineRef line, const Block &data)
     {
@@ -205,22 +191,18 @@ class Cache
     }
     /** @} */
 
-    /** Data of a resident DIRTY line, nullptr otherwise: one address
-     *  decode where isDirty() + peek() would pay two. This is the
+    /** Data of @p addr if it is resident and dirty, nullptr otherwise:
+     *  find() plus isDirty() and peek() in one call. This is the
      *  Hierarchy::debugRead hot path (golden verification reads every
      *  block of every request). */
     const Block *dirtyPeek(Addr addr) const;
 
     /** Physical placement of a resident line, for the CC scheduler. */
-    std::optional<geometry::BlockPlace> placeOf(Addr addr) const;
     geometry::BlockPlace
     placeOf(LineRef line) const
     {
         return geom_.place(line.set(), line.way());
     }
-
-    /** Occupancy for stats. */
-    std::size_t validLines() const { return tags_.validLines(); }
 
     /** Visit every valid line (for flushes and integrity checks). */
     void forEachLine(

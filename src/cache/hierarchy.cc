@@ -26,7 +26,7 @@ toString(ServedBy s)
 Hierarchy::Hierarchy(const HierarchyParams &params,
                      energy::EnergyModel *energy, StatRegistry *stats)
     : params_(params), energy_(energy), stats_(stats),
-      memory_(params.memory), ring_(params.ring, energy, stats)
+      ring_(params.ring, energy, stats)
 {
     if (params_.cores == 0)
         CC_FATAL("hierarchy needs at least one core");
@@ -182,9 +182,7 @@ Hierarchy::l2Eviction(CoreId core, const Eviction &victim)
     unsigned slice = sliceFor(core, victim.addr);
     if (dirty) {
         latency += ring_.send(stopOf(core), slice, noc::MsgClass::Data);
-        bool ok = l3Slice(slice).write(victim.addr, data);
-        CC_ASSERT(ok, "L2 victim 0x", std::hex, victim.addr,
-                  " absent from inclusive L3");
+        writeHome(slice, victim.addr, data);
         if (stats_)
             l2WritebacksStat_->inc();
     } else {
@@ -229,6 +227,16 @@ Hierarchy::l3Eviction(unsigned slice, const Eviction &victim)
         if (stats_)
             l3WritebacksStat_->inc();
     }
+}
+
+void
+Hierarchy::writeHome(unsigned slice, Addr addr, const Block &data)
+{
+    Cache &home = l3Slice(slice);
+    LineRef line = home.find(addr);
+    CC_ASSERT(line, "line 0x", std::hex, addr,
+              " absent from inclusive L3 slice ", std::dec, slice);
+    home.write(line, data);
 }
 
 Cycles
@@ -287,9 +295,7 @@ Hierarchy::recallFromOwner(CoreId requester, CoreId owner, Addr addr,
     if (have) {
         latency += ring_.send(stopOf(owner), slice, noc::MsgClass::Data);
         if (dirty) {
-            bool ok = l3Slice(slice).write(addr, newest);
-            CC_ASSERT(ok, "recalled line 0x", std::hex, addr,
-                      " absent from inclusive L3");
+            writeHome(slice, addr, newest);
             if (stats_)
                 ownerWritebacksStat_->inc();
         }
@@ -324,11 +330,8 @@ Hierarchy::invalidateSharers(Addr addr, unsigned slice, CoreId keeper)
                 // L1 copy was newer; keep it.
             }
         }
-        if (dirty) {
-            bool ok = l3Slice(slice).write(addr, newest);
-            CC_ASSERT(ok, "invalidated dirty line 0x", std::hex, addr,
-                      " absent from inclusive L3");
-        }
+        if (dirty)
+            writeHome(slice, addr, newest);
         directory(slice).removeSharer(addr, c);
         if (stats_)
             sharerInvalidationsStat_->inc();
@@ -606,8 +609,7 @@ Hierarchy::writeImpl(CoreId core, Addr addr, const Block *data,
         // copies of the requester are dropped so nothing stale remains.
         c1.invalidate(addr);
         c2.invalidate(addr);
-        bool ok = l3Slice(slice).write(addr, merged);
-        CC_ASSERT(ok, "inclusive L3 lost line 0x", std::hex, addr);
+        writeHome(slice, addr, merged);
         directory(slice).clear(addr);
         return res;
     }
@@ -726,7 +728,7 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
             if (exclusive) {
                 needs_action = true;
             } else {
-                needs_action = l1(c).isDirty(addr) || l2(c).isDirty(addr);
+                needs_action = l1(c).dirtyPeek(addr) || l2(c).dirtyPeek(addr);
             }
         }
         if (!needs_action)
@@ -743,7 +745,7 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
             latency += recallFromOwner(core, c, addr, slice,
                                        /*invalidate_owner=*/true);
         } else {
-            if (l1(c).isDirty(addr) || l2(c).isDirty(addr))
+            if (l1(c).dirtyPeek(addr) || l2(c).dirtyPeek(addr))
                 latency += recallFromOwner(core, c, addr, slice, false);
         }
     }
@@ -823,8 +825,9 @@ Hierarchy::debugRead(Addr addr)
         // sliceFor pins the page mapping on first touch (mapPage is
         // pre-access test setup only). L3 data is newest unless a
         // private M copy exists (checked above); L3-dirty beats memory.
-        if (const Block *d = l3_[*home]->peek(addr))
-            return *d;
+        const Cache &l3 = *l3_[*home];
+        if (LineRef line = l3.find(addr))
+            return l3.peek(line);
     }
     // Unmapped page: never filled anywhere (the coherence checker's
     // "unmapped implies no valid copies" invariant, DESIGN.md §9).
@@ -840,17 +843,21 @@ Hierarchy::debugWrite(Addr addr, const Block &data)
     // hold private copies, so the old poke-every-cache broadcast (24
     // probes per block on the System::load workload-setup hot path)
     // reduces to the tracked copies plus the slices.
+    auto poke = [&](Cache &cache) {
+        if (LineRef line = cache.find(addr))
+            cache.poke(line, data);
+    };
     if (auto home = homeSliceIfMapped(addr)) {
         DirEntry e = dir_[*home]->entry(addr);
         for (unsigned c = 0; c < params_.cores && e.sharers != 0; ++c) {
             if (!(e.sharers & (1u << c)))
                 continue;
-            l1(c).poke(addr, data);
-            l2(c).poke(addr, data);
+            poke(l1(c));
+            poke(l2(c));
         }
         // Only the home slice can hold the line (see debugRead); an
         // unmapped page has no cached copies to update at all.
-        l3_[*home]->poke(addr, data);
+        poke(*l3_[*home]);
     }
 }
 

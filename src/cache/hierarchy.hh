@@ -206,6 +206,10 @@ class Hierarchy
      *  write dirty data to memory. */
     void l3Eviction(unsigned slice, const Eviction &victim);
 
+    /** Write @p data into the home @p slice's copy of @p addr, which
+     *  inclusion guarantees is resident. */
+    void writeHome(unsigned slice, Addr addr, const Block &data);
+
     /** Pull the newest private copy of @p addr held by @p owner into the
      *  home slice; downgrades (read) or invalidates (exclusive) the
      *  owner's copies. Returns added latency. */

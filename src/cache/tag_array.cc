@@ -31,13 +31,4 @@ TagArray::victim(std::size_t set) const
     return best;
 }
 
-std::size_t
-TagArray::validLines() const
-{
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < sets_ * ways_; ++i)
-        n += lines_[i].valid() ? 1 : 0;
-    return n;
-}
-
 } // namespace ccache::cache

@@ -85,9 +85,6 @@ class TagArray
         return lines_[index(set, way)];
     }
 
-    /** Count of valid lines (for occupancy stats). */
-    std::size_t validLines() const;
-
   private:
     std::size_t index(std::size_t set, std::size_t way) const
     {

@@ -1,33 +1,11 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
 #include "common/types.hh"
 
 namespace ccache {
-
-namespace {
-// The only process-wide mutable state in the simulator: a console
-// verbosity toggle. It never influences simulation results, and it is
-// atomic so sweep shards may warn concurrently under TSan without a
-// race (per-run state — stats, traces, RNGs — is constructor-injected
-// everywhere; see DESIGN.md §8).
-std::atomic<bool> g_verbose{false};
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
-}
 
 const char *
 toString(CacheLevel level)
@@ -69,15 +47,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (g_verbose.load(std::memory_order_relaxed))
-        std::cerr << "warn: " << msg << std::endl;
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (g_verbose.load(std::memory_order_relaxed))
-        std::cout << "info: " << msg << std::endl;
+    std::cerr << "warn: " << msg << std::endl;
 }
 
 } // namespace detail

@@ -1,6 +1,6 @@
 /**
  * @file
- * gem5-style status/error reporting: panic, fatal, warn, inform.
+ * gem5-style status/error reporting: panic, fatal, warn.
  *
  * Failure taxonomy (see DESIGN.md §9):
  *
@@ -74,7 +74,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Fold a mixed argument pack into one string. */
 template <typename... Args>
@@ -88,10 +87,6 @@ concat(Args &&...args)
 
 } // namespace detail
 
-/** Toggle inform()/warn() console output (quiet by default in tests). */
-void setVerbose(bool verbose);
-bool verbose();
-
 } // namespace ccache
 
 #define CC_PANIC(...)                                                       \
@@ -102,11 +97,11 @@ bool verbose();
     ::ccache::detail::fatalImpl(__FILE__, __LINE__,                         \
                                 ::ccache::detail::concat(__VA_ARGS__))
 
+/** Print "warn: <msg>" to stderr: a recoverable problem the caller
+ *  reports and works around (a trace file that cannot be written, a
+ *  stats merge that is skipped). */
 #define CC_WARN(...)                                                        \
     ::ccache::detail::warnImpl(::ccache::detail::concat(__VA_ARGS__))
-
-#define CC_INFORM(...)                                                      \
-    ::ccache::detail::informImpl(::ccache::detail::concat(__VA_ARGS__))
 
 /** Invariant check that survives NDEBUG builds; reports as a panic. */
 #define CC_ASSERT(cond, ...)                                                \

@@ -201,22 +201,6 @@ FaultInjector::corrupt(Block &block, const FaultEvent &event)
 }
 
 void
-FaultInjector::corrupt(BitVector &bits, const FaultEvent &event)
-{
-    for (unsigned i = 0; i < event.nbits; ++i) {
-        unsigned bit = event.bits[i];
-        if (bit < bits.size())
-            bits.set(bit, !bits.get(bit));
-    }
-}
-
-std::uint64_t
-FaultInjector::drawBelow(std::uint64_t bound)
-{
-    return rng_.below(bound);
-}
-
-void
 FaultInjector::noteResident(Addr addr)
 {
     if (!enabled())

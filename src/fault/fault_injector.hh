@@ -40,7 +40,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/bitvector.hh"
 #include "common/block.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -123,7 +122,7 @@ subarrayId(CacheLevel level, unsigned cache_index, std::size_t partition)
            static_cast<std::uint64_t>(partition);
 }
 
-/** The injector: one per controller (or per sub-array under test). */
+/** The injector: one per controller. */
 class FaultInjector
 {
   public:
@@ -166,14 +165,8 @@ class FaultInjector
     bool isRemapped(Addr addr) const;
     /** @} */
 
-    /** Apply an event's bit flips. @{ */
+    /** Apply an event's bit flips. */
     static void corrupt(Block &block, const FaultEvent &event);
-    static void corrupt(BitVector &bits, const FaultEvent &event);
-    /** @} */
-
-    /** Uniform draw in [0, bound), consuming the event stream (used by
-     *  circuit-level hooks to place margin-failure corruption). */
-    std::uint64_t drawBelow(std::uint64_t bound);
 
     // ---------------------------------------------------------------
     // Background upsets + scrubbing support

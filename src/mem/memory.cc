@@ -8,10 +8,6 @@
 
 namespace ccache::mem {
 
-Memory::Memory(const MemoryParams &params) : params_(params)
-{
-}
-
 Memory::Page &
 Memory::pageFor(Addr addr)
 {
@@ -48,7 +44,6 @@ Memory::readBlock(Addr addr) const
 {
     CC_ASSERT(isAligned(addr, kBlockSize), "unaligned block read at 0x",
               std::hex, addr);
-    ++reads_;
     Block out{};
     const Page *page = pageForConst(addr);
     if (page) {
@@ -63,7 +58,6 @@ Memory::writeBlock(Addr addr, const Block &data)
 {
     CC_ASSERT(isAligned(addr, kBlockSize), "unaligned block write at 0x",
               std::hex, addr);
-    ++writes_;
     Page &page = pageFor(addr);
     std::size_t off = addr & (kPageSize - 1);
     std::memcpy(page.data() + off, data.data(), kBlockSize);
@@ -106,21 +100,6 @@ Memory::readWord(Addr addr) const
     std::uint64_t w = 0;
     readBytes(addr, reinterpret_cast<std::uint8_t *>(&w), sizeof(w));
     return w;
-}
-
-void
-Memory::writeWord(Addr addr, std::uint64_t value)
-{
-    writeBytes(addr, reinterpret_cast<const std::uint8_t *>(&value),
-               sizeof(value));
-}
-
-Cycles
-Memory::access(Cycles now)
-{
-    Cycles start = std::max(now, channelFree_);
-    channelFree_ = start + params_.blockOccupancy;
-    return (start - now) + params_.accessLatency;
 }
 
 } // namespace ccache::mem

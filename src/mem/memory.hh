@@ -1,10 +1,10 @@
 /**
  * @file
- * Functional + timing model of main memory.
+ * Functional model of main memory and its timing parameter.
  *
  * Storage is a sparse page map so multi-gigabyte address spaces cost only
- * what is touched. Timing is the paper's fixed 120-cycle access latency
- * (Table IV) plus a simple bandwidth constraint.
+ * what is touched. Timing is the paper's flat 120-cycle access latency
+ * (Table IV), which the hierarchy charges per block read.
  */
 
 #ifndef CCACHE_MEM_MEMORY_HH
@@ -20,24 +20,16 @@
 
 namespace ccache::mem {
 
-/** Timing parameters of the memory model. */
+/** Timing of main memory, charged by the hierarchy. */
 struct MemoryParams
 {
     Cycles accessLatency = 120;   ///< Table IV
-
-    /** Minimum cycles between successive block transfers on the channel
-     *  (64 B at ~25.6 GB/s and 2.66 GHz is ~6.5 core cycles). */
-    Cycles blockOccupancy = 7;
 };
 
-/** Sparse functional backing store with fixed-latency timing. */
+/** Sparse functional backing store. */
 class Memory
 {
   public:
-    explicit Memory(const MemoryParams &params = MemoryParams{});
-
-    const MemoryParams &params() const { return params_; }
-
     /** Functional access at block granularity. @{ */
     Block readBlock(Addr addr) const;
     void writeBlock(Addr addr, const Block &data);
@@ -47,18 +39,10 @@ class Memory
     void writeBytes(Addr addr, const std::uint8_t *data, std::size_t len);
     void readBytes(Addr addr, std::uint8_t *out, std::size_t len) const;
     std::uint64_t readWord(Addr addr) const;
-    void writeWord(Addr addr, std::uint64_t value);
     /** @} */
-
-    /** Latency of one block access issued at @p now, accounting for
-     *  channel occupancy. Advances the channel-busy cursor. */
-    Cycles access(Cycles now);
 
     /** Number of 4 KB pages materialized so far. */
     std::size_t touchedPages() const { return pages_.size(); }
-
-    std::uint64_t reads() const { return reads_; }
-    std::uint64_t writes() const { return writes_; }
 
   private:
     using Page = std::array<std::uint8_t, kPageSize>;
@@ -66,7 +50,6 @@ class Memory
     Page &pageFor(Addr addr);
     const Page *pageForConst(Addr addr) const;
 
-    MemoryParams params_;
     std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
 
     /** One-entry page memo: block accesses stream 64-to-a-page, and the
@@ -76,10 +59,6 @@ class Memory
      *  Mutable: readBlock() is logically const. */
     mutable Addr lastPageAddr_ = ~Addr{0};
     mutable Page *lastPage_ = nullptr;
-
-    Cycles channelFree_ = 0;
-    mutable std::uint64_t reads_ = 0;
-    std::uint64_t writes_ = 0;
 };
 
 } // namespace ccache::mem

@@ -24,6 +24,8 @@ Ring::Ring(const RingParams &params, energy::EnergyModel *energy,
 {
     if (params_.nodes == 0)
         CC_FATAL("ring needs at least one node");
+    if (params_.linkBytes == 0)
+        CC_FATAL("ring links need a nonzero width");
     if (stats_) {
         messagesStat_ = &stats_->counter("noc.messages");
         flitHopsStat_ = &stats_->counter("noc.flit_hops");
@@ -43,14 +45,11 @@ Ring::distance(unsigned src, unsigned dst) const
 Cycles
 Ring::send(unsigned src, unsigned dst, MsgClass cls)
 {
-    unsigned hops = std::max(distance(src, dst), params_.minHops);
+    unsigned hops = std::max(distance(src, dst), 1u);
     std::size_t bytes = messageBytes(cls);
     ++messages_;
     if (watchdog_)
         watchdog_->noteRingMessage(src, dst);
-
-    if (hops == 0)
-        return 0;
 
     std::uint64_t flits = divCeil(bytes, 8);
     flitHops_ += flits * hops;

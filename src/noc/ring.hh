@@ -41,11 +41,6 @@ struct RingParams
     unsigned nodes = 8;        ///< ring stops (core + L3 slice per stop)
     Cycles hopLatency = 3;     ///< Table IV
     unsigned linkBytes = 32;   ///< 256-bit links
-
-    /** Every core <-> slice message crosses at least this many ring
-     *  segments: even the local slice sits behind the core's ring
-     *  interface (SandyBridge floorplan). */
-    unsigned minHops = 1;
 };
 
 /** Bidirectional ring: traffic takes the shorter direction. */
@@ -73,7 +68,9 @@ class Ring
 
     /**
      * Send one message; returns its network latency in cycles and charges
-     * NoC energy. Same-stop traffic (core to its local slice) is free.
+     * NoC energy. Every message crosses at least one ring segment: even
+     * a core's local slice sits behind the core's ring interface
+     * (SandyBridge floorplan).
      */
     Cycles send(unsigned src, unsigned dst, MsgClass cls);
 

@@ -68,36 +68,13 @@ SubArray::checkSamePartition(const BlockLoc &a, const BlockLoc &b) const
               a.partition, " vs ", b.partition, ")");
 }
 
-void
-SubArray::attachFaults(fault::FaultInjector *injector,
-                       std::uint64_t base_id)
-{
-    faults_ = injector;
-    faultBaseId_ = base_id;
-}
-
 BitVector
 SubArray::senseBlock(const BlockLoc &loc)
 {
     // A single-row differential sense observes exactly the stored bits
     // (BL/BLB sit at 1.0 vs 0.4) and one active row can never disturb,
     // so the sense is a word copy of the packed row (DESIGN.md §13).
-    BitVector bits = extractPartition(cells_.row(loc.row), loc.partition);
-
-    // Single-row sensing sees full margin: only cell defects and
-    // in-flight soft errors can corrupt the observed bits.
-    lastSenseFault_ = fault::FaultEvent{};
-    if (faults_ && faults_->enabled()) {
-        Addr cell_key = loc.row * partitions() + loc.partition;
-        fault::FaultEvent stuck =
-            faults_->stuckAtFault(faultBaseId_, cell_key);
-        fault::FaultInjector::corrupt(bits, stuck);
-        fault::FaultEvent transient =
-            faults_->drawOperandFault(faultBaseId_);
-        fault::FaultInjector::corrupt(bits, transient);
-        lastSenseFault_ = transient.none() ? stuck : transient;
-    }
-    return bits;
+    return extractPartition(cells_.row(loc.row), loc.partition);
 }
 
 void
@@ -142,26 +119,8 @@ SubArray::activatePair(const BlockLoc &a, const BlockLoc &b)
     pairRows_[1] = b.row;
     auto digital =
         cells_.activateWords(pairRows_, params_.wordlineUnderdrive);
-    TwoRowSense sense{extractPartition(digital.andBits, a.partition),
-                      extractPartition(digital.norBits, a.partition)};
-    injectMarginFailure(sense.andBits, sense.norBits);
-    return sense;
-}
-
-bool
-SubArray::injectMarginFailure(BitVector &and_bits, BitVector &nor_bits)
-{
-    // Multi-row activation narrows the sense margin: an injected margin
-    // failure flips the weakest column's observation on both the BL and
-    // BLB senses.
-    lastMarginFailed_ = faults_ && faults_->enabled() &&
-        faults_->drawMarginFailure(faultBaseId_);
-    if (lastMarginFailed_) {
-        std::size_t bit = faults_->drawBelow(and_bits.size());
-        and_bits.set(bit, !and_bits.get(bit));
-        nor_bits.set(bit, !nor_bits.get(bit));
-    }
-    return lastMarginFailed_;
+    return {extractPartition(digital.andBits, a.partition),
+            extractPartition(digital.norBits, a.partition)};
 }
 
 OpCost
@@ -494,16 +453,8 @@ SubArray::rawActivate(const std::vector<std::size_t> &rows)
 
     auto digital =
         cells_.activateWords(rows, underdrive, /*track_margin=*/true);
-    RawSense sense{std::move(digital.andBits), std::move(digital.norBits),
-                   digital.margin};
-
-    // An injected margin failure collapses the observed margin and
-    // corrupts the weakest column, like amplifier offset noise would.
-    lastMarginFailed_ = false;
-    if (rows.size() > 1 &&
-        injectMarginFailure(sense.andResult, sense.norResult))
-        sense.margin = 0.0;
-    return sense;
+    return {std::move(digital.andBits), std::move(digital.norBits),
+            digital.margin};
 }
 
 std::uint64_t

@@ -27,7 +27,6 @@
 #include "common/block.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "fault/fault_injector.hh"
 #include "sram/bitcell_array.hh"
 #include "sram/subarray_params.hh"
 #include "sram/xor_reduction_tree.hh"
@@ -188,28 +187,6 @@ class SubArray
     /** Count of executed ops by type, for stats and tests. */
     std::uint64_t opCount(BitlineOp op) const;
 
-    /**
-     * Fault-injection hook (robustness studies): when attached, every
-     * single-row sense passes through the injector's stuck-at and
-     * transient fault models, and every dual-row activation may suffer
-     * a sensing-margin failure that corrupts the sensed AND/NOR bits.
-     * @p base_id identifies this sub-array in the injector's
-     * per-sub-array rate scaling. @{
-     */
-    void attachFaults(fault::FaultInjector *injector,
-                      std::uint64_t base_id = 0);
-    const fault::FaultInjector *faults() const { return faults_; }
-
-    /** True iff the last dual-row activation had a margin failure. */
-    bool lastMarginFailed() const { return lastMarginFailed_; }
-
-    /** Fault injected into the last single-row sense, if any. */
-    const fault::FaultEvent &lastSenseFault() const
-    {
-        return lastSenseFault_;
-    }
-    /** @} */
-
   private:
     /** Column range covered by partition @p p. */
     std::pair<std::size_t, std::size_t> columnRange(std::size_t p) const;
@@ -235,11 +212,6 @@ class SubArray
         BitVector norBits;
     };
     TwoRowSense activatePair(const BlockLoc &a, const BlockLoc &b);
-
-    /** Draw a multi-row margin failure from the attached injector; on a
-     *  failure, flip one drawn column of both senses. Sets and returns
-     *  lastMarginFailed(). */
-    bool injectMarginFailure(BitVector &and_bits, BitVector &nor_bits);
 
     /** Word-granular equality of two blocks, counted and costed as
      *  @p op (cmp or search). */
@@ -280,11 +252,6 @@ class SubArray
     /** Per-column carry/borrow latch in the sense amplifiers, reset at
      *  the start of every bit-serial sequence. */
     BitVector carryLatch_;
-
-    fault::FaultInjector *faults_ = nullptr;
-    std::uint64_t faultBaseId_ = 0;
-    bool lastMarginFailed_ = false;
-    fault::FaultEvent lastSenseFault_;
 };
 
 /**

@@ -4,7 +4,7 @@
  * pinning, and geometry-mapped placement.
  */
 
-#include <tuple>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +38,18 @@ class CacheTest : public ::testing::Test
 {
   protected:
     CacheTest() : cache(tinyParams(), &em, &stats, "l1.0") {}
+
+    /** The handle of resident line @p addr. Throws when the line is
+     *  absent, so no test passes an empty handle on. */
+    LineRef
+    at(Addr addr) const
+    {
+        LineRef line = cache.find(addr);
+        if (!line)
+            throw std::logic_error("line not resident");
+        return line;
+    }
+
     energy::EnergyModel em;
     StatRegistry stats;
     Cache cache;
@@ -45,10 +57,10 @@ class CacheTest : public ::testing::Test
 
 TEST_F(CacheTest, MissOnEmpty)
 {
-    Block out;
     EXPECT_FALSE(cache.contains(0x1000));
-    EXPECT_FALSE(cache.read(0x1000, out));
+    EXPECT_FALSE(cache.find(0x1000));
     EXPECT_EQ(cache.state(0x1000), Mesi::Invalid);
+    EXPECT_EQ(cache.dirtyPeek(0x1000), nullptr);
 }
 
 TEST_F(CacheTest, FillThenHit)
@@ -59,15 +71,17 @@ TEST_F(CacheTest, FillThenHit)
     EXPECT_FALSE(fill->evicted);
     EXPECT_TRUE(cache.contains(0x1000));
     EXPECT_EQ(cache.state(0x1000), Mesi::Exclusive);
+    EXPECT_EQ(at(0x1000), fill->line);
     Block out;
-    EXPECT_TRUE(cache.read(0x1000, out));
+    cache.read(fill->line, out);
     EXPECT_EQ(out, data);
 }
 
 TEST_F(CacheTest, WriteMarksDirty)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);
-    cache.write(0x1000, patternBlock(2));
+    cache.write(at(0x1000), patternBlock(2));
+    EXPECT_EQ(*cache.dirtyPeek(0x1000), patternBlock(2));
     auto ev = cache.invalidate(0x1000);
     ASSERT_TRUE(ev);
     EXPECT_TRUE(ev->dirty);
@@ -90,7 +104,7 @@ TEST_F(CacheTest, LruEviction)
     }
     // Touch block 0 so block 1 becomes LRU.
     Block out;
-    cache.read(base, out);
+    cache.read(at(base), out);
     auto fill = cache.fill(base + 8 * 4096, patternBlock(9), Mesi::Shared);
     ASSERT_TRUE(fill);
     ASSERT_TRUE(fill->evicted);
@@ -104,14 +118,14 @@ TEST_F(CacheTest, PinnedLinesAreNotVictims)
     for (unsigned i = 0; i < 8; ++i)
         cache.fill(base + i * 4096, patternBlock(i), Mesi::Shared);
     // Pin the LRU line (block 0).
-    EXPECT_TRUE(cache.pin(base));
+    cache.pin(at(base));
     auto fill = cache.fill(base + 8 * 4096, patternBlock(9), Mesi::Shared);
     ASSERT_TRUE(fill);
     ASSERT_TRUE(fill->evicted);
     EXPECT_NE(fill->evicted->addr, base);  // pinned line survived
-    EXPECT_TRUE(cache.isPinned(base));
-    cache.unpin(base);
-    EXPECT_FALSE(cache.isPinned(base));
+    EXPECT_TRUE(cache.isPinned(at(base)));
+    cache.unpin(at(base));
+    EXPECT_FALSE(cache.isPinned(at(base)));
 }
 
 TEST_F(CacheTest, AllPinnedBlocksFill)
@@ -119,7 +133,7 @@ TEST_F(CacheTest, AllPinnedBlocksFill)
     Addr base = 0x100000;
     for (unsigned i = 0; i < 8; ++i) {
         cache.fill(base + i * 4096, patternBlock(i), Mesi::Shared);
-        cache.pin(base + i * 4096);
+        cache.pin(at(base + i * 4096));
     }
     auto fill = cache.fill(base + 8 * 4096, patternBlock(9), Mesi::Shared);
     EXPECT_FALSE(fill.has_value());
@@ -132,26 +146,27 @@ TEST_F(CacheTest, RefillUpdatesInPlace)
     auto refill = cache.fill(0x2000, patternBlock(4), Mesi::Modified);
     ASSERT_TRUE(refill);
     EXPECT_FALSE(refill->evicted);
-    EXPECT_EQ(*cache.peek(0x2000), patternBlock(4));
+    EXPECT_EQ(refill->line, at(0x2000));
+    EXPECT_EQ(cache.peek(refill->line), patternBlock(4));
     EXPECT_EQ(cache.state(0x2000), Mesi::Modified);
-    EXPECT_EQ(cache.validLines(), 1u);
+    EXPECT_EQ(stats.value("l1.0.fills"), 1u);
 }
 
 TEST_F(CacheTest, PeekPokeBypassEnergy)
 {
     cache.fill(0x3000, patternBlock(5), Mesi::Exclusive);
     double before = em.dynamic().dynamicTotal();
-    ASSERT_NE(cache.peek(0x3000), nullptr);
-    EXPECT_TRUE(cache.poke(0x3000, patternBlock(6)));
+    EXPECT_EQ(cache.peek(at(0x3000)), patternBlock(5));
+    cache.poke(at(0x3000), patternBlock(6));
     EXPECT_DOUBLE_EQ(em.dynamic().dynamicTotal(), before);
-    EXPECT_EQ(*cache.peek(0x3000), patternBlock(6));
+    EXPECT_EQ(cache.peek(at(0x3000)), patternBlock(6));
 }
 
 TEST_F(CacheTest, EnergyChargedPerTableV)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);  // one write
     Block out;
-    cache.read(0x1000, out);  // one read
+    cache.read(at(0x1000), out);  // one read
     const auto &p = em.params();
     double expect =
         p.cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Write) +
@@ -162,7 +177,7 @@ TEST_F(CacheTest, EnergyChargedPerTableV)
 TEST_F(CacheTest, MarkDirtyPromotesToModified)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);
-    cache.markDirty(0x1000);
+    cache.markDirty(at(0x1000));
     EXPECT_EQ(cache.state(0x1000), Mesi::Modified);
     auto ev = cache.invalidate(0x1000);
     ASSERT_TRUE(ev);
@@ -172,18 +187,15 @@ TEST_F(CacheTest, MarkDirtyPromotesToModified)
 TEST_F(CacheTest, PlaceOfResidentLine)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);
-    auto place = cache.placeOf(0x1000);
-    ASSERT_TRUE(place);
     auto expected = cache.geom().place(cache.geom().setIndex(0x1000), 0);
-    EXPECT_EQ(*place, expected);
-    EXPECT_FALSE(cache.placeOf(0x9999000).has_value());
+    EXPECT_EQ(cache.placeOf(at(0x1000)), expected);
 }
 
 TEST_F(CacheTest, ForEachLineAndAddrOf)
 {
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);
     cache.fill(0x2040, patternBlock(2), Mesi::Shared);
-    cache.write(0x1000, patternBlock(7));
+    cache.write(at(0x1000), patternBlock(7));
     std::vector<Addr> seen;
     cache.forEachLine([&](Addr addr, Mesi state, bool dirty,
                           const Block &data) {
@@ -198,100 +210,6 @@ TEST_F(CacheTest, ForEachLineAndAddrOf)
         }
     });
     EXPECT_EQ(seen.size(), 2u);
-}
-
-/** Two caches driven alike, one through the address forms and one
- *  through the handle forms. */
-struct HandlePair
-{
-    energy::EnergyModel emAddr, emHandle;
-    StatRegistry statsAddr, statsHandle;
-    Cache byAddr{tinyParams(), &emAddr, &statsAddr, "l1.0"};
-    Cache byHandle{tinyParams(), &emHandle, &statsHandle, "l1.0"};
-};
-
-/** Every line of @p c with its state, dirty bit and data. */
-std::vector<std::tuple<Addr, Mesi, bool, Block>>
-image(const Cache &c)
-{
-    std::vector<std::tuple<Addr, Mesi, bool, Block>> lines;
-    c.forEachLine([&](Addr addr, Mesi state, bool dirty, const Block &d) {
-        lines.emplace_back(addr, state, dirty, d);
-    });
-    return lines;
-}
-
-TEST(CacheHandle, HandleFormsMatchAddressForms)
-{
-    HandlePair p;
-    Cache &a = p.byAddr;
-    Cache &h = p.byHandle;
-    // Eight lines in one L1 set (the set index repeats every 4 KB).
-    auto blk = [](unsigned i) { return Addr{0x100000} + i * 4096; };
-    for (unsigned i = 0; i < 8; ++i) {
-        auto fa = a.fill(blk(i), patternBlock(i), Mesi::Shared);
-        auto fh = h.fill(blk(i), patternBlock(i), Mesi::Shared);
-        ASSERT_TRUE(fa && fh);
-        EXPECT_EQ(fh->line, h.find(blk(i)));
-    }
-    auto ref = [&](unsigned i) {
-        LineRef line = h.find(blk(i));
-        EXPECT_TRUE(line) << i;
-        return line;
-    };
-
-    Block out_a, out_h;
-    EXPECT_TRUE(a.read(blk(0), out_a));
-    h.read(ref(0), out_h);
-    EXPECT_EQ(out_a, out_h);
-    EXPECT_TRUE(a.write(blk(1), patternBlock(20)));
-    h.write(ref(1), patternBlock(20));
-    EXPECT_TRUE(a.write(blk(2), patternBlock(21), false));
-    h.write(ref(2), patternBlock(21), false);
-    a.setState(blk(3), Mesi::Exclusive);
-    h.setState(ref(3), Mesi::Exclusive);
-    EXPECT_EQ(a.state(blk(3)), h.state(ref(3)));
-    a.markDirty(blk(4));
-    h.markDirty(ref(4));
-    EXPECT_EQ(a.isDirty(blk(4)), h.isDirty(ref(4)));
-    a.clearDirty(blk(1));
-    h.clearDirty(ref(1));
-    EXPECT_TRUE(a.pin(blk(5)));
-    h.pin(ref(5));
-    EXPECT_TRUE(a.pin(blk(6)));
-    h.pin(ref(6));
-    a.unpin(blk(6));
-    h.unpin(ref(6));
-    a.promoteMRU(blk(7));
-    h.promoteMRU(ref(7));
-    EXPECT_TRUE(a.poke(blk(0), patternBlock(22)));
-    h.poke(ref(0), patternBlock(22));
-    ASSERT_NE(a.peek(blk(0)), nullptr);
-    EXPECT_EQ(*a.peek(blk(0)), h.peek(ref(0)));
-    ASSERT_TRUE(a.placeOf(blk(7)));
-    EXPECT_EQ(*a.placeOf(blk(7)), h.placeOf(ref(7)));
-
-    // Same lines, states, dirty bits, data and pins...
-    EXPECT_EQ(image(a), image(h));
-    for (unsigned i = 0; i < 8; ++i)
-        EXPECT_EQ(a.isPinned(blk(i)), h.isPinned(blk(i))) << i;
-    // ...the same LRU order, so later fills pick the same victims...
-    for (unsigned i = 8; i < 16; ++i) {
-        auto fa = a.fill(blk(i), patternBlock(i), Mesi::Shared);
-        auto fh = h.fill(blk(i), patternBlock(i), Mesi::Shared);
-        ASSERT_TRUE(fa && fh);
-        EXPECT_EQ(fa->line, fh->line) << i;
-        ASSERT_EQ(fa->evicted.has_value(), fh->evicted.has_value()) << i;
-        EXPECT_EQ(fa->evicted->addr, fh->evicted->addr) << i;
-        EXPECT_EQ(fa->evicted->dirty, fh->evicted->dirty) << i;
-    }
-    // ...and the same energy and access counters.
-    EXPECT_EQ(p.emAddr.dynamic().dynamicTotal(),
-              p.emHandle.dynamic().dynamicTotal());
-    for (const char *stat : {"l1.0.reads", "l1.0.writes", "l1.0.fills",
-                             "l1.0.evictions"})
-        EXPECT_EQ(p.statsAddr.value(stat), p.statsHandle.value(stat))
-            << stat;
 }
 
 TEST_F(CacheTest, HandleStopsValidatingAfterInvalidate)

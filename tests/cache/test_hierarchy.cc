@@ -140,8 +140,9 @@ TEST_F(HierarchyTest, L1EvictionWritesBackToL2)
         hier.read(0, base + i * 4096);
     // base evicted from L1 but L2 (512 sets) still holds the dirty data.
     EXPECT_FALSE(hier.l1(0).contains(base));
-    ASSERT_TRUE(hier.l2(0).contains(base));
-    EXPECT_EQ(*hier.l2(0).peek(base), d);
+    LineRef line = hier.l2(0).find(base);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(hier.l2(0).peek(line), d);
 }
 
 TEST_F(HierarchyTest, DebugReadSeesNewestCopy)
@@ -175,7 +176,9 @@ TEST_F(HierarchyTest, FetchToL3WritesBackDirtyPrivateCopies)
     Cycles lat = hier.fetchToLevel(0, 0xb0000, CacheLevel::L3,
                                    /*exclusive=*/false);
     EXPECT_GT(lat, 0u);
-    EXPECT_EQ(*hier.l3Slice(slice).peek(0xb0000), d);
+    LineRef line = hier.l3Slice(slice).find(0xb0000);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(hier.l3Slice(slice).peek(line), d);
     // Non-exclusive staging leaves the private copy (now clean/shared).
     EXPECT_NE(hier.l1(0).state(0xb0000), Mesi::Modified);
 }
@@ -191,7 +194,9 @@ TEST_F(HierarchyTest, FetchToL3ExclusiveInvalidatesPrivateCopies)
     EXPECT_FALSE(hier.l2(0).contains(0xc0000));
     EXPECT_FALSE(hier.l1(1).contains(0xc0000));
     unsigned slice = hier.sliceFor(0, 0xc0000);
-    EXPECT_EQ(*hier.l3Slice(slice).peek(0xc0000), d);
+    LineRef line = hier.l3Slice(slice).find(0xc0000);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(hier.l3Slice(slice).peek(line), d);
 }
 
 TEST_F(HierarchyTest, FetchToL3ForOverwriteSkipsMemory)

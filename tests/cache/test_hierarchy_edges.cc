@@ -71,7 +71,9 @@ TEST_F(HierarchyEdge, WriteCompletesAtL3WhenL1SetFullyPinned)
     for (unsigned i = 1; i <= 8; ++i) {
         Addr filler = target + i * 4096;  // same L1 set
         hier.read(0, filler);
-        ASSERT_TRUE(hier.l1(0).pin(filler));
+        LineRef line = hier.l1(0).find(filler);
+        ASSERT_TRUE(line);
+        hier.l1(0).pin(line);
     }
 
     Block d = pat(9);
@@ -155,8 +157,9 @@ TEST_F(HierarchyEdge, ForOverwriteAllocatesZeroFilledLine)
 {
     hier.fetchToLevel(0, 0xb00000, CacheLevel::L3, true, true);
     unsigned slice = hier.sliceFor(0, 0xb00000);
-    ASSERT_TRUE(hier.l3Slice(slice).contains(0xb00000));
-    EXPECT_EQ(*hier.l3Slice(slice).peek(0xb00000), zeroBlock());
+    LineRef line = hier.l3Slice(slice).find(0xb00000);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(hier.l3Slice(slice).peek(line), zeroBlock());
     EXPECT_EQ(stats.value("hier.mem_reads"), 0u);
 }
 

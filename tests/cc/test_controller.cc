@@ -152,10 +152,11 @@ TEST_F(ControllerTest, SearchFindsKeyAndReplicatesOncePerPartition)
         std::set<std::pair<unsigned, std::size_t>> parts;
         for (Addr a = base; a < base + 512; a += kBlockSize) {
             unsigned index = hier.cacheIndex(level, 0, a);
-            auto place = hier.cacheInstance(level, index).placeOf(a);
-            EXPECT_TRUE(place) << std::hex << a;
-            if (place)
-                parts.emplace(index, place->globalPartition);
+            cache::Cache &c = hier.cacheInstance(level, index);
+            cache::LineRef line = c.find(a);
+            EXPECT_TRUE(line) << std::hex << a;
+            if (line)
+                parts.emplace(index, c.placeOf(line).globalPartition);
         }
         return parts.size();
     };
@@ -364,7 +365,9 @@ TEST_F(ControllerTest, RiscFallbackWhenOperandsCannotBePinned)
     for (unsigned i = 1; i <= 8; ++i) {
         Addr filler = dest + i * 4096;  // same L1 set
         hier.read(0, filler);
-        ASSERT_TRUE(hier.l1(0).pin(filler));
+        cache::LineRef line = hier.l1(0).find(filler);
+        ASSERT_TRUE(line);
+        hier.l1(0).pin(line);
     }
     auto src = loadRandom(0x219040, 64);  // different set for the source
 
@@ -390,9 +393,11 @@ TEST_F(ControllerTest, OperandsUnpinnedAfterCompletion)
     loadRandom(0x230000, 512);
     ctrl.execute(0, CcInstruction::copy(0x230000, 0x238000, 512));
     for (Addr off = 0; off < 512; off += 64) {
-        unsigned slice = hier.sliceFor(0, 0x230000 + off);
-        EXPECT_FALSE(hier.l3Slice(slice).isPinned(0x230000 + off));
-        EXPECT_FALSE(hier.l3Slice(slice).isPinned(0x238000 + off));
+        for (Addr a : {0x230000 + off, 0x238000 + off}) {
+            cache::Cache &l3 = hier.l3Slice(hier.sliceFor(0, a));
+            cache::LineRef line = l3.find(a);
+            EXPECT_FALSE(line && l3.isPinned(line)) << std::hex << a;
+        }
     }
 }
 

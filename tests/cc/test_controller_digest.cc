@@ -241,15 +241,18 @@ runConfig(const Config &cfg, Digest &dg)
     for (unsigned i = 0; i < kL1Ways; ++i) {
         Addr filler = kFiller + i * kPageSize;
         hier.read(0, filler);
-        hier.l1(0).pin(filler);
+        hier.l1(0).pin(hier.l1(0).find(filler));
     }
     results.push_back(ctrl.execute(
         0, CcInstruction::logicalXor(kLockA, kLockB, kLockC, 256)));
     results.push_back(ctrl.execute(
         0, CcInstruction::add(kLockSliceA, kLockSliceB, kLockSliceD,
                               kBlockSize, 8)));
-    for (unsigned i = 0; i < kL1Ways; ++i)
-        hier.l1(0).unpin(kFiller + i * kPageSize);
+    for (unsigned i = 0; i < kL1Ways; ++i) {
+        cache::LineRef line = hier.l1(0).find(kFiller + i * kPageSize);
+        if (line)
+            hier.l1(0).unpin(line);
+    }
 
     dg.str(cfg.name);
     for (const CcExecResult &r : results)

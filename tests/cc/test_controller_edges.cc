@@ -66,7 +66,9 @@ TEST(ControllerEdges, RiscFallbackCmpMaskCorrect)
     for (unsigned i = 1; i <= 8; ++i) {
         Addr filler = a + i * 4096;
         hier.read(0, filler);
-        ASSERT_TRUE(hier.l1(0).pin(filler));
+        cache::LineRef line = hier.l1(0).find(filler);
+        ASSERT_TRUE(line);
+        hier.l1(0).pin(line);
     }
 
     Block da, db;
@@ -113,7 +115,10 @@ TEST(ControllerEdges, ReplicatedClmulRiscFallbackPacksLikeInPlace)
             for (unsigned i = 1; i <= 8; ++i) {
                 Addr filler = src + i * 4096;
                 hier.read(0, filler);
-                EXPECT_TRUE(hier.l1(0).pin(filler));
+                cache::LineRef line = hier.l1(0).find(filler);
+                EXPECT_TRUE(line);
+                if (line)
+                    hier.l1(0).pin(line);
             }
         }
         auto res = ctrl.execute(
@@ -174,7 +179,9 @@ TEST(ControllerEdges, StagingRaceKeepsResultsExact)
         hier.memory().writeBytes(dst, old.data(), n);
         if (pin_first_source) {
             hier.read(0, s1);
-            EXPECT_TRUE(hier.l2(0).pin(s1));
+            cache::LineRef line = hier.l2(0).find(s1);
+            ASSERT_TRUE(line);
+            hier.l2(0).pin(line);
         }
 
         auto res =
@@ -201,9 +208,11 @@ TEST(ControllerEdges, StagingRaceKeepsResultsExact)
         EXPECT_EQ(dump(s2), b);
         // Nothing the instruction pinned stays pinned.
         for (std::size_t off = 0; off < n; off += kBlockSize) {
-            for (Addr base : {s1, s2, dst})
-                EXPECT_FALSE(hier.l1(0).isPinned(base + off))
+            for (Addr base : {s1, s2, dst}) {
+                cache::LineRef line = hier.l1(0).find(base + off);
+                EXPECT_FALSE(line && hier.l1(0).isPinned(line))
                     << std::hex << base + off;
+            }
         }
     };
     run(false);
@@ -282,7 +291,7 @@ TEST(ControllerEdges, LockRetryCounterVisible)
     for (unsigned i = 1; i <= 8; ++i) {
         Addr filler = dest + i * 4096;
         hier.read(0, filler);
-        hier.l1(0).pin(filler);
+        hier.l1(0).pin(hier.l1(0).find(filler));
     }
     ctrl.execute(0, CcInstruction::buz(dest, 64));
     EXPECT_GT(sys.stats().value("cc.lock_retries"), 0u);

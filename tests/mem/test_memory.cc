@@ -46,32 +46,10 @@ TEST(Memory, BytesAcrossPageBoundary)
 TEST(Memory, WordHelpers)
 {
     Memory m;
-    m.writeWord(0x100, 0xdeadbeefcafef00dULL);
-    EXPECT_EQ(m.readWord(0x100), 0xdeadbeefcafef00dULL);
-}
-
-TEST(Memory, AccessLatencyAndOccupancy)
-{
-    MemoryParams p;
-    p.accessLatency = 120;
-    p.blockOccupancy = 7;
-    Memory m(p);
-    // First access at t=0: pure latency.
-    EXPECT_EQ(m.access(0), 120u);
-    // Immediate second access queues behind the first transfer.
-    EXPECT_EQ(m.access(0), 127u);
-    // An access after the channel is free pays no queuing.
-    EXPECT_EQ(m.access(1000), 120u);
-}
-
-TEST(Memory, CountsAccesses)
-{
-    Memory m;
-    m.writeBlock(0, zeroBlock());
-    m.readBlock(0);
-    m.readBlock(64);
-    EXPECT_EQ(m.writes(), 1u);
-    EXPECT_EQ(m.reads(), 2u);
+    const std::uint64_t word = 0xdeadbeefcafef00dULL;
+    m.writeBytes(0x100, reinterpret_cast<const std::uint8_t *>(&word),
+                 sizeof(word));
+    EXPECT_EQ(m.readWord(0x100), word);
 }
 
 } // namespace

@@ -11,14 +11,6 @@
 namespace ccache::noc {
 namespace {
 
-RingParams
-noMinHops()
-{
-    RingParams p;
-    p.minHops = 0;
-    return p;
-}
-
 TEST(Ring, ShortestPathDistance)
 {
     Ring ring(RingParams{}, nullptr, nullptr);
@@ -30,25 +22,19 @@ TEST(Ring, ShortestPathDistance)
     EXPECT_EQ(ring.distance(3, 3), 0u);
 }
 
-TEST(Ring, LocalDeliveryIsFreeWithoutMinHops)
-{
-    Ring ring(noMinHops(), nullptr, nullptr);
-    EXPECT_EQ(ring.send(2, 2, MsgClass::Data), 0u);
-    EXPECT_EQ(ring.flitHops(), 0u);
-}
-
 TEST(Ring, LocalSliceStillCrossesRingInterface)
 {
-    // Default minHops = 1: even the core's local slice sits behind its
-    // ring stop, so local L3 traffic pays one hop.
+    // Even the core's local slice sits behind its ring stop, so local
+    // L3 traffic pays one hop: 72 bytes are 9 flits, serialized in
+    // ceil(72/32) = 3 cycles.
     Ring ring(RingParams{}, nullptr, nullptr);
-    EXPECT_GT(ring.send(2, 2, MsgClass::Data), 0u);
+    EXPECT_EQ(ring.send(2, 2, MsgClass::Data), 3u + 3u);
+    EXPECT_EQ(ring.flitHops(), 9u);
 }
 
 TEST(Ring, LatencyIsHopsTimesLatencyPlusSerialization)
 {
-    RingParams p = noMinHops();  // hopLatency=3, linkBytes=32
-    Ring ring(p, nullptr, nullptr);
+    Ring ring(RingParams{}, nullptr, nullptr);  // hopLatency=3, linkBytes=32
     // Control: 8 bytes -> 1 cycle serialization.
     EXPECT_EQ(ring.send(0, 2, MsgClass::Control), 2u * 3u + 1u);
     // Data: 72 bytes -> ceil(72/32)=3 cycles serialization.
@@ -59,7 +45,7 @@ TEST(Ring, ChargesEnergyPerFlitHop)
 {
     energy::EnergyModel em;
     StatRegistry stats;
-    Ring ring(noMinHops(), &em, &stats);
+    Ring ring(RingParams{}, &em, &stats);
     ring.send(0, 2, MsgClass::Data);  // 72B = 9 flits, 2 hops
     double expected = em.params().nocPerFlitHop * 9 * 2;
     EXPECT_DOUBLE_EQ(em.dynamic().noc, expected);
@@ -77,6 +63,14 @@ TEST(Ring, RejectsEmptyRing)
 {
     RingParams p;
     p.nodes = 0;
+    EXPECT_THROW((void)Ring(p, nullptr, nullptr), FatalError);
+}
+
+TEST(Ring, RejectsZeroLinkWidth)
+{
+    // Serialization divides by the link width.
+    RingParams p;
+    p.linkBytes = 0;
     EXPECT_THROW((void)Ring(p, nullptr, nullptr), FatalError);
 }
 

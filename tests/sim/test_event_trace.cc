@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests for the event-trace sink: disabled-by-default behavior, track
- * cursors, Chrome trace-event JSON output, and the guarantee that
- * enabling tracing does not perturb simulation statistics.
+ * cursors, Chrome trace-event JSON output, the warning on a failed
+ * write, and the guarantee that enabling tracing does not perturb
+ * simulation statistics.
  */
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "common/event_trace.hh"
 #include "common/json.hh"
@@ -90,6 +94,26 @@ TEST(EventTrace, ChromeJsonCarriesMetadataAndCategories)
     EXPECT_TRUE(saw_meta);
     EXPECT_TRUE(saw_cache);
     EXPECT_TRUE(saw_fault);
+}
+
+TEST(EventTrace, WriteFileFailureWarns)
+{
+    // A file under a missing directory cannot be opened: writeFile says
+    // so on stderr and returns false.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "ccache_missing_dir";
+    fs::remove_all(dir);
+    EventTrace trace;
+    trace.enable();
+    trace.complete(tracecat::kCc, "cc_copy", 0, 0, 10);
+
+    ::testing::internal::CaptureStderr();
+    bool ok = trace.writeFile((dir / "trace.json").string());
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(ok);
+    EXPECT_NE(err.find("warn: cannot open trace file"), std::string::npos)
+        << err;
+    EXPECT_FALSE(fs::exists(dir));
 }
 
 /** Drive one CC kernel; optionally with the trace sink enabled. */

@@ -42,7 +42,7 @@
  * Output: a human summary on stdout, plus the report JSON (`--json -`
  * for stdout, or a file path). `--stats` embeds the stats registry
  * dump(s); `--trace` writes a Chrome trace of the waves (single-shard
- * mode only).
+ * mode only: combined with `--shards` it is rejected).
  */
 
 #include <cstdio>
@@ -204,6 +204,14 @@ main(int argc, char **argv)
     if (opt.tenants < 1 || opt.requests < 1 || opt.loadRpkc <= 0.0 ||
         opt.waveSize < 1 || opt.queueCap < 1) {
         std::fprintf(stderr, "cc_server: invalid parameters\n");
+        return 2;
+    }
+    // The router's events do not reach the EventTrace, so a sharded run
+    // has no timeline to write.
+    if (opt.shards > 0 && !opt.tracePath.empty()) {
+        std::fprintf(stderr,
+                     "cc_server: --trace is single-shard only; it cannot "
+                     "be combined with --shards\n");
         return 2;
     }
 
