@@ -240,8 +240,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(qos.report.rejected));
     // Claim 2: the hi tenant's tail queueing stays below the starvation
     // guard's age bound even while the bg tenant saturates the queue.
-    if (qos.report.tenants[0].p99QueueCycles >
-        serve::SchedulerParams{}.starvationAgeCycles) {
+    if (qos.report.tenants[0].p99QueueCycles > serve::kStarvationAgeCycles) {
         std::fprintf(stderr,
                      "FAIL: hi-tenant p99 queueing %llu exceeds the "
                      "starvation bound\n",

@@ -6,6 +6,14 @@
 
 namespace ccache::serve {
 
+namespace {
+
+/** DRR credit granted per round, multiplied by the tenant weight
+ *  (bytes): a weight-1 tenant earns one average request per round. */
+constexpr std::size_t kDrrQuantumBytes = 4096;
+
+} // namespace
+
 const char *
 toString(ServePolicy policy)
 {
@@ -76,7 +84,7 @@ BatchScheduler::selectBatch(Cycles now)
     TenantId starving = 0;
     std::size_t slots = 0;   ///< instruction slots consumed (1 + chunks)
     if (queue_.oldest(&arrival, &starving) && now >= arrival &&
-        now - arrival > params_.starvationAgeCycles) {
+        now - arrival > kStarvationAgeCycles) {
         starvationPicks_->inc();
         picked.push_back(queue_.pop(starving));
         slots += picked.back().slots();
@@ -88,7 +96,7 @@ BatchScheduler::selectBatch(Cycles now)
         if (queue_.pending(t).empty())
             deficit_[t] = 0;   // standard DRR: idle tenants bank nothing
         else
-            deficit_[t] += params_.drrQuantumBytes * weight_[t];
+            deficit_[t] += kDrrQuantumBytes * weight_[t];
     }
 
     std::vector<unsigned> inWave(tenants, 0);
@@ -127,7 +135,7 @@ BatchScheduler::selectBatch(Cycles now)
             bool topped = false;
             for (TenantId t = 0; t < tenants; ++t) {
                 if (eligible(t)) {
-                    deficit_[t] += params_.drrQuantumBytes * weight_[t];
+                    deficit_[t] += kDrrQuantumBytes * weight_[t];
                     topped = true;
                 }
             }

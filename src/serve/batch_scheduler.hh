@@ -15,7 +15,7 @@
  *
  * Tenant arbitration is byte-weighted deficit round-robin with a
  * starvation guard: when the oldest pending request's age exceeds
- * starvationAgeCycles it preempts the round-robin order outright, so
+ * kStarvationAgeCycles it preempts the round-robin order outright, so
  * a heavy tenant can never park a light one indefinitely.
  *
  * The FifoSerial policy is the baseline the batching claim is measured
@@ -55,15 +55,10 @@ struct SchedulerParams
 
     /** Per-tenant cap within one wave (QoS in-flight cap). */
     unsigned perTenantWaveCap = 8;
-
-    /** DRR credit granted per round, multiplied by the tenant weight
-     *  (bytes). A weight-1 tenant earns one average request per round
-     *  at the default. */
-    std::size_t drrQuantumBytes = 4096;
-
-    /** Pending age beyond which a request preempts DRR order. */
-    Cycles starvationAgeCycles = 200000;
 };
+
+/** Pending age beyond which a request preempts DRR order. */
+constexpr Cycles kStarvationAgeCycles = 200000;
 
 class BatchScheduler
 {
@@ -71,8 +66,6 @@ class BatchScheduler
     BatchScheduler(sim::System &sys, RequestQueue &queue,
                    const std::vector<TenantQos> &tenants,
                    const SchedulerParams &params, StatGroup stats);
-
-    const SchedulerParams &params() const { return params_; }
 
     /** One dispatched wave: the requests, their per-request results
      *  (same order, chunk results folded) and the wave's overlapped

@@ -7,32 +7,24 @@
 namespace ccache::serve {
 
 Cycles
-BackoffPolicy::delay(RequestId id, unsigned attempt) const
+retryDelay(std::uint64_t seed, RequestId id, unsigned attempt)
 {
-    unsigned shift = attempt > 0 ? attempt - 1 : 0;
-    // Saturate the doubling instead of overflowing it.
-    Cycles d = shift < 63 && (params_.backoffBase << shift) >> shift ==
-                   params_.backoffBase
-        ? params_.backoffBase << shift
-        : params_.backoffCap;
-    d = std::min(d, params_.backoffCap);
+    constexpr Cycles kBase = 2000;
+    constexpr Cycles kCap = 64000;
+    // The doubling reaches the cap at the sixth attempt.
+    unsigned shift = std::min(attempt > 0 ? attempt - 1 : 0, 6u);
+    Cycles d = std::min(kCap, kBase << shift);
 
-    double j = std::clamp(params_.jitterFraction, 0.0, 1.0);
-    if (j > 0.0) {
-        // Pure hash -> uniform fraction in [0, 1); no RNG stream.
-        std::uint64_t h = mix64(mix64(params_.seed ^ id) ^
-                                (0x5e7261ULL + attempt));
-        double frac = static_cast<double>(h >> 11) * 0x1.0p-53;
-        double scaled = static_cast<double>(d) * (1.0 - j / 2 + j * frac);
-        d = static_cast<Cycles>(scaled);
-    }
-    return std::max<Cycles>(1, d);
+    // Pure hash -> uniform fraction in [0, 1); no RNG stream.
+    std::uint64_t h = mix64(mix64(seed ^ id) ^ (0x5e7261ULL + attempt));
+    double frac = static_cast<double>(h >> 11) * 0x1.0p-53;
+    return static_cast<Cycles>(static_cast<double>(d) * (0.75 + 0.5 * frac));
 }
 
 CircuitBreaker::State
 CircuitBreaker::state(Cycles now) const
 {
-    if (state_ == State::Open && now >= openedAt_ + params_.openCooloff)
+    if (state_ == State::Open && now >= openedAt_ + kOpenCooloff)
         return State::HalfOpen;
     return state_;
 }
@@ -42,7 +34,7 @@ CircuitBreaker::onSuccess(Cycles now)
 {
     switch (state(now)) {
       case State::HalfOpen:
-        if (++probeStreak_ >= params_.probeSuccesses) {
+        if (++probeStreak_ >= kProbeSuccesses) {
             state_ = State::Closed;
             failureStreak_ = 0;
             probeStreak_ = 0;
@@ -71,7 +63,7 @@ CircuitBreaker::onFailure(Cycles now)
         trip(now);   // failed probe: full cooloff again
         break;
       case State::Closed:
-        if (++failureStreak_ >= params_.failureThreshold)
+        if (++failureStreak_ >= kFailureThreshold)
             trip(now);
         break;
       case State::Open:
@@ -88,17 +80,6 @@ CircuitBreaker::trip(Cycles now)
     openedAt_ = now;
     failureStreak_ = 0;
     probeStreak_ = 0;
-}
-
-const char *
-toString(CircuitBreaker::State state)
-{
-    switch (state) {
-      case CircuitBreaker::State::Closed: return "closed";
-      case CircuitBreaker::State::Open: return "open";
-      case CircuitBreaker::State::HalfOpen: return "half-open";
-    }
-    return "unknown";
 }
 
 } // namespace ccache::serve

@@ -4,16 +4,15 @@
  * (DESIGN.md §12): deterministic retry backoff and a per-shard circuit
  * breaker.
  *
- * Both primitives live in simulated time and are pure functions of
- * their inputs. BackoffPolicy::delay derives its jitter from a
- * SplitMix64 hash of (seed, request id, attempt) — no RNG stream is
- * consumed, so the retry schedule of a request is identical wherever
- * and whenever it is computed (the §8 determinism contract extends to
- * failure handling). CircuitBreaker is a plain three-state machine
- * (Closed -> Open on a failure streak, Open -> HalfOpen after a
- * cooloff, HalfOpen -> Closed on probe successes / -> Open on a probe
- * failure) advanced only by the caller's explicit simulated-time
- * observations.
+ * Both primitives live in simulated time, and their timing values are
+ * constants. retryDelay() derives its jitter from a SplitMix64 hash of
+ * (seed, request id, attempt) — no RNG stream is consumed, so the retry
+ * schedule of a request is identical wherever and whenever it is
+ * computed (the §8 determinism contract extends to failure handling).
+ * CircuitBreaker is a plain three-state machine (Closed -> Open on a
+ * failure streak, Open -> HalfOpen after a cooloff, HalfOpen -> Closed
+ * on probe successes / -> Open on a probe failure) advanced only by the
+ * caller's explicit simulated-time observations.
  */
 
 #ifndef CCACHE_SERVE_RELIABILITY_HH
@@ -26,57 +25,23 @@
 
 namespace ccache::serve {
 
-/** Retry / backoff knobs. */
+/** Retry knobs. */
 struct RetryParams
 {
     /** Total dispatch attempts per request (1 = no retries). */
     unsigned maxAttempts = 3;
 
-    /** Exponential backoff: retry k waits base << (k-1), capped. @{ */
-    Cycles backoffBase = 2000;
-    Cycles backoffCap = 64000;
-    /** @} */
-
-    /** Jitter width as a fraction of the backoff value: the delay is
-     *  drawn uniformly (by hash) from [d*(1-j/2), d*(1+j/2)]. */
-    double jitterFraction = 0.5;
-
     /** Seed folded into the jitter hash. */
     std::uint64_t seed = 1;
 };
 
-/** Deterministic exponential backoff with hash-derived jitter. */
-class BackoffPolicy
-{
-  public:
-    explicit BackoffPolicy(const RetryParams &params) : params_(params) {}
-
-    const RetryParams &params() const { return params_; }
-
-    /**
-     * Delay in cycles before retry attempt @p attempt (1-based: the
-     * first retry is attempt 1) of request @p id. Pure: same
-     * (seed, id, attempt) -> same delay, always >= 1.
-     */
-    Cycles delay(RequestId id, unsigned attempt) const;
-
-  private:
-    RetryParams params_;
-};
-
-/** Circuit-breaker knobs. */
-struct BreakerParams
-{
-    /** Consecutive request failures that trip Closed -> Open. */
-    unsigned failureThreshold = 4;
-
-    /** Simulated time spent Open before the breaker half-opens and
-     *  admits probe traffic. */
-    Cycles openCooloff = 20000;
-
-    /** Consecutive half-open probe successes that close the breaker. */
-    unsigned probeSuccesses = 2;
-};
+/**
+ * Delay in cycles before retry attempt @p attempt (1-based: the first
+ * retry is attempt 1) of request @p id: 2000 << (attempt - 1) cycles,
+ * capped at 64000, scaled by a hash-drawn factor in [0.75, 1.25].
+ * Pure: same (seed, id, attempt) -> same delay.
+ */
+Cycles retryDelay(std::uint64_t seed, RequestId id, unsigned attempt);
 
 /**
  * Per-shard circuit breaker. The router consults state(now) before
@@ -89,9 +54,15 @@ class CircuitBreaker
   public:
     enum class State { Closed, Open, HalfOpen };
 
-    CircuitBreaker() = default;
-    explicit CircuitBreaker(const BreakerParams &params)
-        : params_(params) {}
+    /** Consecutive request failures that trip Closed -> Open. */
+    static constexpr unsigned kFailureThreshold = 4;
+
+    /** Simulated time spent Open before the breaker half-opens and
+     *  admits probe traffic. */
+    static constexpr Cycles kOpenCooloff = 20000;
+
+    /** Consecutive half-open probe successes that close the breaker. */
+    static constexpr unsigned kProbeSuccesses = 2;
 
     /** Current state, applying the Open -> HalfOpen cooloff lazily. */
     State state(Cycles now) const;
@@ -114,21 +85,18 @@ class CircuitBreaker
     /** Cycle at which an Open breaker half-opens (meaningful only
      *  while state() is Open) — the router's next wake-up candidate
      *  for a shard with queued work behind an open breaker. */
-    Cycles halfOpenAt() const { return openedAt_ + params_.openCooloff; }
+    Cycles halfOpenAt() const { return openedAt_ + kOpenCooloff; }
 
     /** Lifetime trip count (Closed/HalfOpen -> Open transitions). */
     std::uint64_t trips() const { return trips_; }
 
   private:
-    BreakerParams params_;
     State state_ = State::Closed;
     Cycles openedAt_ = 0;
     unsigned failureStreak_ = 0;
     unsigned probeStreak_ = 0;
     std::uint64_t trips_ = 0;
 };
-
-const char *toString(CircuitBreaker::State state);
 
 } // namespace ccache::serve
 

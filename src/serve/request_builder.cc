@@ -201,10 +201,8 @@ buildRequest(sim::System &sys, geometry::LocalityAllocator &alloc,
     if (params.fillPattern)
         fillOperands(sys, params, id, spec.op, src1, src2, n);
 
-    if (params.warmL3) {
-        for (const auto &[addr, len] : req.buffers)
-            sys.warm(CacheLevel::L3, 0, addr, len);
-    }
+    for (const auto &[addr, len] : req.buffers)
+        sys.warm(CacheLevel::L3, 0, addr, len);
 
     // Chunk to the ISA limits; the first chunk is the head instruction,
     // the rest ride in req.chunks and batch into the wave as extra

@@ -6,8 +6,9 @@
  * Extracted from CcServer so the sharded router can re-place the same
  * spec on any shard: operand buffers come from that shard's
  * LocalityAllocator (co-located by rotating group), the instruction
- * list is chunked to the ISA limits, and the buffers are optionally
- * pre-warmed into L3. Heap exhaustion is a structured outcome
+ * list is chunked to the ISA limits, and the buffers are pre-warmed
+ * into L3, so service latency measures compute and on-chip traffic,
+ * not DRAM fills. Heap exhaustion is a structured outcome
  * (RejectReason::NoCapacity), never a panic: a partially-built request
  * returns its buffers and the caller sheds the request.
  *
@@ -32,10 +33,6 @@ namespace ccache::serve {
 /** Placement knobs shared by CcServer and ShardRouter. */
 struct RequestBuildParams
 {
-    /** Pre-warm operand buffers into L3 at admission (service latency
-     *  then measures compute + on-chip traffic, not DRAM fills). */
-    bool warmL3 = true;
-
     /** Rotating locality groups for request placement (bounds the
      *  allocator's group table while keeping co-location). */
     unsigned allocGroups = 32;

@@ -27,7 +27,7 @@ RequestQueue::RequestQueue(const QueueParams &params,
                            const std::vector<TenantQos> &tenants,
                            StatGroup stats)
     : params_(params), qos_(tenants), pending_(tenants.size()),
-      shed_(tenants, stats, params.maxRejectSamples)
+      shed_(tenants, stats)
 {
     CC_ASSERT(!tenants.empty(), "request queue needs at least one tenant");
     for (const TenantQos &t : tenants) {

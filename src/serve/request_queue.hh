@@ -34,10 +34,6 @@ struct QueueParams
 {
     /** Global pending-request capacity across all tenants. */
     std::size_t capacity = 256;
-
-    /** Rejection samples kept for the JSON export (counters are always
-     *  complete; samples give the first few concrete victims). */
-    std::size_t maxRejectSamples = 32;
 };
 
 class RequestQueue
@@ -100,12 +96,6 @@ class RequestQueue
 
     /** Total recorded sheds (admission + external, all reasons). */
     std::uint64_t rejected() const { return shed_.total(); }
-
-    /** Sheds of @p tenant for @p reason (ShedLog::count). */
-    std::uint64_t rejectedFor(TenantId tenant, RejectReason reason) const
-    {
-        return shed_.count(tenant, reason);
-    }
 
     /** Structured shed-load report (ShedLog::toJson). */
     Json rejectionsJson() const { return shed_.toJson(); }

@@ -36,17 +36,30 @@ ServeReport::toJson() const
     return doc;
 }
 
+void
+ServerParams::validate() const
+{
+    if (tenants.empty())
+        CC_FATAL("serving needs at least one tenant");
+    std::set<std::string> names;
+    for (const TenantQos &t : tenants) {
+        if (!names.insert(t.name).second)
+            CC_FATAL("tenant names must be unique: ", t.name);
+    }
+    if (queue.capacity == 0)
+        CC_FATAL("queue capacity must be at least 1");
+    if (sched.waveSize == 0 || sched.perTenantWaveCap == 0)
+        CC_FATAL("wave size and per-tenant wave cap must be at least 1");
+    if (allocGroups == 0)
+        CC_FATAL("allocGroups must be at least 1");
+}
+
 CcServer::CcServer(sim::System &sys, const ServerParams &params)
     : sys_(sys), params_(params)
 {
-    CC_ASSERT(!params_.tenants.empty(), "server needs at least one tenant");
-    std::set<std::string> names;
-    for (const TenantQos &t : params_.tenants)
-        CC_ASSERT(names.insert(t.name).second,
-                  "tenant names must be unique: ", t.name);
-
+    params_.validate();
     alloc_ = std::make_unique<geometry::LocalityAllocator>(
-        params_.heapBase, params_.heapBytes);
+        kHeapBase, params_.heapBytes);
     StatGroup serve = sys_.stats().group("serve");
     queue_ = std::make_unique<RequestQueue>(params_.queue, params_.tenants,
                                             serve);
@@ -73,7 +86,6 @@ CcServer::run(const std::vector<workload::RequestSpec> &specs)
     report.offered = specs.size();
 
     RequestBuildParams build;
-    build.warmL3 = params_.warmL3;
     build.allocGroups = params_.allocGroups;
 
     std::size_t next = 0;

@@ -34,6 +34,9 @@
 
 namespace ccache::serve {
 
+/** Base address of the operand heap managed by the LocalityAllocator. */
+constexpr Addr kHeapBase = 0x40000000;
+
 /** Server assembly configuration. */
 struct ServerParams
 {
@@ -41,18 +44,17 @@ struct ServerParams
     SchedulerParams sched;
     std::vector<TenantQos> tenants = {TenantQos{}};
 
-    /** Operand heap managed by the LocalityAllocator. @{ */
-    Addr heapBase = 0x40000000;
+    /** Operand heap size in bytes. */
     std::size_t heapBytes = 64 << 20;
-    /** @} */
-
-    /** Pre-warm operand buffers into L3 at admission (service latency
-     *  then measures compute + on-chip traffic, not DRAM fills). */
-    bool warmL3 = true;
 
     /** Rotating locality groups for request placement (bounds the
      *  allocator's group table while keeping co-location). */
     unsigned allocGroups = 32;
+
+    /** CC_FATAL on a configuration no server can run: no tenants,
+     *  duplicate tenant names, or a zero queue capacity, wave size,
+     *  per-tenant wave cap or allocGroups. */
+    void validate() const;
 };
 
 /** End-of-run summary (also exported as JSON). */
@@ -97,8 +99,6 @@ class CcServer
     /** Replay @p specs (sorted by arrival) to completion. */
     ServeReport run(const std::vector<workload::RequestSpec> &specs);
 
-    RequestQueue &queue() { return *queue_; }
-    BatchScheduler &scheduler() { return *sched_; }
     geometry::LocalityAllocator &allocator() { return *alloc_; }
 
   private:

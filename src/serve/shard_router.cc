@@ -1,8 +1,8 @@
 #include "serve/shard_router.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <set>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -12,6 +12,24 @@ namespace ccache::serve {
 namespace {
 
 constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+
+/** Consistent-hash ring geometry. @{ */
+constexpr unsigned kVnodesPerShard = 16;
+constexpr std::uint64_t kRingSeed = 0x5eedULL;
+/** @} */
+
+/** Brownout split: tenants with weight >= this floor reroute (and may
+ *  hedge); lower tenants shed when their home shard is dark. */
+constexpr unsigned kBrownoutWeightFloor = 2;
+
+/** Chaos storm intensity: fault rates applied at magnitude 1 (the event
+ *  magnitude scales them, clamped to sane ceilings). @{ */
+constexpr double kSlowMarginFailBase = 0.02;
+constexpr double kPartialStuckAtBase = 0.004;
+/** @} */
+
+/** EWMA smoothing for per-shard queue depth (per rebalance tick). */
+constexpr double kEwmaAlpha = 0.3;
 
 } // namespace
 
@@ -90,16 +108,21 @@ FleetReport::toJson() const
 ShardRouter::ShardRouter(const sim::SystemConfig &sys_config,
                          const ServerParams &serve_params,
                          const RouterParams &router_params)
-    : serve_(serve_params), params_(router_params),
-      backoff_(router_params.retry)
+    : serve_(serve_params), params_(router_params)
 {
-    CC_ASSERT(params_.shards >= 1, "router needs at least one shard");
-    CC_ASSERT(params_.vnodesPerShard >= 1, "ring needs vnodes");
-    CC_ASSERT(!serve_.tenants.empty(), "router needs at least one tenant");
-    std::set<std::string> names;
-    for (const TenantQos &t : serve_.tenants)
-        CC_ASSERT(names.insert(t.name).second,
-                  "tenant names must be unique: ", t.name);
+    serve_.validate();
+    if (params_.shards == 0)
+        CC_FATAL("router needs at least one shard");
+    if (params_.retry.maxAttempts == 0)
+        CC_FATAL("retry.maxAttempts must be at least 1");
+    if (!std::is_sorted(params_.phaseBoundaries.begin(),
+                        params_.phaseBoundaries.end()))
+        CC_FATAL("phase boundaries must be sorted");
+    auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    if (params_.rebalancePeriod != 0 && !(positive(params_.hotspotRatio) &&
+                                          positive(params_.hotspotMinLoad)))
+        CC_FATAL("hotspotRatio and hotspotMinLoad must be finite and "
+                 "positive when rebalancing");
 
     StatGroup fleet = fleetStats_.group("fleet");
     fleetShed_ = std::make_unique<ShedLog>(serve_.tenants,
@@ -117,13 +140,12 @@ ShardRouter::ShardRouter(const sim::SystemConfig &sys_config,
         Shard sh;
         sh.sys = std::make_unique<sim::System>(sys_config);
         sh.alloc = std::make_unique<geometry::LocalityAllocator>(
-            serve_.heapBase, serve_.heapBytes);
+            kHeapBase, serve_.heapBytes);
         StatGroup g = sh.sys->stats().group("serve");
         sh.queue = std::make_unique<RequestQueue>(serve_.queue,
                                                   serve_.tenants, g);
         sh.sched = std::make_unique<BatchScheduler>(
             *sh.sys, *sh.queue, serve_.tenants, serve_.sched, g);
-        sh.breaker = CircuitBreaker(params_.breaker);
         sh.baseFaults = sh.sys->cc().mutableFaultInjector().params();
 
         StatGroup sg = fleetStats_.group("shard." + std::to_string(s));
@@ -138,11 +160,11 @@ ShardRouter::ShardRouter(const sim::SystemConfig &sys_config,
         shards_.push_back(std::move(sh));
     }
 
-    // Consistent-hash ring: vnodesPerShard points per shard, sorted.
+    // Consistent-hash ring: kVnodesPerShard points per shard, sorted.
     for (unsigned s = 0; s < params_.shards; ++s) {
-        for (unsigned v = 0; v < params_.vnodesPerShard; ++v) {
+        for (unsigned v = 0; v < kVnodesPerShard; ++v) {
             std::uint64_t point = mix64(
-                mix64(params_.ringSeed ^ (s + 1)) ^
+                mix64(kRingSeed ^ (s + 1)) ^
                 (0x9e3779b97f4a7c15ULL * (v + 1)));
             ring_.emplace_back(point, s);
         }
@@ -152,7 +174,7 @@ ShardRouter::ShardRouter(const sim::SystemConfig &sys_config,
     // Per-tenant failover order: distinct shards met on the clockwise
     // successor walk from the tenant's hash point (home first).
     for (const TenantQos &t : serve_.tenants) {
-        std::uint64_t key = deriveSeed(params_.ringSeed, t.name);
+        std::uint64_t key = deriveSeed(kRingSeed, t.name);
         auto it = std::lower_bound(
             ring_.begin(), ring_.end(),
             std::make_pair(key, 0u),
@@ -180,14 +202,7 @@ ShardRouter::~ShardRouter() = default;
 bool
 ShardRouter::hiQos(TenantId t) const
 {
-    return serve_.tenants[t].weight >= params_.brownoutWeightFloor;
-}
-
-void
-ShardRouter::note(Cycles now, const std::string &what)
-{
-    if (params_.recordEvents)
-        events_.push_back("t=" + std::to_string(now) + " " + what);
+    return serve_.tenants[t].weight >= kBrownoutWeightFloor;
 }
 
 std::optional<unsigned>
@@ -232,7 +247,6 @@ ShardRouter::placeCopy(Track &tr, unsigned s, Cycles now, bool hedge)
     }
 
     RequestBuildParams build;
-    build.warmL3 = serve_.warmL3;
     build.allocGroups = serve_.allocGroups;
     build.fillPattern = params_.verifyGolden;
     // Fold the Zipf content key into the operand pattern: hot keys
@@ -276,13 +290,9 @@ ShardRouter::failCopy(Track &tr, Cycles now, int shard, RejectReason reason)
                   terminal ? reason : RejectReason::RetriesExhausted);
         return;
     }
-    Cycles delay = backoff_.delay(tr.id, tr.attempts);
+    Cycles delay = retryDelay(params_.retry.seed, tr.id, tr.attempts);
     retries_.push(Timer{now + delay, tr.id, shard});
     ++report_.retries;
-    note(now, "retry id=" + std::to_string(tr.id) + " attempt=" +
-                  std::to_string(tr.attempts) + " after=" +
-                  std::to_string(delay) + " avoid=" +
-                  std::to_string(shard));
 }
 
 void
@@ -294,16 +304,13 @@ ShardRouter::shedTrack(Track &tr, Cycles now, RejectReason reason)
     if (tr.parent != kNoParent) {
         // A leg's terminal failure rolls up to the fan-in barrier; the
         // parent's partial_result record is the structured shed.
-        note(now, "leg shed id=" + std::to_string(tr.id) + " reason=" +
-                      toString(reason));
-        legFailed(tr.parent, now, reason);
+        legFailed(tr.parent, now);
         return;
     }
     ++report_.shed;
-    notePhaseShed(tr.spec.arrival);
+    if (!report_.phases.empty())
+        ++report_.phases[phaseOf(tr.spec.arrival)].shed;
     fleetShed_->record(tr.id, tr.spec.tenant, reason, tr.spec.arrival);
-    note(now, "shed id=" + std::to_string(tr.id) + " reason=" +
-                  toString(reason));
 }
 
 unsigned
@@ -327,10 +334,8 @@ ShardRouter::commitCopy(Track &tr, unsigned s, const Request &req,
     Shard &sh = shards_[s];
     if (params_.verifyGolden) {
         ++report_.goldenChecked;
-        if (!goldenVerifyRequest(*sh.sys, req, result.result)) {
+        if (!goldenVerifyRequest(*sh.sys, req, result.result))
             ++report_.goldenMismatch;
-            note(now, "GOLDEN MISMATCH id=" + std::to_string(tr.id));
-        }
     }
     recycleRequest(*sh.alloc, req);
 
@@ -339,8 +344,6 @@ ShardRouter::commitCopy(Track &tr, unsigned s, const Request &req,
     sh.serviceHist->sample(result.latency);
     if (tr.hedged && s != tr.primaryShard)
         ++report_.hedgeWins;
-    note(now, "commit id=" + std::to_string(tr.id) + " shard=" +
-                  std::to_string(s));
 
     // First commit wins: cancel any still-queued sibling copy. An
     // executing sibling is discarded (hedge_wasted) at its completion.
@@ -356,13 +359,19 @@ ShardRouter::commitCopy(Track &tr, unsigned s, const Request &req,
         legCommitted(tr.parent, now);
         return;
     }
+    countServed(tr.spec, now);
+}
 
+void
+ShardRouter::countServed(const workload::RequestSpec &spec, Cycles now)
+{
     ++report_.served;
-    notePhaseServed(tr.spec.arrival);
-    Cycles sojourn = now > tr.spec.arrival ? now - tr.spec.arrival : 0;
+    if (!report_.phases.empty())
+        ++report_.phases[phaseOf(spec.arrival)].served;
+    Cycles sojourn = now > spec.arrival ? now - spec.arrival : 0;
     fleetSojourn_->sample(sojourn);
-    tenantServed_[tr.spec.tenant]->inc();
-    tenantSojourn_[tr.spec.tenant]->sample(sojourn);
+    tenantServed_[spec.tenant]->inc();
+    tenantSojourn_[spec.tenant]->sample(sojourn);
 }
 
 void
@@ -373,8 +382,6 @@ ShardRouter::spawnFanout(Track &parent, Cycles now)
     Fanout &fan = fanouts_.emplace(parent.id, Fanout{}).first->second;
     fan.legs = legs;
     ++report_.fanoutParents;
-    note(now, "fanout id=" + std::to_string(parent.id) + " legs=" +
-                  std::to_string(legs));
 
     // Split the payload evenly (rounded up to whole blocks); vary the
     // content key per leg so each leg carries its own slice of data.
@@ -431,25 +438,16 @@ ShardRouter::legCommitted(RequestId parentId, Cycles now)
     // Fan-in: every leg committed (and golden-verified when enabled);
     // the parent serves with sojourn measured to the last leg.
     parent.done = true;
-    ++report_.served;
-    notePhaseServed(parent.spec.arrival);
-    Cycles sojourn =
-        now > parent.spec.arrival ? now - parent.spec.arrival : 0;
-    fleetSojourn_->sample(sojourn);
-    tenantServed_[parent.spec.tenant]->inc();
-    tenantSojourn_[parent.spec.tenant]->sample(sojourn);
-    note(now, "fanin commit id=" + std::to_string(parentId));
+    countServed(parent.spec, now);
 }
 
 void
-ShardRouter::legFailed(RequestId parentId, Cycles now, RejectReason why)
+ShardRouter::legFailed(RequestId parentId, Cycles now)
 {
     Track &parent = tracks_.at(parentId);
     if (parent.done)
         return;
     ++report_.fanoutPartial;
-    note(now, "fanout partial id=" + std::to_string(parentId) +
-                  " leg_reason=" + toString(why));
     shedTrack(parent, now, RejectReason::PartialResult);
 
     // The barrier is dead: cancel the surviving legs' queued copies;
@@ -475,8 +473,7 @@ ShardRouter::rebalanceTick(Cycles now)
         double load = static_cast<double>(sh.queue->size());
         if (sh.busy)
             load += static_cast<double>(sh.wave.requests.size());
-        ewma_[s] = params_.ewmaAlpha * load +
-                   (1.0 - params_.ewmaAlpha) * ewma_[s];
+        ewma_[s] = kEwmaAlpha * load + (1.0 - kEwmaAlpha) * ewma_[s];
     }
     if (migration_.active || now < cooldownUntil_)
         return;
@@ -538,11 +535,6 @@ ShardRouter::startMigration(TenantId t, unsigned from, unsigned to,
     std::vector<unsigned> &ord = order_[t];
     ord.erase(std::remove(ord.begin(), ord.end(), to), ord.end());
     ord.insert(ord.begin(), to);
-
-    note(now, "migrate tenant=" + serve_.tenants[t].name + " from=" +
-                  std::to_string(from) + " to=" + std::to_string(to) +
-                  " drain_until=" +
-                  std::to_string(migration_.drainUntil));
 }
 
 void
@@ -575,9 +567,6 @@ ShardRouter::finishMigration(Cycles now)
                      RejectReason::MigrationDrain);
         }
     }
-    note(now, "migration drained tenant=" +
-                  serve_.tenants[mig.tenant].name + " transplants=" +
-                  std::to_string(left.size()));
 }
 
 std::size_t
@@ -650,9 +639,6 @@ ShardRouter::admitGlobal(Track &tr, Cycles now)
     CC_ASSERT(evicted.has_value(), "victim queue emptied underneath us");
     recycleRequest(*sh.alloc, *evicted);
     ++report_.globalEvictions;
-    note(now, "global evict id=" + std::to_string(evicted->id) +
-                  " tenant=" + serve_.tenants[vt].name + " for id=" +
-                  std::to_string(tr.id));
 
     Track &victimTrack = tracks_.at(evicted->id);
     --victimTrack.inFlight;
@@ -678,20 +664,6 @@ ShardRouter::phaseOf(Cycles arrival) const
 }
 
 void
-ShardRouter::notePhaseServed(Cycles arrival)
-{
-    if (!report_.phases.empty())
-        ++report_.phases[phaseOf(arrival)].served;
-}
-
-void
-ShardRouter::notePhaseShed(Cycles arrival)
-{
-    if (!report_.phases.empty())
-        ++report_.phases[phaseOf(arrival)].shed;
-}
-
-void
 ShardRouter::refreshFaultParams(Shard &shard)
 {
     fault::FaultParams p = shard.baseFaults;
@@ -700,11 +672,11 @@ ShardRouter::refreshFaultParams(Shard &shard)
         if (ev->kind == ChaosKind::Slow) {
             p.marginFailPerDualRowOp = std::min(
                 0.5, std::max(p.marginFailPerDualRowOp,
-                              params_.slowMarginFailBase * ev->magnitude));
+                              kSlowMarginFailBase * ev->magnitude));
         } else {   // Partial: stuck-at defects under part of the shard
             p.stuckAtPerBlock = std::min(
                 0.25, std::max(p.stuckAtPerBlock,
-                               params_.partialStuckAtBase * ev->magnitude));
+                               kPartialStuckAtBase * ev->magnitude));
         }
     }
     shard.sys->cc().mutableFaultInjector().setParams(p);
@@ -742,8 +714,6 @@ void
 ShardRouter::applyChaosStart(const ChaosEvent &ev, Cycles now)
 {
     Shard &sh = shards_[ev.shard];
-    note(now, std::string("chaos ") + toString(ev.kind) + " start shard=" +
-                  std::to_string(ev.shard));
     if (ev.kind == ChaosKind::Crash) {
         bool was_up = sh.up;
         sh.up = false;
@@ -762,8 +732,6 @@ void
 ShardRouter::applyChaosEnd(const ChaosEvent &ev, Cycles now)
 {
     Shard &sh = shards_[ev.shard];
-    note(now, std::string("chaos ") + toString(ev.kind) + " end shard=" +
-                  std::to_string(ev.shard));
     if (ev.kind == ChaosKind::Crash) {
         if (!sh.up) {
             sh.up = true;
@@ -824,9 +792,6 @@ ShardRouter::dispatchShard(unsigned s, Cycles now)
     sh.busy = true;
     sh.busyUntil = now + std::max<Cycles>(1, sh.wave.makespan);
     sh.wavesCtr->inc();
-    note(now, "dispatch shard=" + std::to_string(s) + " requests=" +
-                  std::to_string(sh.wave.requests.size()) + " until=" +
-                  std::to_string(sh.busyUntil));
     return true;
 }
 
@@ -851,9 +816,6 @@ ShardRouter::completeWave(unsigned s, Cycles now)
             sh.breaker.onFailure(now);
             sh.failedCtr->inc();
             recycleRequest(*sh.alloc, req);
-            note(now, "timeout id=" + std::to_string(req.id) + " shard=" +
-                          std::to_string(s) + " latency=" +
-                          std::to_string(res.latency));
             failCopy(tr, now, static_cast<int>(s),
                      RejectReason::RetriesExhausted);
             continue;
@@ -891,9 +853,6 @@ ShardRouter::run(const std::vector<workload::RequestSpec> &specs,
 
     // Per-phase availability windows (classified by offered arrival).
     if (!params_.phaseBoundaries.empty()) {
-        CC_ASSERT(std::is_sorted(params_.phaseBoundaries.begin(),
-                                 params_.phaseBoundaries.end()),
-                  "phase boundaries must be sorted");
         Cycles prev = 0;
         for (Cycles b : params_.phaseBoundaries) {
             report_.phases.push_back(
@@ -1002,9 +961,6 @@ ShardRouter::run(const std::vector<workload::RequestSpec> &specs,
                     !capped &&
                     placeCopy(tr, migration_.from, now, true)) {
                     ++report_.migrationDualDispatch;
-                    note(now, "dual dispatch id=" + std::to_string(id) +
-                                  " src=" +
-                                  std::to_string(migration_.from));
                 }
             }
         }
@@ -1051,13 +1007,10 @@ ShardRouter::run(const std::vector<workload::RequestSpec> &specs,
             if (!s)
                 continue;   // no live sibling to hedge onto
             tr.hedged = true;
-            if (placeCopy(tr, *s, now, true)) {
+            if (placeCopy(tr, *s, now, true))
                 ++report_.hedgesLaunched;
-                note(now, "hedge id=" + std::to_string(t.id) +
-                              " twin_shard=" + std::to_string(*s));
-            } else {
+            else
                 tr.hedged = false;
-            }
         }
 
         // 6. Fleet controller: finish an expired drain window, then

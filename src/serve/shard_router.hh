@@ -14,16 +14,16 @@
  *    shardTimeout counts as a shard failure and re-dispatches;
  *  - seeded retries: failed requests rebuild on the next live shard in
  *    their failover order after a deterministic exponential backoff
- *    with hash-derived jitter (BackoffPolicy — no RNG stream);
+ *    with hash-derived jitter (retryDelay — no RNG stream);
  *  - hedging: a high-QoS request still incomplete hedgeAge cycles
  *    after admission launches a twin on its sibling shard; the first
  *    copy to commit wins and the loser is cancelled or discarded;
  *  - circuit breaking + brownout: per-shard breakers trip on failure
  *    streaks (or instantly on a crash). An open breaker browns the
- *    shard out: high-QoS tenants (weight >= brownoutWeightFloor)
- *    reroute along the ring, lower tenants shed (breaker_open) —
- *    lowest QoS first, as structured shed records. Half-open probes
- *    re-close the breaker after probeSuccesses clean requests.
+ *    shard out: high-QoS tenants (weight >= 2) reroute along the
+ *    ring, lower tenants shed (breaker_open) — lowest QoS first, as
+ *    structured shed records. Half-open probes re-close the breaker
+ *    after CircuitBreaker::kProbeSuccesses clean requests.
  *
  * Failures are injected by a ChaosSchedule in simulated time (shard
  * crash windows; margin-fail and stuck-at storms through each shard's
@@ -95,11 +95,6 @@ struct RouterParams
 {
     unsigned shards = 2;
 
-    /** Consistent-hash ring geometry. @{ */
-    unsigned vnodesPerShard = 16;
-    std::uint64_t ringSeed = 0x5eedULL;
-    /** @} */
-
     /** Shed a request not dispatched within this many cycles of its
      *  offered arrival (0 = no deadline). */
     Cycles admissionDeadline = 60000;
@@ -109,15 +104,10 @@ struct RouterParams
     Cycles shardTimeout = 0;
 
     RetryParams retry;
-    BreakerParams breaker;
 
     /** Hedge a high-QoS request still incomplete this long after
      *  admission (0 = hedging off). */
     Cycles hedgeAge = 0;
-
-    /** Brownout split: tenants with weight >= this floor reroute (and
-     *  may hedge); lower tenants shed when their home shard is dark. */
-    unsigned brownoutWeightFloor = 2;
 
     /** Golden verification: fill operands from patternSeed and check
      *  every commit against the host-side reference model. @{ */
@@ -125,22 +115,10 @@ struct RouterParams
     std::uint64_t patternSeed = 0x601dULL;
     /** @} */
 
-    /** Chaos storm intensity: fault rates applied at magnitude 1 (the
-     *  event magnitude scales them, clamped to sane ceilings). @{ */
-    double slowMarginFailBase = 0.02;
-    double partialStuckAtBase = 0.004;
-    /** @} */
-
-    /** Keep a human-readable event log (determinism tests). */
-    bool recordEvents = false;
-
     /** Fleet controller (DESIGN.md §15). @{ */
 
     /** Hot-spot detector tick period; 0 disables rebalancing. */
     Cycles rebalancePeriod = 0;
-
-    /** EWMA smoothing for per-shard queue depth (per tick). */
-    double ewmaAlpha = 0.3;
 
     /** Migrate when the hottest shard's depth EWMA is at least
      *  hotspotRatio x (coldest EWMA + 1) and at least hotspotMinLoad
@@ -260,6 +238,9 @@ struct FleetReport
 class ShardRouter
 {
   public:
+    /** CC_FATAL on nonsensical parameters (ServerParams::validate, no
+     *  shards, no dispatch attempts, unsorted phase boundaries, or a
+     *  non-positive hot-spot threshold while rebalancing). */
     ShardRouter(const sim::SystemConfig &sys_config,
                 const ServerParams &serve_params,
                 const RouterParams &router_params);
@@ -287,9 +268,6 @@ class ShardRouter
 
     /** Fleet-level stats registry (histograms, per-shard counters). */
     StatRegistry &fleetStats() { return fleetStats_; }
-
-    /** Event log (only populated with RouterParams::recordEvents). */
-    const std::vector<std::string> &eventLog() const { return events_; }
 
   private:
     struct Shard
@@ -371,7 +349,6 @@ class ShardRouter
         std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>>;
 
     bool hiQos(TenantId t) const;
-    void note(Cycles now, const std::string &what);
 
     /** First dispatchable shard in @p t's failover order (skipping
      *  @p avoid); lo-QoS tenants only consider their home shard unless
@@ -393,6 +370,9 @@ class ShardRouter
     void shedTrack(Track &tr, Cycles now, RejectReason reason);
     void commitCopy(Track &tr, unsigned s, const Request &req,
                     const cc::CcExecResult &result, Cycles now);
+    /** Fleet served accounting of one offered request committed at
+     *  @p now (a fan-out parent counts once, at its last leg). */
+    void countServed(const workload::RequestSpec &spec, Cycles now);
 
     void applyChaosStart(const ChaosEvent &ev, Cycles now);
     void applyChaosEnd(const ChaosEvent &ev, Cycles now);
@@ -406,7 +386,7 @@ class ShardRouter
     /** Fan-out/fan-in barrier (§15). @{ */
     void spawnFanout(Track &parent, Cycles now);
     void legCommitted(RequestId parentId, Cycles now);
-    void legFailed(RequestId parentId, Cycles now, RejectReason why);
+    void legFailed(RequestId parentId, Cycles now);
     /** Pull every still-queued copy of @p id off every shard queue. */
     unsigned cancelQueuedCopies(RequestId id);
     /** @} */
@@ -423,15 +403,11 @@ class ShardRouter
     bool admitGlobal(Track &tr, Cycles now);
     std::size_t totalQueued() const;
 
-    /** Per-phase availability (§15). @{ */
+    /** Per-phase availability window of an offered arrival (§15). */
     std::size_t phaseOf(Cycles arrival) const;
-    void notePhaseServed(Cycles arrival);
-    void notePhaseShed(Cycles arrival);
-    /** @} */
 
     ServerParams serve_;
     RouterParams params_;
-    BackoffPolicy backoff_;
 
     std::vector<Shard> shards_;
     /** Sorted vnode ring: (point, shard). */
@@ -459,7 +435,6 @@ class ShardRouter
     std::vector<StatCounter *> tenantServed_;
     std::vector<StatLogHistogram *> tenantSojourn_;
     FleetReport report_;
-    std::vector<std::string> events_;
 };
 
 } // namespace ccache::serve

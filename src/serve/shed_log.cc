@@ -4,9 +4,8 @@
 
 namespace ccache::serve {
 
-ShedLog::ShedLog(const std::vector<TenantQos> &tenants, StatGroup stats,
-                 std::size_t max_samples)
-    : qos_(tenants), maxSamples_(max_samples),
+ShedLog::ShedLog(const std::vector<TenantQos> &tenants, StatGroup stats)
+    : qos_(tenants),
       counts_(tenants.size(),
               std::vector<std::uint64_t>(kNumRejectReasons, 0)),
       stats_(stats)
@@ -35,7 +34,7 @@ ShedLog::record(RequestId id, TenantId tenant, RejectReason reason,
     ++counts_[tenant][static_cast<std::size_t>(reason)];
     tenantCtr_[tenant]->inc();
     reasonCtr_[tenant][static_cast<std::size_t>(reason)]->inc();
-    if (samples_.size() < maxSamples_)
+    if (samples_.size() < kMaxSamples)
         samples_.push_back({id, tenant, reason, arrival});
 }
 

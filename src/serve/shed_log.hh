@@ -29,8 +29,7 @@ class ShedLog
   public:
     /** Counters are pre-registered for every (tenant, reason) pair so
      *  the stats dump shape never depends on which sheds occurred. */
-    ShedLog(const std::vector<TenantQos> &tenants, StatGroup stats,
-            std::size_t max_samples = 32);
+    ShedLog(const std::vector<TenantQos> &tenants, StatGroup stats);
 
     /** Record one shed request. */
     void record(RequestId id, TenantId tenant, RejectReason reason,
@@ -64,8 +63,11 @@ class ShedLog
         Cycles arrival;
     };
 
+    /** Samples kept for the JSON export (counters are always
+     *  complete; samples give the first few concrete victims). */
+    static constexpr std::size_t kMaxSamples = 32;
+
     std::vector<TenantQos> qos_;
-    std::size_t maxSamples_;
     std::uint64_t total_ = 0;
     /** [tenant][reason] -> count (dense; reasons are a small enum). */
     std::vector<std::vector<std::uint64_t>> counts_;

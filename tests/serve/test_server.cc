@@ -140,7 +140,29 @@ TEST(CcServer, RejectsDuplicateTenantNames)
     sim::System sys;
     ServerParams params;
     params.tenants = {TenantQos{"same", 1, 8}, TenantQos{"same", 1, 8}};
-    EXPECT_THROW((void)CcServer(sys, params), SimError);
+    EXPECT_THROW((void)CcServer(sys, params), FatalError);
+}
+
+TEST(CcServer, RejectsNonsensicalParams)
+{
+    auto build = [](auto &&mutate) {
+        ServerParams params = twoTenantParams();
+        mutate(params);
+        sim::System sys;
+        CcServer server(sys, params);
+    };
+    EXPECT_THROW(build([](ServerParams &p) { p.tenants.clear(); }),
+                 FatalError);
+    EXPECT_THROW(build([](ServerParams &p) { p.queue.capacity = 0; }),
+                 FatalError);
+    EXPECT_THROW(build([](ServerParams &p) { p.sched.waveSize = 0; }),
+                 FatalError);
+    EXPECT_THROW(
+        build([](ServerParams &p) { p.sched.perTenantWaveCap = 0; }),
+        FatalError);
+    EXPECT_THROW(build([](ServerParams &p) { p.allocGroups = 0; }),
+                 FatalError);
+    EXPECT_NO_THROW(build([](ServerParams &) {}));
 }
 
 } // namespace

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "common/logging.hh"
 #include "serve/shard_router.hh"
 #include "workload/traffic_gen.hh"
 
@@ -40,7 +42,6 @@ makeRouter()
     router.admissionDeadline = 60000;
     router.shardTimeout = 20000;
     router.verifyGolden = true;
-    router.recordEvents = true;
     return router;
 }
 
@@ -101,19 +102,23 @@ TEST(ShardRouter, ChaosRunIsDeterministic)
         nullptr));
     std::vector<workload::RequestSpec> specs = makeTraffic(3, 500, 99);
 
+    // Everything a run exports: the report, every shard's stats and
+    // the fleet stats.
     auto once = [&]() {
         RouterParams router = makeRouter();
         router.hedgeAge = 2000;
         ShardRouter fleet(sim::SystemConfig{}, makeServe({4, 2, 2}),
                           router);
-        FleetReport report = fleet.run(specs, chaos);
-        return std::make_pair(report.toJson().dump(), fleet.eventLog());
+        std::vector<std::string> out = {
+            fleet.run(specs, chaos).toJson().dump()};
+        for (unsigned s = 0; s < fleet.shardCount(); ++s)
+            out.push_back(fleet.shardSystem(s).stats().dumpJson().dump());
+        out.push_back(fleet.fleetStats().dumpJson().dump());
+        return out;
     };
-    auto [json_a, events_a] = once();
-    auto [json_b, events_b] = once();
-    EXPECT_EQ(json_a, json_b);
-    EXPECT_EQ(events_a, events_b);
-    EXPECT_FALSE(events_a.empty());
+    std::vector<std::string> a = once();
+    EXPECT_EQ(a, once());
+    EXPECT_EQ(a.size(), 2 + kShards);
 }
 
 TEST(ShardRouter, CrashFailoverKeepsAvailability)
@@ -141,7 +146,7 @@ TEST(ShardRouter, CrashFailoverKeepsAvailability)
 
 TEST(ShardRouter, BrownoutShedsLowestQosFirst)
 {
-    // t3 (weight 1 < brownoutWeightFloor) homed on the crashed shard
+    // t3 (weight 1, under the brownout floor of 2) homed on the crashed shard
     // must shed; the weight-4 tenant rides the ring and loses nothing.
     ShardRouter fleet(sim::SystemConfig{}, makeServe({4, 2, 2, 1}),
                       makeRouter());
@@ -311,6 +316,51 @@ TEST(ShardRouter, RetriesAndHedgesComposeWithFanoutLegs)
 
     FleetReport again = once();
     EXPECT_EQ(report.toJson().dump(), again.toJson().dump());
+}
+
+TEST(ShardRouter, RejectsNonsensicalParams)
+{
+    using S = ServerParams;
+    using R = RouterParams;
+    auto build = [](auto &&mutate) {
+        S serve = makeServe({4, 1});
+        R router;
+        router.shards = 1;
+        mutate(serve, router);
+        ShardRouter fleet(sim::SystemConfig{}, serve, router);
+    };
+    // ServerParams::validate (CcServer.RejectsNonsensicalParams covers
+    // the rest of it).
+    EXPECT_THROW(build([](S &s, R &) { s.tenants.clear(); }), FatalError);
+    EXPECT_THROW(build([](S &s, R &) { s.tenants[1].name = "t0"; }),
+                 FatalError);
+    EXPECT_THROW(build([](S &s, R &) { s.sched.waveSize = 0; }),
+                 FatalError);
+    // The router's own parameters.
+    EXPECT_THROW(build([](S &, R &r) { r.shards = 0; }), FatalError);
+    EXPECT_THROW(build([](S &, R &r) { r.retry.maxAttempts = 0; }),
+                 FatalError);
+    EXPECT_THROW(build([](S &, R &r) { r.phaseBoundaries = {200, 100}; }),
+                 FatalError);
+    for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(build([bad](S &, R &r) {
+                         r.rebalancePeriod = 5000;
+                         r.hotspotRatio = bad;
+                     }),
+                     FatalError)
+            << bad;
+        EXPECT_THROW(build([bad](S &, R &r) {
+                         r.rebalancePeriod = 5000;
+                         r.hotspotMinLoad = bad;
+                     }),
+                     FatalError)
+            << bad;
+        // The detector thresholds are read only while rebalancing.
+        EXPECT_NO_THROW(build([bad](S &, R &r) { r.hotspotRatio = bad; }))
+            << bad;
+    }
+    EXPECT_NO_THROW(build([](S &, R &) {}));
 }
 
 } // namespace

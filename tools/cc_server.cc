@@ -43,6 +43,10 @@
  * for stdout, or a file path). `--stats` embeds the stats registry
  * dump(s); `--trace` writes a Chrome trace of the waves (single-shard
  * mode only: combined with `--shards` it is rejected).
+ *
+ * Numbers are parsed strictly (number_arg.hh): a malformed, negative,
+ * overflowing or non-finite value, or one out of its range, is a
+ * usage error that names the flag (exit 2).
  */
 
 #include <cstdio>
@@ -50,13 +54,16 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
+#include "number_arg.hh"
 #include "serve/server.hh"
 #include "serve/shard_router.hh"
 #include "sim/system.hh"
 #include "workload/traffic_gen.hh"
 
 using namespace ccache;
+using cctools::numberArg;
 
 namespace {
 
@@ -125,13 +132,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Parse flag @p f's argument into @p field (hex for --seed).
+        auto number = [&](const char *f, auto &field, int base = 10) {
+            field = numberArg<std::remove_reference_t<decltype(field)>>(
+                "cc_server", f, needArg(f), base);
+        };
         if (!std::strcmp(argv[i], "--tenants")) {
-            opt.tenants = static_cast<unsigned>(
-                std::strtoul(needArg("--tenants"), nullptr, 10));
+            number("--tenants", opt.tenants);
         } else if (!std::strcmp(argv[i], "--requests")) {
-            opt.requests = std::strtoull(needArg("--requests"), nullptr, 10);
+            number("--requests", opt.requests);
         } else if (!std::strcmp(argv[i], "--load")) {
-            opt.loadRpkc = std::atof(needArg("--load"));
+            number("--load", opt.loadRpkc);
         } else if (!std::strcmp(argv[i], "--policy")) {
             if (!serve::parsePolicy(needArg("--policy"), &opt.policy)) {
                 std::fprintf(stderr,
@@ -139,15 +150,13 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--seed")) {
-            opt.seed = std::strtoull(needArg("--seed"), nullptr, 16);
+            number("--seed", opt.seed, 16);
         } else if (!std::strcmp(argv[i], "--scatter")) {
-            opt.scatter = std::atof(needArg("--scatter"));
+            number("--scatter", opt.scatter);
         } else if (!std::strcmp(argv[i], "--queue-cap")) {
-            opt.queueCap =
-                std::strtoull(needArg("--queue-cap"), nullptr, 10);
+            number("--queue-cap", opt.queueCap);
         } else if (!std::strcmp(argv[i], "--wave")) {
-            opt.waveSize = static_cast<unsigned>(
-                std::strtoul(needArg("--wave"), nullptr, 10));
+            number("--wave", opt.waveSize);
         } else if (!std::strcmp(argv[i], "--json")) {
             opt.jsonPath = needArg("--json");
         } else if (!std::strcmp(argv[i], "--trace")) {
@@ -155,30 +164,29 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--stats")) {
             opt.stats = true;
         } else if (!std::strcmp(argv[i], "--shards")) {
-            opt.shards = static_cast<unsigned>(
-                std::strtoul(needArg("--shards"), nullptr, 10));
+            number("--shards", opt.shards);
         } else if (!std::strcmp(argv[i], "--chaos")) {
             opt.chaosSpec = needArg("--chaos");
         } else if (!std::strcmp(argv[i], "--deadline")) {
-            opt.deadline = std::strtoull(needArg("--deadline"), nullptr, 10);
+            number("--deadline", opt.deadline);
         } else if (!std::strcmp(argv[i], "--timeout")) {
-            opt.timeout = std::strtoull(needArg("--timeout"), nullptr, 10);
+            number("--timeout", opt.timeout);
         } else if (!std::strcmp(argv[i], "--attempts")) {
-            opt.attempts = static_cast<unsigned>(
-                std::strtoul(needArg("--attempts"), nullptr, 10));
+            number("--attempts", opt.attempts);
         } else if (!std::strcmp(argv[i], "--hedge")) {
-            opt.hedge = std::strtoull(needArg("--hedge"), nullptr, 10);
+            number("--hedge", opt.hedge);
         } else if (!std::strcmp(argv[i], "--verify-golden")) {
             opt.verifyGolden = true;
         } else if (!std::strcmp(argv[i], "--zipf-keys")) {
-            opt.zipfKeys =
-                std::strtoull(needArg("--zipf-keys"), nullptr, 10);
+            number("--zipf-keys", opt.zipfKeys);
         } else if (!std::strcmp(argv[i], "--fanout")) {
-            const char *arg = needArg("--fanout");
-            opt.fanoutFraction = std::atof(arg);
-            if (const char *colon = std::strchr(arg, ':')) {
-                opt.fanoutLegs = static_cast<unsigned>(
-                    std::strtoul(colon + 1, nullptr, 10));
+            std::string arg = needArg("--fanout");
+            std::size_t colon = arg.find(':');
+            opt.fanoutFraction = numberArg<double>(
+                "cc_server", "--fanout", arg.substr(0, colon).c_str());
+            if (colon != std::string::npos) {
+                opt.fanoutLegs = numberArg<unsigned>(
+                    "cc_server", "--fanout", arg.c_str() + colon + 1);
             }
             if (opt.fanoutFraction < 0.0 || opt.fanoutFraction > 1.0 ||
                 opt.fanoutLegs < 2) {
@@ -189,8 +197,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--rebalance")) {
             opt.rebalance = true;
         } else if (!std::strcmp(argv[i], "--global-queue")) {
-            opt.globalQueue =
-                std::strtoull(needArg("--global-queue"), nullptr, 10);
+            number("--global-queue", opt.globalQueue);
         } else if (!std::strcmp(argv[i], "--help") ||
                    !std::strcmp(argv[i], "-h")) {
             usage(argv[0]);
@@ -201,9 +208,19 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (opt.tenants < 1 || opt.requests < 1 || opt.loadRpkc <= 0.0 ||
-        opt.waveSize < 1 || opt.queueCap < 1) {
-        std::fprintf(stderr, "cc_server: invalid parameters\n");
+    if (opt.tenants < 1 || opt.requests < 1 || opt.waveSize < 1 ||
+        opt.queueCap < 1 || opt.attempts < 1) {
+        std::fprintf(stderr, "cc_server: --tenants, --requests, --wave, "
+                             "--queue-cap and --attempts must be at "
+                             "least 1\n");
+        return 2;
+    }
+    if (opt.loadRpkc <= 0.0) {
+        std::fprintf(stderr, "cc_server: --load must be greater than 0\n");
+        return 2;
+    }
+    if (opt.scatter < 0.0 || opt.scatter > 1.0) {
+        std::fprintf(stderr, "cc_server: --scatter must be in [0, 1]\n");
         return 2;
     }
     // The router's events do not reach the EventTrace, so a sharded run

@@ -21,7 +21,7 @@
  *       --golden       full replay too; report per-metric error
  *       --json FILE    machine-readable summary (atomic write)
  *       --jobs N       replay workers                (default $CCACHE_JOBS)
- *       --seed S       clustering seed
+ *       --seed S       clustering seed (decimal, or 0x-prefixed hex)
  *       --quiet        suppress the per-phase table
  *
  * Determinism: stdout and the JSON summary contain no timestamps and
@@ -41,6 +41,7 @@
 
 #include "common/json.hh"
 #include "common/thread_pool.hh"
+#include "number_arg.hh"
 #include "sample/idiom.hh"
 #include "sample/sampled_runner.hh"
 #include "sim/trace.hh"
@@ -145,7 +146,8 @@ main(int argc, char **argv)
                 std::atol(needArg("--warmup")));
             warmupSet = true;
         } else if (!std::strcmp(argv[i], "--seed")) {
-            params.seed = std::strtoull(needArg("--seed"), nullptr, 0);
+            params.seed = cctools::numberArg<std::uint64_t>(
+                "cc_trace", "--seed", needArg("--seed"), 0);
         } else if (!std::strcmp(argv[i], "--jobs")) {
             params.jobs = static_cast<unsigned>(
                 std::atol(needArg("--jobs")));

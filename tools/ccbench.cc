@@ -77,6 +77,7 @@
 #include "common/json.hh"
 #include "common/thread_pool.hh"
 #include "catalog_filter.hh"
+#include "number_arg.hh"
 #include "result_compare.hh"
 
 extern char **environ;
@@ -318,7 +319,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--baseline")) {
             opt.baselineDir = needArg("--baseline");
         } else if (!std::strcmp(argv[i], "--threshold")) {
-            opt.threshold = std::atof(needArg("--threshold"));
+            opt.threshold = cctools::thresholdArg("ccbench", "--threshold",
+                                                  needArg("--threshold"));
         } else if (!std::strcmp(argv[i], "--stats")) {
             opt.compareStats = true;
         } else if (!std::strcmp(argv[i], "--list")) {

@@ -26,8 +26,9 @@
  *    resume identity loops use instead of raw `cmp`.
  *
  * Exit status: 0 when everything is within the threshold, 1 when at
- * least one metric drifted, 2 on I/O, parse or schema errors — so CI
- * can gate merges on it directly. The comparison itself lives in
+ * least one metric drifted, 2 on I/O, parse or schema errors or a
+ * malformed argument (a threshold must be a finite number >= 0) — so
+ * CI can gate merges on it directly. The comparison itself lives in
  * result_compare.hh, shared with the `ccbench` catalog driver.
  */
 
@@ -37,6 +38,7 @@
 #include <string>
 
 #include "common/json.hh"
+#include "number_arg.hh"
 #include "result_compare.hh"
 
 namespace {
@@ -78,7 +80,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-            opt.threshold = std::atof(argv[++i]);
+            opt.threshold = cctools::thresholdArg("ccstat", "--threshold",
+                                                  argv[++i]);
         } else if (!std::strcmp(argv[i], "--stats")) {
             opt.compareStats = true;
         } else if (!std::strcmp(argv[i], "--perf")) {
@@ -88,7 +91,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-            opt.perfThreshold = std::atof(argv[++i]);
+            opt.perfThreshold = cctools::thresholdArg(
+                "ccstat", "--perf-threshold", argv[++i]);
         } else if (!std::strcmp(argv[i], "--identical")) {
             opt.identical = true;
         } else if (!std::strcmp(argv[i], "--help") ||
