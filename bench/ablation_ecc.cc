@@ -49,11 +49,11 @@ main(int argc, char **argv)
                        static_cast<double>(trials));
     });
     sweep.add("xor_check", [&](bench::SweepContext &ctx) {
-        energy::EnergyParams ep;
+        using energy::cacheOpEnergy;
         xor_extra =
-            ep.cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Read) +
-            ep.cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Write) * 0.2;
-        logic = ep.cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Logic);
+            cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Read) +
+            cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Write) * 0.2;
+        logic = cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Logic);
         ctx.metric("xor_check.extra_pj", xor_extra);
         ctx.metric("xor_check.overhead_fraction", xor_extra / logic);
     });

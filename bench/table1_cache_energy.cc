@@ -17,7 +17,6 @@ main(int argc, char **argv)
     bench::maybeDescribe(argc, argv,
                          "Table I: per-access read energy split (H-tree vs bit-array)");
     bench::header("Table I: Cache energy per read access");
-    EnergyParams params;
 
     std::printf("%-10s %15s %15s %10s\n", "Cache", "cache-ic (h-tree)",
                 "cache-access", "ic share");
@@ -28,9 +27,9 @@ main(int argc, char **argv)
         const char *name;
         CacheReadSplit split;
     } rows[] = {
-        {"L1-D", params.l1Read},
-        {"L2", params.l2Read},
-        {"L3-slice", params.l3Read},
+        {"L1-D", readSplit(CacheLevel::L1)},
+        {"L2", readSplit(CacheLevel::L2)},
+        {"L3-slice", readSplit(CacheLevel::L3)},
     };
 
     bench::ResultsWriter results("table1_cache_energy");

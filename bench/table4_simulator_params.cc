@@ -1,8 +1,8 @@
 /**
  * @file
  * Reproduces Table IV: the simulated machine's parameters, printed from
- * the live default configuration so documentation can never drift from
- * the code.
+ * the default configuration and the timing constants the simulator
+ * charges, so documentation can never drift from the code.
  */
 
 #include "bench_util.hh"
@@ -17,6 +17,9 @@ main(int argc, char **argv)
     bench::maybeDescribe(argc, argv,
                          "Table IV: the simulated machine, from live config");
     bench::header("Table IV: simulator parameters (live configuration)");
+    using cache::accessLatency;
+    using cc::inPlaceLatency;
+    using cc::nearPlaceLatency;
 
     SystemConfig cfg;
     const auto &h = cfg.hierarchy;
@@ -37,22 +40,23 @@ main(int argc, char **argv)
                    static_cast<double>(h.l3.geometry.sizeBytes) /
                        (1024 * 1024));
         ctx.metric("l1.access_cycles",
-                   static_cast<double>(h.l1.accessLatency));
+                   static_cast<double>(accessLatency(CacheLevel::L1)));
         ctx.metric("l2.access_cycles",
-                   static_cast<double>(h.l2.accessLatency));
+                   static_cast<double>(accessLatency(CacheLevel::L2)));
         ctx.metric("l3.access_cycles",
-                   static_cast<double>(h.l3.accessLatency));
+                   static_cast<double>(accessLatency(CacheLevel::L3)));
         ctx.metric("ring.hop_cycles",
-                   static_cast<double>(h.ring.hopLatency));
+                   static_cast<double>(noc::Ring::kHopLatency));
         ctx.metric("memory.access_cycles",
-                   static_cast<double>(h.memory.accessLatency));
+                   static_cast<double>(mem::Memory::kAccessLatency));
     });
     sweep.run();
 
     std::printf("Configuration   %u-core CMP\n", h.cores);
     std::printf("Processor       %.2f GHz out-of-order core, issue %u, "
                 "%u-deep MLP\n",
-                kCoreFreqHz / 1e9, cfg.core.issueWidth, cfg.core.mshrs);
+                kCoreFreqHz / 1e9, CoreCostModel::kIssueWidth,
+                CoreCostModel::kMshrs);
 
     auto cache_row = [](const char *name,
                         const geometry::CacheGeometryParams &g,
@@ -61,39 +65,41 @@ main(int argc, char **argv)
                     g.sizeBytes / 1024, g.ways,
                     static_cast<unsigned long long>(lat), extra);
     };
-    cache_row("L1-D Cache", h.l1.geometry, h.l1.accessLatency, "");
-    cache_row("L2 Cache", h.l2.geometry, h.l2.accessLatency,
+    cache_row("L1-D Cache", h.l1.geometry, accessLatency(CacheLevel::L1),
+              "");
+    cache_row("L2 Cache", h.l2.geometry, accessLatency(CacheLevel::L2),
               ", inclusive, private");
     std::printf("L3 Cache        inclusive, shared, %u NUCA slices, "
                 "%zu MB each, %zu-way, %llu cycle + %llu queuing\n",
                 h.ring.nodes, h.l3.geometry.sizeBytes / (1024 * 1024),
                 h.l3.geometry.ways,
-                static_cast<unsigned long long>(h.l3.accessLatency),
-                static_cast<unsigned long long>(h.l3QueueDelay));
+                static_cast<unsigned long long>(
+                    accessLatency(CacheLevel::L3)),
+                static_cast<unsigned long long>(
+                    cache::Hierarchy::kL3QueueDelay));
     std::printf("Interconnect    ring, %llu cycle hop latency, %u-bit "
                 "link width\n",
-                static_cast<unsigned long long>(h.ring.hopLatency),
-                h.ring.linkBytes * 8);
+                static_cast<unsigned long long>(noc::Ring::kHopLatency),
+                noc::Ring::kLinkBytes * 8);
     std::printf("Coherence       directory based, MESI\n");
     std::printf("Memory          %llu cycle latency\n",
-                static_cast<unsigned long long>(
-                    h.memory.accessLatency));
+                static_cast<unsigned long long>(mem::Memory::kAccessLatency));
 
     bench::rule();
     std::printf("Compute Cache   in-place op %llu/%llu/%llu cycles "
                 "(L1/L2/L3), near-place %llu/%llu/%llu\n",
                 static_cast<unsigned long long>(
-                    cfg.cc.inPlaceLatency(CacheLevel::L1)),
+                    inPlaceLatency(CacheLevel::L1)),
                 static_cast<unsigned long long>(
-                    cfg.cc.inPlaceLatency(CacheLevel::L2)),
+                    inPlaceLatency(CacheLevel::L2)),
                 static_cast<unsigned long long>(
-                    cfg.cc.inPlaceLatency(CacheLevel::L3)),
+                    inPlaceLatency(CacheLevel::L3)),
                 static_cast<unsigned long long>(
-                    cfg.cc.nearPlace.latency(CacheLevel::L1)),
+                    nearPlaceLatency(CacheLevel::L1)),
                 static_cast<unsigned long long>(
-                    cfg.cc.nearPlace.latency(CacheLevel::L2)),
+                    nearPlaceLatency(CacheLevel::L2)),
                 static_cast<unsigned long long>(
-                    cfg.cc.nearPlace.latency(CacheLevel::L3)));
+                    nearPlaceLatency(CacheLevel::L3)));
     std::printf("                power cap %u sub-arrays\n",
                 cfg.cc.maxActiveSubarrays);
 

@@ -19,7 +19,6 @@ main(int argc, char **argv)
     bench::maybeDescribe(argc, argv,
                          "Table V: per-block energy for every op at every level");
     bench::header("Table V: Cache energy (pJ) per 64-byte cache block");
-    EnergyParams params;
 
     const CacheOp ops[] = {CacheOp::Write, CacheOp::Read, CacheOp::Cmp,
                            CacheOp::Copy, CacheOp::Search, CacheOp::Not,
@@ -42,7 +41,7 @@ main(int argc, char **argv)
             for (CacheOp op : ops)
                 ctx.metric(std::string(toString(level)) + "." +
                                toString(op) + ".pj",
-                           params.cacheOpEnergy(level, op));
+                           cacheOpEnergy(level, op));
         });
     }
     sweep.run();
@@ -50,7 +49,7 @@ main(int argc, char **argv)
     for (CacheLevel level : levels) {
         std::printf("%-6s", toString(level));
         for (CacheOp op : ops)
-            std::printf("%9.0f", params.cacheOpEnergy(level, op));
+            std::printf("%9.0f", cacheOpEnergy(level, op));
         std::printf("\n");
     }
 
@@ -58,15 +57,10 @@ main(int argc, char **argv)
     bench::note("Consistency checks (paper-internal relations):");
 
     bool ok = true;
-    struct Pair
-    {
-        CacheLevel level;
-        CacheReadSplit split;
-    } reads[] = {{CacheLevel::L1, params.l1Read},
-                 {CacheLevel::L2, params.l2Read},
-                 {CacheLevel::L3, params.l3Read}};
-    for (const auto &[level, split] : reads) {
-        double table5 = params.cacheOpEnergy(level, CacheOp::Read);
+    for (CacheLevel level :
+         {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
+        const CacheReadSplit split = readSplit(level);
+        double table5 = cacheOpEnergy(level, CacheOp::Read);
         bool match = std::abs(table5 - split.total()) < 1.0;
         ok &= match;
         std::printf("  %s read %4.0f == Table I ic+access %4.0f : %s\n",
@@ -75,9 +69,9 @@ main(int argc, char **argv)
     }
     for (CacheLevel level :
          {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
-        double search = params.cacheOpEnergy(level, CacheOp::Search);
-        double sum = params.cacheOpEnergy(level, CacheOp::Cmp) +
-            params.cacheOpEnergy(level, CacheOp::Write);
+        double search = cacheOpEnergy(level, CacheOp::Search);
+        double sum = cacheOpEnergy(level, CacheOp::Cmp) +
+            cacheOpEnergy(level, CacheOp::Write);
         bool match = std::abs(search - sum) < 1.0;
         ok &= match;
         std::printf("  %s search %4.0f == cmp + write %4.0f : %s\n",

@@ -58,7 +58,7 @@ Bmm::runBaseline(sim::System &sys, Engine engine)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
 
     std::size_t n = config_.n;
@@ -129,7 +129,7 @@ Bmm::runCc(sim::System &sys)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 

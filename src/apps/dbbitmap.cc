@@ -142,7 +142,7 @@ DbBitmap::runParallel(sim::System &sys, Engine engine, unsigned cores)
         // the answer bitmap into row ids before returning): stream the
         // result words and extract the set bits.
         {
-            sim::CoreCostModel scan_cost(sys.config().core);
+            sim::CoreCostModel scan_cost;
             std::size_t set_bits = 0;
             for (std::size_t off = 0; off < bin_bytes; off += 32) {
                 std::uint8_t buf[32];

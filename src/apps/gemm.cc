@@ -53,7 +53,7 @@ QuantGemm::runBaseline(sim::System &sys, Engine engine)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
 
     std::size_t m = config_.m, k = config_.k, n = config_.n;
@@ -112,7 +112,7 @@ QuantGemm::runCc(sim::System &sys)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 

@@ -54,7 +54,7 @@ StringMatch::run(sim::System &sys, Engine engine)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 

@@ -87,7 +87,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
 
     sys.load(config_.corpusBase, corpus_.data(), corpus_.size());
@@ -201,7 +201,7 @@ WordCount::runCc(sim::System &sys)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    sim::CoreCostModel cost(sys.config().core);
+    sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 

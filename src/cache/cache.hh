@@ -26,12 +26,19 @@
 
 namespace ccache::cache {
 
+/** Table IV access latency of @p level: L1 5, L2 11, L3 11 (every L3
+ *  slice access also queues for Hierarchy::kL3QueueDelay). */
+constexpr Cycles
+accessLatency(CacheLevel level)
+{
+    return level == CacheLevel::L1 ? 5 : 11;
+}
+
 /** Configuration of one cache level. */
 struct CacheParams
 {
     geometry::CacheGeometryParams geometry;
     CacheLevel level = CacheLevel::L1;
-    Cycles accessLatency = 5;   ///< Table IV: L1 5, L2 11, L3 11 + queue
 };
 
 /** A line evicted to make room for a fill. */
@@ -94,7 +101,7 @@ class Cache
     const CacheParams &params() const { return params_; }
     const geometry::CacheGeometry &geom() const { return geom_; }
     CacheLevel level() const { return params_.level; }
-    Cycles latency() const { return params_.accessLatency; }
+    Cycles latency() const { return accessLatency(params_.level); }
 
     /** The slot of resident line @p addr, empty if absent: one
      *  address decode and tag probe, without LRU update or energy

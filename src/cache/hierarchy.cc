@@ -379,7 +379,7 @@ Hierarchy::allocateInL3(unsigned slice, Addr addr, bool for_overwrite,
             allocNoFetchStat_->inc();
     } else {
         data = memory_.readBlock(addr);
-        latency += params_.memory.accessLatency;
+        latency += mem::Memory::kAccessLatency;
         if (energy_)
             energy_->chargeDram();
         if (stats_)
@@ -487,7 +487,7 @@ Hierarchy::readImpl(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
     // L3 home slice.
     unsigned slice = sliceFor(core, addr);
     res.latency += ring_.send(stopOf(core), slice, noc::MsgClass::Control);
-    res.latency += params_.l3.accessLatency + params_.l3QueueDelay;
+    res.latency += accessLatency(CacheLevel::L3) + kL3QueueDelay;
 
     // An owner recall only writes the home line in place, so the slot
     // found here serves the read below.
@@ -753,7 +753,7 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
     // Recalls write the home line in place; they never allocate it.
     if (!resident)
         allocateInL3(slice, addr, for_overwrite, latency);
-    latency += params_.l3.accessLatency + params_.l3QueueDelay;
+    latency += accessLatency(CacheLevel::L3) + kL3QueueDelay;
     return latency;
 }
 

@@ -44,15 +44,10 @@ struct HierarchyParams
 {
     unsigned cores = 8;
 
-    CacheParams l1{geometry::CacheGeometryParams::l1d(), CacheLevel::L1, 5};
-    CacheParams l2{geometry::CacheGeometryParams::l2(), CacheLevel::L2, 11};
-    CacheParams l3{geometry::CacheGeometryParams::l3Slice(), CacheLevel::L3,
-                   11};
+    CacheParams l1{geometry::CacheGeometryParams::l1d(), CacheLevel::L1};
+    CacheParams l2{geometry::CacheGeometryParams::l2(), CacheLevel::L2};
+    CacheParams l3{geometry::CacheGeometryParams::l3Slice(), CacheLevel::L3};
 
-    /** Queuing delay added to every L3 slice access (Table IV). */
-    Cycles l3QueueDelay = 4;
-
-    mem::MemoryParams memory;
     noc::RingParams ring;
 };
 
@@ -72,6 +67,9 @@ struct AccessResult
 class Hierarchy
 {
   public:
+    /** Queuing delay added to every L3 slice access (Table IV). */
+    static constexpr Cycles kL3QueueDelay = 4;
+
     Hierarchy(const HierarchyParams &params, energy::EnergyModel *energy,
               StatRegistry *stats);
 

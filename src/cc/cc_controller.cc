@@ -155,7 +155,7 @@ costOp(CcOpcode op)
       case CcOpcode::Gt:
       case CcOpcode::Eq: return energy::CacheOp::Logic;
     }
-    return energy::cacheOpFor(sram::BitlineOp::Read);
+    return energy::CacheOp::Read;
 }
 
 /** The functional kernel of one CC-RW block op: result rows @p d from
@@ -202,19 +202,8 @@ CcController::CcController(cache::Hierarchy &hier,
                            energy::EnergyModel *energy, StatRegistry *stats,
                            const CcControllerParams &params)
     : hier_(hier), energy_(energy), stats_(stats), params_(params),
-      nearPlace_(params.nearPlace, energy, stats),
-      faults_(params.faults)
+      nearPlace_(energy, stats), faults_(params.faults)
 {
-    // The schedule divides by the command rate and converts the scaled
-    // op latency to Cycles; written as a negation, the factor check
-    // also rejects NaN.
-    if (params_.commandIssuePerCycle == 0)
-        CC_FATAL("commandIssuePerCycle must be at least 1");
-    if (!(params_.partitionPipelineFactor > 0.0 &&
-          params_.partitionPipelineFactor <= 1.0))
-        CC_FATAL("partitionPipelineFactor ",
-                 params_.partitionPipelineFactor, " is outside (0, 1]");
-
     // A StagedRow packs a way and a cache index into 16 bits each.
     const cache::HierarchyParams &hp = hier.params();
     for (const cache::CacheParams *cp : {&hp.l1, &hp.l2, &hp.l3}) {
@@ -337,7 +326,7 @@ CcController::executeInstr(CoreId core, const CcInstruction &instr)
     if (stats_)
         pageSplitExceptionsStat_->inc();
     CcExecResult total;
-    total.latency = params_.pageSplitPenalty;
+    total.latency = kPageSplitPenalty;
     std::size_t result_bits = 0;
     for (const CcInstruction &piece : instr.splitAtPageBoundaries()) {
         CcExecResult r = executeBlockOps(core, piece);
@@ -378,8 +367,7 @@ CcController::executeStream(CoreId core,
     sched_.streaming = false;
 
     if (total_latency) {
-        Cycles fetch = foldFetchLatencies(sched_.fetchLats,
-                                          params_.fetchMlp);
+        Cycles fetch = foldFetchLatencies(sched_.fetchLats, kFetchMlp);
         // One completion notification covers the drained stream.
         *total_latency = sched_.horizon + fetch +
             hier_.ring().send(0, core % hier_.cores(),
@@ -409,8 +397,7 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
                            bool exclusive, bool for_overwrite)
 {
     Cycles latency = 0;
-    for (unsigned attempt = 0; attempt <= params_.maxLockRetries;
-         ++attempt) {
+    for (unsigned attempt = 0; attempt <= kMaxLockRetries; ++attempt) {
         latency += hier_.fetchToLevel(core, addr, level, exclusive,
                                       for_overwrite);
         unsigned index = hier_.cacheIndex(level, core, addr);
@@ -577,7 +564,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             }
             read_row(k);
         }
-        out.extraLatency += params_.faultRefillLatency;
+        out.extraLatency += kFaultRefillLatency;
         if (energy_) {
             // A lane group refills its slice stacks as one burst.
             if (bit_serial)
@@ -595,7 +582,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
         if (stats_)
             faultDegradedNearPlaceStat_->inc();
         traceFault("fault.degrade_near_place", op.src1, level);
-        out.extraLatency += params_.nearPlace.latency(level);
+        out.extraLatency += nearPlaceLatency(level);
         // The carry latch cannot resume mid-sequence: the whole lane
         // group moves to the near-place unit.
         if (plan.holdsPartition)
@@ -626,9 +613,8 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
 
     if (faults_.enabled()) {
         const bool dual_row = isDualRowOp(instr.op) && op.inPlace;
-        const Cycles retry_latency = unit_reads
-            ? params_.nearPlace.latency(level)
-            : params_.inPlaceLatency(level);
+        const Cycles retry_latency = unit_reads ? nearPlaceLatency(level)
+                                                : inPlaceLatency(level);
         const energy::CacheOp retry_op =
             unit_reads ? energy::CacheOp::Read : cost_op;
         // Row by row: the first row pair that exhausts its retries
@@ -711,7 +697,7 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             if (energy_ && !out.riscRecovered) {
                 for (std::size_t k = 0; k < 2 * plan.srcRows; ++k)
                     energy_->chargeCacheOp(level, energy::CacheOp::Read);
-                energy_->chargeNearPlaceLogic(plan.srcRows);
+                energy_->chargeNearPlaceLogic(level, plan.srcRows);
                 for (std::size_t k = 0; k < plan.dstRows; ++k)
                     energy_->chargeCacheOp(level, energy::CacheOp::Write);
             }
@@ -725,10 +711,10 @@ CcController::performBlockOp(CoreId core, const CcInstruction &instr,
             // Section IV-I: an in-place result bypasses the normal ECC
             // datapath, so the check unit recomputes each written row's
             // code before it can be written back.
-            out.extraLatency += plan.dstRows * params_.eccCheckLatency;
+            out.extraLatency += plan.dstRows * kEccCheckLatency;
             if (energy_)
                 energy_->addCacheAccess(
-                    level, energy_->params().eccCheckPerBlock *
+                    level, energy::kEccCheckPerBlock *
                                static_cast<double>(plan.dstRows));
         }
         if (params_.verifyCircuit)
@@ -749,8 +735,7 @@ CcController::senseOperands(const BlockOp &op, std::size_t row,
     const Block tb = *b;
     std::uint64_t sid = fault::subarrayId(level, op.cacheIndex,
                                           op.partition);
-    for (unsigned attempt = 0; attempt <= params_.maxFaultRetries;
-         ++attempt) {
+    for (unsigned attempt = 0; attempt <= kMaxFaultRetries; ++attempt) {
         if (attempt > 0) {
             // Rung 1: bounded retry -- re-activate and re-sense the
             // partition, paying another op's worth of delay and energy.
@@ -805,10 +790,9 @@ CcController::checkOperand(Block *sensed, const Block &truth, Addr addr,
     fault::FaultInjector::corrupt(*sensed, faults_.drawOperandFault(subarray_id));
 
     // Route the sensed block through the ECC check unit.
-    out->extraLatency += params_.eccCheckLatency;
+    out->extraLatency += kEccCheckLatency;
     if (energy_)
-        energy_->addCacheAccess(level,
-                                energy_->params().eccCheckPerBlock);
+        energy_->addCacheAccess(level, energy::kEccCheckPerBlock);
 
     EccStatus status = checkBlock(*sensed, stored);
     if (status == EccStatus::DetectedDoubleBit) {
@@ -835,10 +819,8 @@ CcController::checkOperand(Block *sensed, const Block &truth, Addr addr,
 void
 CcController::scrubTick()
 {
-    if (params_.scrubBlocksPerInstr == 0)
-        return;
     std::size_t visited = 0;
-    auto hits = faults_.scrubVisit(params_.scrubBlocksPerInstr, &visited);
+    auto hits = faults_.scrubVisit(kScrubBlocksPerInstr, &visited);
     if (visited == 0)
         return;
     if (stats_) {
@@ -848,7 +830,7 @@ CcController::scrubTick()
         // instruction's latency.
         faultScrubCyclesAccum_->add(static_cast<double>(visited) *
                                     static_cast<double>(
-                                        params_.scrubCheckLatency));
+                                        kScrubCheckLatency));
     }
     if (energy_)
         energy_->chargeCacheOp(CacheLevel::L3, energy::CacheOp::Read,
@@ -1031,8 +1013,8 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     if (!sched_.streaming)
         sched_.reset(params_.maxActiveSubarrays);
     else
-        sched_.issueClock += params_.issueLatency;  // dispatch serializes
-    res.latency = params_.issueLatency;
+        sched_.issueClock += kIssueLatency;  // dispatch serializes
+    res.latency = kIssueLatency;
 
     const OpPlan plan(instr);
     res.blockOps = plan.steps * plan.bitlineSteps;
@@ -1058,7 +1040,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     // Operand staging: fetch + pin every row, each op's sources before
     // its dest rows (so an aliased add/sub destination stack is fetched
     // before its for-overwrite staging sees it resident). Misses overlap
-    // up to fetchMlp deep.
+    // up to kFetchMlp deep.
     // ------------------------------------------------------------------
     std::vector<StagedRow> &staged = scratchStaged_;
     std::vector<Cycles> &fetch_lats = scratchFetchLats_;
@@ -1107,8 +1089,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             sched_.fetchLats.insert(sched_.fetchLats.end(),
                                     fetch_lats.begin(), fetch_lats.end());
         } else {
-            Cycles fetch = foldFetchLatencies(fetch_lats,
-                                              params_.fetchMlp);
+            Cycles fetch = foldFetchLatencies(fetch_lats, kFetchMlp);
             res.fetchLatency = fetch;
             res.latency += fetch;
         }
@@ -1188,9 +1169,9 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     auto &near_free = sched_.nearFree;
     auto &power_slots = sched_.powerSlots;
 
-    const Cycles op_latency = params_.inPlaceLatency(level);
+    const Cycles op_latency = inPlaceLatency(level);
     const Cycles interval = std::max<Cycles>(
-        1, static_cast<Cycles>(params_.partitionPipelineFactor *
+        1, static_cast<Cycles>(kPartitionPipelineFactor *
                                static_cast<double>(op_latency)));
 
     std::uint64_t result_mask = 0;
@@ -1203,7 +1184,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
 
     for (BlockOp &op : ops) {
         issue_clock += 1;  // command delivery on the shared bus
-        Cycles start = issue_clock / params_.commandIssuePerCycle;
+        Cycles start = issue_clock / kCommandIssuePerCycle;
         Cycles end;
 
         // Execute functionally first: the fault ladder's retries,
@@ -1229,9 +1210,9 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
                 // receiving partition.
                 start += op_latency;
                 if (energy_) {
-                    EnergyPJ write = energy_->params().cacheOpEnergy(
+                    EnergyPJ write = energy::cacheOpEnergy(
                         level, energy::CacheOp::Write);
-                    double ic = energy_->params().htreeFraction(
+                    double ic = energy::htreeFraction(
                         level, energy::CacheOp::Write);
                     if (!key_htree_charged) {
                         energy_->addCacheIc(level, write * ic);
@@ -1271,7 +1252,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             if (op.cacheIndex >= near_free.size())
                 near_free.resize(op.cacheIndex + 1, 0);
             start = std::max(start, near_free[op.cacheIndex]);
-            end = start + params_.nearPlace.latency(level) +
+            end = start + nearPlaceLatency(level) +
                 plan.nearPlaceCycles + outcome.extraLatency;
             near_free[op.cacheIndex] = end;
             ++res.nearPlaceOps;

@@ -36,55 +36,26 @@
 
 namespace ccache::cc {
 
+/** Latency of one in-place block operation at @p level (Section IV-J:
+ *  14 cycles vs 22 near-place, for the large L3 sub-arrays; the smaller
+ *  L1/L2 arrays activate and sense faster). */
+constexpr Cycles
+inPlaceLatency(CacheLevel level)
+{
+    switch (level) {
+      case CacheLevel::L1: return 4;
+      case CacheLevel::L2: return 8;
+      case CacheLevel::L3: return 14;
+    }
+    return 14;
+}
+
 /** Controller configuration. */
 struct CcControllerParams
 {
-    /** Latency of one in-place block operation (Section IV-J: 14 cycles
-     *  vs 22 near-place, for the large L3 sub-arrays; the smaller L1/L2
-     *  arrays activate and sense faster). @{ */
-    Cycles inPlaceOpLatency = 14;   ///< L3
-    Cycles inPlaceOpLatencyL2 = 8;
-    Cycles inPlaceOpLatencyL1 = 4;
-    /** @} */
-
-    /** Back-to-back in-place ops in one partition overlap precharge with
-     *  the previous op's write-back: the initiation interval is this
-     *  fraction of the op latency, in (0, 1]. */
-    double partitionPipelineFactor = 0.5;
-
-    /** In-place op latency at @p level. */
-    Cycles
-    inPlaceLatency(CacheLevel level) const
-    {
-        switch (level) {
-          case CacheLevel::L1: return inPlaceOpLatencyL1;
-          case CacheLevel::L2: return inPlaceOpLatencyL2;
-          case CacheLevel::L3: return inPlaceOpLatency;
-        }
-        return inPlaceOpLatency;
-    }
-
-    NearPlaceParams nearPlace;
-
     /** Peak-power cap: sub-arrays allowed to compute simultaneously
      *  (Section IV-D limits concurrency to bound peak power). 0 = no cap. */
     unsigned maxActiveSubarrays = 128;
-
-    /** Commands deliverable per cycle on the shared address H-tree
-     *  (at least 1). */
-    unsigned commandIssuePerCycle = 1;
-
-    /** Operand-lock retry budget before RISC fallback (Section IV-E). */
-    unsigned maxLockRetries = 2;
-
-    /** Pipeline-exception penalty for page-spanning operands. */
-    Cycles pageSplitPenalty = 30;
-
-    /** Core -> L1 CC controller dispatch cost per instruction. */
-    Cycles issueLatency = 4;
-
-    /** Memory-level parallelism of the operand fetch engine. */
-    unsigned fetchMlp = 8;
 
     /** Force every op to a fixed level (benchmark configurations
      *  CC_L1 / CC_L2 / CC_L3). */
@@ -104,29 +75,9 @@ struct CcControllerParams
      * ladder: in-place retry -> near-place unit (single-row, full
      * margin) -> discard-and-refill plus RISC recompute. Disabled (the
      * default), none of the fault code runs and all outputs are
-     * bit-identical to a fault-free build. @{
+     * bit-identical to a fault-free build.
      */
     fault::FaultParams faults;
-
-    /** ECC logic-unit check latency per 64-byte block (Section IV-I
-     *  alternative 1: the xor-identity check unit). */
-    Cycles eccCheckLatency = 3;
-
-    /** Re-sense attempts before degrading to the near-place unit. */
-    unsigned maxFaultRetries = 2;
-
-    /** Background scrubber stops per instruction (0 disables).
-     *  Scrubbing steals idle cycles (Section IV-I alternative 2), so
-     *  its cycles are tracked as a stat, not instruction latency. */
-    unsigned scrubBlocksPerInstr = 4;
-
-    /** Cycles to scrub one block (read + ECC check). */
-    Cycles scrubCheckLatency = 4;
-
-    /** Latency of discarding an uncorrectable line and refilling clean
-     *  data from memory (the final rung's recovery cost). */
-    Cycles faultRefillLatency = 240;
-    /** @} */
 };
 
 /** Outcome of executing one CC instruction. */
@@ -161,6 +112,55 @@ struct CcExecResult
 class CcController
 {
   public:
+    /** Back-to-back in-place ops in one partition overlap precharge with
+     *  the previous op's write-back: the initiation interval is this
+     *  fraction of the op latency. */
+    static constexpr double kPartitionPipelineFactor = 0.5;
+
+    /** Commands deliverable per cycle on the shared address H-tree. */
+    static constexpr unsigned kCommandIssuePerCycle = 1;
+
+    // The schedule divides by the command rate and scales the op
+    // latency into Cycles.
+    static_assert(kCommandIssuePerCycle >= 1,
+                  "the command bus must deliver a command per cycle");
+    static_assert(kPartitionPipelineFactor > 0.0 &&
+                      kPartitionPipelineFactor <= 1.0,
+                  "partition pipeline factor must be in (0, 1]");
+
+    /** Operand-lock retry budget before RISC fallback (Section IV-E). */
+    static constexpr unsigned kMaxLockRetries = 2;
+
+    /** Pipeline-exception penalty for page-spanning operands. */
+    static constexpr Cycles kPageSplitPenalty = 30;
+
+    /** Core -> L1 CC controller dispatch cost per instruction. */
+    static constexpr Cycles kIssueLatency = 4;
+
+    /** Memory-level parallelism of the operand fetch engine. */
+    static constexpr unsigned kFetchMlp = 8;
+
+    /** Fault-ladder timing (CcControllerParams::faults). @{ */
+    /** ECC logic-unit check latency per 64-byte block (Section IV-I
+     *  alternative 1: the xor-identity check unit). */
+    static constexpr Cycles kEccCheckLatency = 3;
+
+    /** Re-sense attempts before degrading to the near-place unit. */
+    static constexpr unsigned kMaxFaultRetries = 2;
+
+    /** Background scrubber stops per instruction. Scrubbing steals idle
+     *  cycles (Section IV-I alternative 2), so its cycles are tracked
+     *  as a stat, not instruction latency. */
+    static constexpr unsigned kScrubBlocksPerInstr = 4;
+
+    /** Cycles to scrub one block (read + ECC check). */
+    static constexpr Cycles kScrubCheckLatency = 4;
+
+    /** Latency of discarding an uncorrectable line and refilling clean
+     *  data from memory (the final rung's recovery cost). */
+    static constexpr Cycles kFaultRefillLatency = 240;
+    /** @} */
+
     CcController(cache::Hierarchy &hier, energy::EnergyModel *energy,
                  StatRegistry *stats,
                  const CcControllerParams &params = CcControllerParams{});
@@ -428,7 +428,7 @@ class CcController
     /**
      * Fault-ladder rung 0/1: sense source row @p row of both operands
      * through the injector and the ECC check unit, retrying margin
-     * failures and detected-uncorrectable errors up to maxFaultRetries
+     * failures and detected-uncorrectable errors up to kMaxFaultRetries
      * times. On success the (possibly corrected, possibly silently
      * corrupted) sensed data is left in @p a / @p b. Returns false when
      * every attempt failed and the caller must degrade to the next rung.

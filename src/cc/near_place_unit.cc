@@ -82,10 +82,9 @@ BlockCompute::clmulPack(const Block &a, const Block &b,
     return out;
 }
 
-NearPlaceUnit::NearPlaceUnit(const NearPlaceParams &params,
-                             energy::EnergyModel *energy,
+NearPlaceUnit::NearPlaceUnit(energy::EnergyModel *energy,
                              StatRegistry *stats)
-    : params_(params), energy_(energy), stats_(stats)
+    : energy_(energy), stats_(stats)
 {
     if (stats_)
         opsStat_ = &stats_->counter("cc.near_place_ops");
@@ -100,7 +99,7 @@ NearPlaceUnit::execute(CcOpcode op, CacheLevel level, const Block &a,
         opsStat_->inc();
 
     NearPlaceResult res;
-    res.latency = params_.latency(level);
+    res.latency = nearPlaceLatency(level);
 
     unsigned reads = numAddrOperands(op) - (isCcR(op) ? 0u : 1u);
     if (op == CcOpcode::Buz)
@@ -111,7 +110,7 @@ NearPlaceUnit::execute(CcOpcode op, CacheLevel level, const Block &a,
         // baseline read cost per source operand.
         for (unsigned r = 0; r < reads; ++r)
             energy_->chargeCacheOp(level, energy::CacheOp::Read);
-        energy_->chargeNearPlaceLogic(1);
+        energy_->chargeNearPlaceLogic(level, 1);
         // RW results are written back over the H-tree.
         if (!isCcR(op))
             energy_->chargeCacheOp(level, energy::CacheOp::Write);

@@ -32,38 +32,25 @@ struct NearPlaceResult
     Cycles latency = 0;
 };
 
-/** Configuration of the logic unit. */
-struct NearPlaceParams
+/** Latency of one near-place block op at @p level. Section IV-J quotes
+ *  22 cycles (vs 14 in-place) for the large lower-level arrays; smaller
+ *  upper-level arrays have shorter H-tree paths. */
+constexpr Cycles
+nearPlaceLatency(CacheLevel level)
 {
-    /** Latency of one near-place block op at each level. Section IV-J
-     *  quotes 22 cycles (vs 14 in-place) for the large lower-level
-     *  arrays; smaller upper-level arrays have shorter H-tree paths. @{ */
-    Cycles opLatency = 22;      ///< L3
-    Cycles opLatencyL2 = 17;
-    Cycles opLatencyL1 = 12;
-    /** @} */
-
-    /** Latency at @p level. */
-    Cycles
-    latency(CacheLevel level) const
-    {
-        switch (level) {
-          case CacheLevel::L1: return opLatencyL1;
-          case CacheLevel::L2: return opLatencyL2;
-          case CacheLevel::L3: return opLatency;
-        }
-        return opLatency;
+    switch (level) {
+      case CacheLevel::L1: return 12;
+      case CacheLevel::L2: return 17;
+      case CacheLevel::L3: return 22;
     }
-};
+    return 22;
+}
 
 /** The logic unit itself: pure block-level compute plus cost model. */
 class NearPlaceUnit
 {
   public:
-    NearPlaceUnit(const NearPlaceParams &params,
-                  energy::EnergyModel *energy, StatRegistry *stats);
-
-    const NearPlaceParams &params() const { return params_; }
+    NearPlaceUnit(energy::EnergyModel *energy, StatRegistry *stats);
 
     /**
      * Execute one block-wide op on operands already read into the
@@ -78,7 +65,6 @@ class NearPlaceUnit
     std::uint64_t opsExecuted() const { return ops_; }
 
   private:
-    NearPlaceParams params_;
     energy::EnergyModel *energy_;
     StatRegistry *stats_;
     /** Pre-registered "cc.near_place_ops" counter: execute() runs once

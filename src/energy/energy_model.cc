@@ -22,7 +22,7 @@ EnergyBreakdown::operator+=(const EnergyBreakdown &other)
     return *this;
 }
 
-EnergyModel::EnergyModel(const EnergyParams &params) : params_(params)
+EnergyModel::EnergyModel()
 {
     for (CacheLevel level :
          {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
@@ -30,8 +30,8 @@ EnergyModel::EnergyModel(const EnergyParams &params) : params_(params)
             CacheOp op = static_cast<CacheOp>(o);
             OpCost &c =
                 opCost_[static_cast<unsigned>(level) - 1][o];
-            c.perBlock = params_.cacheOpEnergy(level, op);
-            c.icFrac = params_.htreeFraction(level, op);
+            c.perBlock = cacheOpEnergy(level, op);
+            c.icFrac = htreeFraction(level, op);
         }
     }
 }
@@ -72,37 +72,36 @@ EnergyModel::chargeCacheOp(CacheLevel level, CacheOp op,
 void
 EnergyModel::chargeInstructions(std::uint64_t n)
 {
-    dyn_.core += params_.corePerInstr * static_cast<double>(n);
+    dyn_.core += kCorePerInstr * static_cast<double>(n);
 }
 
 void
 EnergyModel::chargeVectorInstructions(std::uint64_t n)
 {
-    dyn_.core += (params_.corePerInstr + params_.coreVectorExtra) *
-        static_cast<double>(n);
+    dyn_.core += (kCorePerInstr + kCoreVectorExtra) * static_cast<double>(n);
 }
 
 void
 EnergyModel::chargeNoc(std::uint64_t bytes, unsigned hops)
 {
     std::uint64_t flits = divCeil(bytes, 8);
-    dyn_.noc += params_.nocPerFlitHop * static_cast<double>(flits) *
+    dyn_.noc += kNocPerFlitHop * static_cast<double>(flits) *
         static_cast<double>(hops);
 }
 
 void
 EnergyModel::chargeDram(std::uint64_t blocks)
 {
-    dyn_.dram += params_.dramPerBlock * static_cast<double>(blocks);
+    dyn_.dram += kDramPerBlock * static_cast<double>(blocks);
 }
 
 void
-EnergyModel::chargeNearPlaceLogic(std::uint64_t blocks)
+EnergyModel::chargeNearPlaceLogic(CacheLevel level, std::uint64_t blocks)
 {
     // The logic unit sits at the cache controller; its datapath energy is
     // attributed to the cache access component of the level it serves.
-    dyn_.l3Access +=
-        params_.nearPlaceLogicPerBlock * static_cast<double>(blocks);
+    addCacheAccess(level,
+                   kNearPlaceLogicPerBlock * static_cast<double>(blocks));
 }
 
 EnergyTotals
@@ -113,9 +112,8 @@ EnergyModel::totals(Cycles elapsed, unsigned cores,
     t.coreDynamic = dyn_.core;
     t.uncoreDynamic = dyn_.dataMovement();
     double seconds = cyclesToSeconds(elapsed);
-    t.coreStatic = params_.coreStaticW * cores * seconds * 1e12;
-    t.uncoreStatic =
-        params_.uncoreStaticW * uncore_fraction * seconds * 1e12;
+    t.coreStatic = kCoreStaticW * cores * seconds * 1e12;
+    t.uncoreStatic = kUncoreStaticW * uncore_fraction * seconds * 1e12;
     return t;
 }
 

@@ -5,7 +5,7 @@
  * Dynamic energy is attributed to the components the paper's Figure 7b
  * plots (core, per-level cache-access, per-level cache-ic, noc, dram);
  * static energy is derived from elapsed cycles and the static power
- * parameters (Figure 7c / 9a / 11 split static into core and uncore).
+ * constants (Figure 7c / 9a / 11 split static into core and uncore).
  */
 
 #ifndef CCACHE_ENERGY_ENERGY_MODEL_HH
@@ -66,9 +66,7 @@ struct EnergyTotals
 class EnergyModel
 {
   public:
-    explicit EnergyModel(const EnergyParams &params = EnergyParams{});
-
-    const EnergyParams &params() const { return params_; }
+    EnergyModel();
 
     /** Charge a cache operation from the Table V cost model, split into
      *  access and interconnect components. */
@@ -87,8 +85,9 @@ class EnergyModel
     /** Charge a DRAM block access. */
     void chargeDram(std::uint64_t blocks = 1);
 
-    /** Charge the near-place logic unit for @p blocks operations. */
-    void chargeNearPlaceLogic(std::uint64_t blocks);
+    /** Charge the near-place logic unit of @p level's controller for
+     *  @p blocks operations. */
+    void chargeNearPlaceLogic(CacheLevel level, std::uint64_t blocks);
 
     /** Direct component charges for model extensions. @{ */
     void addCore(EnergyPJ pj) { dyn_.core += pj; }
@@ -125,7 +124,6 @@ class EnergyModel
     static constexpr std::size_t kOps =
         static_cast<std::size_t>(CacheOp::Clmul) + 1;
 
-    EnergyParams params_;
     EnergyBreakdown dyn_;
     OpCost opCost_[kLevels][kOps];
 };

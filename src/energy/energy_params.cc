@@ -45,37 +45,8 @@ toString(CacheOp op)
     return "?";
 }
 
-CacheOp
-cacheOpFor(sram::BitlineOp op)
-{
-    using sram::BitlineOp;
-    switch (op) {
-      case BitlineOp::Read: return CacheOp::Read;
-      case BitlineOp::Write: return CacheOp::Write;
-      case BitlineOp::And:
-      case BitlineOp::Nor:
-      case BitlineOp::Or:
-      case BitlineOp::Xor:
-        return CacheOp::Logic;
-      case BitlineOp::Not: return CacheOp::Not;
-      case BitlineOp::Copy: return CacheOp::Copy;
-      case BitlineOp::Buz: return CacheOp::Buz;
-      case BitlineOp::Cmp: return CacheOp::Cmp;
-      case BitlineOp::Search: return CacheOp::Search;
-      case BitlineOp::Clmul: return CacheOp::Clmul;
-      // Bit-serial steps are logic-class activations; the extra
-      // single-row sense of sub/cmp steps is folded into the same row
-      // (the sense amps stay local, nothing crosses the H-tree).
-      case BitlineOp::AddStep:
-      case BitlineOp::SubStep:
-      case BitlineOp::CmpStep:
-        return CacheOp::Logic;
-    }
-    CC_PANIC("unknown bit-line op");
-}
-
 EnergyPJ
-EnergyParams::cacheOpEnergy(CacheLevel level, CacheOp op) const
+cacheOpEnergy(CacheLevel level, CacheOp op)
 {
     TableVRow row = tableV(level);
     switch (op) {
@@ -95,29 +66,22 @@ EnergyParams::cacheOpEnergy(CacheLevel level, CacheOp op) const
 }
 
 double
-EnergyPJReadHtreeFraction(const EnergyParams &p, CacheLevel level)
+htreeFraction(CacheLevel level, CacheOp op)
 {
-    const CacheReadSplit &split = level == CacheLevel::L1 ? p.l1Read
-        : level == CacheLevel::L2 ? p.l2Read
-                                  : p.l3Read;
-    return split.htree / split.total();
-}
-
-double
-EnergyParams::htreeFraction(CacheLevel level, CacheOp op) const
-{
+    const CacheReadSplit split = readSplit(level);
+    const double read_fraction = split.htree / split.total();
     switch (op) {
       case CacheOp::Read:
       case CacheOp::Write:
         // Baseline accesses move the block over the H-tree: Table I split.
-        return EnergyPJReadHtreeFraction(*this, level);
+        return read_fraction;
       case CacheOp::Search:
         // Search = in-place cmp + a key write that crosses the H-tree;
         // attribute the write portion's split and none for the cmp.
         {
             EnergyPJ write = cacheOpEnergy(level, CacheOp::Write);
             EnergyPJ total = cacheOpEnergy(level, CacheOp::Search);
-            return EnergyPJReadHtreeFraction(*this, level) * write / total;
+            return read_fraction * write / total;
         }
       default:
         // In-place ops only send the command over the address H-tree;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Energy parameter tables for the Compute Cache evaluation.
+ * Energy constants of the Compute Cache evaluation.
  *
  * The per-access cache numbers transcribe the paper directly:
  *  - Table I: per-read H-tree (cache-ic) vs bit-array (cache-access)
@@ -16,7 +16,6 @@
 #define CCACHE_ENERGY_ENERGY_PARAMS_HH
 
 #include "common/types.hh"
-#include "sram/subarray_params.hh"
 
 namespace ccache::energy {
 
@@ -35,9 +34,6 @@ enum class CacheOp {
 
 const char *toString(CacheOp op);
 
-/** Map an sram::BitlineOp onto its Table V cost row. */
-CacheOp cacheOpFor(sram::BitlineOp op);
-
 /** Per-read energy split of one cache level (Table I row). */
 struct CacheReadSplit
 {
@@ -47,62 +43,60 @@ struct CacheReadSplit
     EnergyPJ total() const { return htree + access; }
 };
 
-/** Full energy parameter set for the modeled system. */
-struct EnergyParams
+/** Table I row of @p level. */
+constexpr CacheReadSplit
+readSplit(CacheLevel level)
 {
-    /** Table I. @{ */
-    CacheReadSplit l1Read{179.0, 116.0};
-    CacheReadSplit l2Read{675.0, 127.0};
-    CacheReadSplit l3Read{1985.0, 467.0};
-    /** @} */
+    switch (level) {
+      case CacheLevel::L1: return {179.0, 116.0};
+      case CacheLevel::L2: return {675.0, 127.0};
+      case CacheLevel::L3: return {1985.0, 467.0};
+    }
+    return {1985.0, 467.0};
+}
 
-    /**
-     * Table V: energy (pJ) per 64-byte block. Indexed [level][op].
-     * The in-place CC operations avoid most of the H-tree transfer, which
-     * is why cmp at L3 costs 840 pJ against a 2452 pJ read.
-     */
-    EnergyPJ cacheOpEnergy(CacheLevel level, CacheOp op) const;
+/**
+ * Table V: energy (pJ) per 64-byte block of @p op at @p level.
+ * The in-place CC operations avoid most of the H-tree transfer, which
+ * is why cmp at L3 costs 840 pJ against a 2452 pJ read.
+ */
+EnergyPJ cacheOpEnergy(CacheLevel level, CacheOp op);
 
-    /** Fraction of a cache op's energy spent in the H-tree interconnect
-     *  (rather than the bit array), used to split Table V entries into
-     *  the cache-ic / cache-access components of Figure 7b. */
-    double htreeFraction(CacheLevel level, CacheOp op) const;
+/** Fraction of a cache op's energy spent in the H-tree interconnect
+ *  (rather than the bit array), used to split Table V entries into
+ *  the cache-ic / cache-access components of Figure 7b. */
+double htreeFraction(CacheLevel level, CacheOp op);
 
-    /**
-     * Core energy per committed instruction, in pJ. McPAT-style constant
-     * for a 2.66 GHz out-of-order core: fetch/decode/rename/ROB dominate,
-     * which is why Figure 3 attributes ~75% of a scalar kernel's energy
-     * to instruction processing.
-     */
-    EnergyPJ corePerInstr = 750.0;
+/**
+ * Core energy per committed instruction, in pJ. McPAT-style constant
+ * for a 2.66 GHz out-of-order core: fetch/decode/rename/ROB dominate,
+ * which is why Figure 3 attributes ~75% of a scalar kernel's energy
+ * to instruction processing.
+ */
+inline constexpr EnergyPJ kCorePerInstr = 750.0;
 
-    /** Extra core energy for a vector (SIMD or CC) instruction. */
-    EnergyPJ coreVectorExtra = 250.0;
+/** Extra core energy for a vector (SIMD or CC) instruction. */
+inline constexpr EnergyPJ kCoreVectorExtra = 250.0;
 
-    /** Ring NoC energy per 8-byte flit per hop (link + router). */
-    EnergyPJ nocPerFlitHop = 62.0;
+/** Ring NoC energy per 8-byte flit per hop (link + router). */
+inline constexpr EnergyPJ kNocPerFlitHop = 62.0;
 
-    /** DRAM access energy per 64-byte block. */
-    EnergyPJ dramPerBlock = 15000.0;
+/** DRAM access energy per 64-byte block. */
+inline constexpr EnergyPJ kDramPerBlock = 15000.0;
 
-    /** Static power in watts. @{ */
-    double coreStaticW = 0.80;    ///< per core
-    double uncoreStaticW = 2.20;  ///< caches + ring, whole chip
-    /** @} */
+/** Static power in watts. @{ */
+inline constexpr double kCoreStaticW = 0.80;    ///< per core
+inline constexpr double kUncoreStaticW = 2.20;  ///< caches + ring, whole chip
+/** @} */
 
-    /** Near-place logic unit energy per 64-byte operation (pJ): operands
-     *  cross the H-tree twice plus the logic-unit datapath. */
-    EnergyPJ nearPlaceLogicPerBlock = 180.0;
+/** Near-place logic unit energy per 64-byte operation (pJ): operands
+ *  cross the H-tree twice plus the logic-unit datapath. */
+inline constexpr EnergyPJ kNearPlaceLogicPerBlock = 180.0;
 
-    /** ECC logic-unit check of one 64-byte block (pJ): eight (72,64)
-     *  SECDED syndrome computations plus the correction mux
-     *  (Section IV-I alternative 1). */
-    EnergyPJ eccCheckPerBlock = 90.0;
-
-    /** Parameters for the parallel tag-data access ablation:
-     *  Section IV-C cites 4.7x L1 read energy for parallel access. */
-    double parallelTagDataFactor = 4.7;
-};
+/** ECC logic-unit check of one 64-byte block (pJ): eight (72,64)
+ *  SECDED syndrome computations plus the correction mux
+ *  (Section IV-I alternative 1). */
+inline constexpr EnergyPJ kEccCheckPerBlock = 90.0;
 
 } // namespace ccache::energy
 

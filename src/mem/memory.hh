@@ -1,6 +1,6 @@
 /**
  * @file
- * Functional model of main memory and its timing parameter.
+ * Functional model of main memory and its access latency.
  *
  * Storage is a sparse page map so multi-gigabyte address spaces cost only
  * what is touched. Timing is the paper's flat 120-cycle access latency
@@ -20,16 +20,13 @@
 
 namespace ccache::mem {
 
-/** Timing of main memory, charged by the hierarchy. */
-struct MemoryParams
-{
-    Cycles accessLatency = 120;   ///< Table IV
-};
-
 /** Sparse functional backing store. */
 class Memory
 {
   public:
+    /** Block access latency, charged by the hierarchy (Table IV). */
+    static constexpr Cycles kAccessLatency = 120;
+
     /** Functional access at block granularity. @{ */
     Block readBlock(Addr addr) const;
     void writeBlock(Addr addr, const Block &data);

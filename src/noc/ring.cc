@@ -24,8 +24,6 @@ Ring::Ring(const RingParams &params, energy::EnergyModel *energy,
 {
     if (params_.nodes == 0)
         CC_FATAL("ring needs at least one node");
-    if (params_.linkBytes == 0)
-        CC_FATAL("ring links need a nonzero width");
     if (stats_) {
         messagesStat_ = &stats_->counter("noc.messages");
         flitHopsStat_ = &stats_->counter("noc.flit_hops");
@@ -63,8 +61,8 @@ Ring::send(unsigned src, unsigned dst, MsgClass cls)
 
     // Wormhole-style: head latency plus serialization of the payload over
     // the 256-bit link.
-    Cycles serialization = divCeil(bytes, params_.linkBytes);
-    Cycles latency = params_.hopLatency * hops + serialization;
+    Cycles serialization = divCeil(bytes, kLinkBytes);
+    Cycles latency = kHopLatency * hops + serialization;
 
     if (trace_ && trace_->enabled()) {
         Json args = Json::object();

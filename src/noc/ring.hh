@@ -39,14 +39,18 @@ std::size_t messageBytes(MsgClass cls);
 struct RingParams
 {
     unsigned nodes = 8;        ///< ring stops (core + L3 slice per stop)
-    Cycles hopLatency = 3;     ///< Table IV
-    unsigned linkBytes = 32;   ///< 256-bit links
 };
 
 /** Bidirectional ring: traffic takes the shorter direction. */
 class Ring
 {
   public:
+    /** Table IV: 3-cycle hops over 256-bit (32-byte) links. @{ */
+    static constexpr Cycles kHopLatency = 3;
+    static constexpr unsigned kLinkBytes = 32;
+    /** @} */
+    static_assert(kLinkBytes > 0, "serialization divides by the width");
+
     Ring(const RingParams &params, energy::EnergyModel *energy,
          StatRegistry *stats);
 

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 
+#include "cache/cache.hh"
+
 namespace ccache::sim {
 
 void
-CoreCostModel::addMemAccess(Cycles lat, Cycles l1_latency)
+CoreCostModel::addMemAccess(Cycles lat)
 {
     ++memOps_;
-    if (lat <= l1_latency) {
+    if (lat <= cache::accessLatency(CacheLevel::L1)) {
         ++hitOps_;
     } else {
         missLatencySum_ += lat;
@@ -29,17 +31,15 @@ CoreCostModel::addBranches(std::uint64_t n, double rate)
     instrs_ += n;
     serialLatency_ += static_cast<Cycles>(
         static_cast<double>(n) * rate *
-        static_cast<double>(params_.branchMispredictPenalty));
+        static_cast<double>(kBranchMispredictPenalty));
 }
 
 Cycles
 CoreCostModel::cycles() const
 {
-    Cycles issue_bound = (instrs_ + memOps_ + params_.issueWidth - 1) /
-        params_.issueWidth;
-    Cycles hit_time = hitOps_ / std::max(1u, params_.memIssueWidth);
-    Cycles miss_time = std::max(
-        maxMissLatency_, missLatencySum_ / std::max(1u, params_.mshrs));
+    Cycles issue_bound = (instrs_ + memOps_ + kIssueWidth - 1) / kIssueWidth;
+    Cycles hit_time = hitOps_ / kMemIssueWidth;
+    Cycles miss_time = std::max(maxMissLatency_, missLatencySum_ / kMshrs);
     Cycles mem_bound = hit_time + miss_time + serialLatency_;
     return std::max<Cycles>(1, std::max(issue_bound, mem_bound));
 }

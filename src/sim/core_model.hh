@@ -20,46 +20,40 @@
 
 namespace ccache::sim {
 
-/** Core parameters (Table IV: 2.66 GHz OoO, 48 LQ / 32 SQ). */
-struct CoreParams
+/** Accumulates one kernel's instruction and memory activity on the
+ *  Table IV core (2.66 GHz OoO, 48 LQ / 32 SQ). */
+class CoreCostModel
 {
-    unsigned issueWidth = 4;
+  public:
+    /** Instructions issued per cycle. */
+    static constexpr unsigned kIssueWidth = 4;
 
     /** Memory ops issued per cycle when hitting in L1. */
-    unsigned memIssueWidth = 2;
+    static constexpr unsigned kMemIssueWidth = 2;
 
     /** Concurrent outstanding misses. The effective MLP of the paper's
      *  Sniper baseline on L3-resident streams is low (the copy
      *  decomposition in Section VI-D implies largely serialized misses);
      *  2 reproduces the reported Base_32 throughput shape. */
-    unsigned mshrs = 2;
+    static constexpr unsigned kMshrs = 2;
 
     /** Loop bookkeeping instructions per vector chunk (index update,
      *  bounds check, branch). */
-    unsigned loopOverheadInstrs = 3;
+    static constexpr unsigned kLoopOverheadInstrs = 3;
 
     /** Pipeline refill cost of one branch misprediction (SandyBridge-
      *  class front end). */
-    Cycles branchMispredictPenalty = 15;
-};
+    static constexpr Cycles kBranchMispredictPenalty = 15;
 
-/** Accumulates one kernel's instruction and memory activity. */
-class CoreCostModel
-{
-  public:
-    explicit CoreCostModel(const CoreParams &params = CoreParams{})
-        : params_(params)
-    {
-    }
-
-    const CoreParams &params() const { return params_; }
+    // cycles() divides by both widths.
+    static_assert(kIssueWidth >= 1 && kMemIssueWidth >= 1 && kMshrs >= 1);
 
     /** Record @p n non-memory instructions. */
     void addInstrs(std::uint64_t n) { instrs_ += n; }
 
     /** Record one memory access of latency @p lat (from the hierarchy).
-     *  Accesses at or under @p l1_latency count as pipelined L1 hits. */
-    void addMemAccess(Cycles lat, Cycles l1_latency = 5);
+     *  Accesses at or under the L1 latency count as pipelined L1 hits. */
+    void addMemAccess(Cycles lat);
 
     /** Record a memory access on a serially-dependent chain (pointer
      *  chasing, binary-search probes): no MLP overlap is possible. */
@@ -73,15 +67,14 @@ class CoreCostModel
 
     /**
      * Kernel cycles: max of the issue-bound and memory-bound components.
-     * Misses overlap up to `mshrs` deep; L1 hits stream at
-     * memIssueWidth per cycle.
+     * Misses overlap up to kMshrs deep; L1 hits stream at
+     * kMemIssueWidth per cycle.
      */
     Cycles cycles() const;
 
     void reset();
 
   private:
-    CoreParams params_;
     std::uint64_t instrs_ = 0;
     std::uint64_t memOps_ = 0;
     std::uint64_t hitOps_ = 0;

@@ -11,10 +11,9 @@ namespace ccache::sim {
 BaselineEngine::BaselineEngine(cache::Hierarchy &hier,
                                energy::EnergyModel *energy,
                                StatRegistry *stats,
-                               std::size_t vector_bytes,
-                               const CoreParams &core)
+                               std::size_t vector_bytes)
     : hier_(hier), energy_(energy), stats_(stats),
-      vectorBytes_(vector_bytes), coreParams_(core)
+      vectorBytes_(vector_bytes)
 {
     CC_ASSERT(vector_bytes >= 8 && vector_bytes <= kBlockSize &&
                   isPowerOfTwo(vector_bytes),
@@ -26,7 +25,7 @@ BaselineEngine::load(CoreCostModel &cost, CoreId core, Addr addr,
                      std::uint8_t *out)
 {
     Cycles lat = hier_.loadBytes(core, addr, out, vectorBytes_);
-    cost.addMemAccess(lat, hier_.params().l1.accessLatency);
+    cost.addMemAccess(lat);
     if (energy_) {
         if (vectorBytes_ > 8)
             energy_->chargeVectorInstructions(1);
@@ -40,7 +39,7 @@ BaselineEngine::store(CoreCostModel &cost, CoreId core, Addr addr,
                       const std::uint8_t *data)
 {
     Cycles lat = hier_.storeBytes(core, addr, data, vectorBytes_);
-    cost.addMemAccess(lat, hier_.params().l1.accessLatency);
+    cost.addMemAccess(lat);
     if (energy_) {
         if (vectorBytes_ > 8)
             energy_->chargeVectorInstructions(1);
@@ -52,21 +51,21 @@ BaselineEngine::store(CoreCostModel &cost, CoreId core, Addr addr,
 KernelResult
 BaselineEngine::copy(CoreId core, Addr src, Addr dst, std::size_t n)
 {
-    CoreCostModel cost(coreParams_);
+    CoreCostModel cost;
     std::vector<std::uint8_t> buf(vectorBytes_);
     for (std::size_t off = 0; off < n; off += vectorBytes_) {
         load(cost, core, src + off, buf.data());
         store(cost, core, dst + off, buf.data());
-        cost.addInstrs(coreParams_.loopOverheadInstrs);
+        cost.addInstrs(CoreCostModel::kLoopOverheadInstrs);
     }
     if (energy_)
         energy_->chargeInstructions(
-            (n / vectorBytes_) * coreParams_.loopOverheadInstrs);
+            (n / vectorBytes_) * CoreCostModel::kLoopOverheadInstrs);
 
     KernelResult res;
     res.cycles = cost.cycles();
     res.instructions = cost.instructions() +
-        (n / vectorBytes_) * coreParams_.loopOverheadInstrs;
+        (n / vectorBytes_) * CoreCostModel::kLoopOverheadInstrs;
     res.blockOps = divCeil(n, kBlockSize);
     return res;
 }
@@ -74,19 +73,19 @@ BaselineEngine::copy(CoreId core, Addr src, Addr dst, std::size_t n)
 KernelResult
 BaselineEngine::compare(CoreId core, Addr a, Addr b, std::size_t n)
 {
-    CoreCostModel cost(coreParams_);
+    CoreCostModel cost;
     std::vector<std::uint8_t> ba(vectorBytes_), bb(vectorBytes_);
     bool equal = true;
     std::uint64_t alu = 0;
     for (std::size_t off = 0; off < n; off += vectorBytes_) {
         load(cost, core, a + off, ba.data());
         load(cost, core, b + off, bb.data());
-        cost.addInstrs(1 + coreParams_.loopOverheadInstrs);  // vector cmp
+        cost.addInstrs(1 + CoreCostModel::kLoopOverheadInstrs);  // vector cmp
         ++alu;
         equal &= std::memcmp(ba.data(), bb.data(), vectorBytes_) == 0;
     }
     if (energy_) {
-        energy_->chargeInstructions(alu * coreParams_.loopOverheadInstrs);
+        energy_->chargeInstructions(alu * CoreCostModel::kLoopOverheadInstrs);
         if (vectorBytes_ > 8)
             energy_->chargeVectorInstructions(alu);
         else
@@ -96,7 +95,7 @@ BaselineEngine::compare(CoreId core, Addr a, Addr b, std::size_t n)
     KernelResult res;
     res.cycles = cost.cycles();
     res.instructions = cost.instructions() +
-        alu * coreParams_.loopOverheadInstrs;
+        alu * CoreCostModel::kLoopOverheadInstrs;
     res.value = equal ? 1 : 0;
     res.blockOps = divCeil(n, kBlockSize);
     return res;
@@ -105,7 +104,7 @@ BaselineEngine::compare(CoreId core, Addr a, Addr b, std::size_t n)
 KernelResult
 BaselineEngine::search(CoreId core, Addr data, Addr key, std::size_t n)
 {
-    CoreCostModel cost(coreParams_);
+    CoreCostModel cost;
     std::vector<std::uint8_t> chunk(vectorBytes_), kchunk(vectorBytes_);
     std::uint64_t matches = 0;
     std::uint64_t alu = 0;
@@ -115,7 +114,7 @@ BaselineEngine::search(CoreId core, Addr data, Addr key, std::size_t n)
             load(cost, core, data + blk * kBlockSize + off, chunk.data());
             // The key stays hot in L1 after the first touch.
             load(cost, core, key + off, kchunk.data());
-            cost.addInstrs(1 + coreParams_.loopOverheadInstrs);
+            cost.addInstrs(1 + CoreCostModel::kLoopOverheadInstrs);
             ++alu;
             match &= std::memcmp(chunk.data(), kchunk.data(),
                                  vectorBytes_) == 0;
@@ -123,7 +122,7 @@ BaselineEngine::search(CoreId core, Addr data, Addr key, std::size_t n)
         matches += match ? 1 : 0;
     }
     if (energy_) {
-        energy_->chargeInstructions(alu * coreParams_.loopOverheadInstrs);
+        energy_->chargeInstructions(alu * CoreCostModel::kLoopOverheadInstrs);
         if (vectorBytes_ > 8)
             energy_->chargeVectorInstructions(alu);
         else
@@ -133,7 +132,7 @@ BaselineEngine::search(CoreId core, Addr data, Addr key, std::size_t n)
     KernelResult res;
     res.cycles = cost.cycles();
     res.instructions = cost.instructions() +
-        alu * coreParams_.loopOverheadInstrs;
+        alu * CoreCostModel::kLoopOverheadInstrs;
     res.value = matches;
     res.blockOps = divCeil(n, kBlockSize);
     return res;
@@ -157,7 +156,7 @@ KernelResult
 BaselineEngine::logicalOp(CoreId core, Addr a, Addr b, Addr dst,
                           std::size_t n, bool is_and)
 {
-    CoreCostModel cost(coreParams_);
+    CoreCostModel cost;
     std::vector<std::uint8_t> ba(vectorBytes_), bb(vectorBytes_);
     std::uint64_t alu = 0;
     for (std::size_t off = 0; off < n; off += vectorBytes_) {
@@ -166,11 +165,11 @@ BaselineEngine::logicalOp(CoreId core, Addr a, Addr b, Addr dst,
         for (std::size_t i = 0; i < vectorBytes_; ++i)
             ba[i] = is_and ? (ba[i] & bb[i]) : (ba[i] | bb[i]);
         store(cost, core, dst + off, ba.data());
-        cost.addInstrs(1 + coreParams_.loopOverheadInstrs);
+        cost.addInstrs(1 + CoreCostModel::kLoopOverheadInstrs);
         ++alu;
     }
     if (energy_) {
-        energy_->chargeInstructions(alu * coreParams_.loopOverheadInstrs);
+        energy_->chargeInstructions(alu * CoreCostModel::kLoopOverheadInstrs);
         if (vectorBytes_ > 8)
             energy_->chargeVectorInstructions(alu);
         else
@@ -180,7 +179,7 @@ BaselineEngine::logicalOp(CoreId core, Addr a, Addr b, Addr dst,
     KernelResult res;
     res.cycles = cost.cycles();
     res.instructions = cost.instructions() +
-        alu * coreParams_.loopOverheadInstrs;
+        alu * CoreCostModel::kLoopOverheadInstrs;
     res.blockOps = divCeil(n, kBlockSize);
     return res;
 }

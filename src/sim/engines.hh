@@ -29,8 +29,7 @@ class BaselineEngine
      * @param vector_bytes 8 for the scalar core, 32 for Base_32's SIMD.
      */
     BaselineEngine(cache::Hierarchy &hier, energy::EnergyModel *energy,
-                   StatRegistry *stats, std::size_t vector_bytes,
-                   const CoreParams &core = CoreParams{});
+                   StatRegistry *stats, std::size_t vector_bytes);
 
     std::size_t vectorBytes() const { return vectorBytes_; }
 
@@ -74,7 +73,6 @@ class BaselineEngine
     energy::EnergyModel *energy_;
     StatRegistry *stats_;
     std::size_t vectorBytes_;
-    CoreParams coreParams_;
 };
 
 /** Compute Cache engine: drives the CC controller with Table II

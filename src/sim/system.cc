@@ -24,15 +24,15 @@ envForcesChecker()
 
 System::System(const SystemConfig &config)
     : config_(config),
-      energy_(std::make_unique<energy::EnergyModel>(config.energy)),
+      energy_(std::make_unique<energy::EnergyModel>()),
       hier_(std::make_unique<cache::Hierarchy>(config.hierarchy,
                                                energy_.get(), &stats_)),
       cc_(std::make_unique<cc::CcController>(*hier_, energy_.get(),
                                              &stats_, config.cc)),
       scalar_(std::make_unique<BaselineEngine>(*hier_, energy_.get(),
-                                               &stats_, 8, config.core)),
+                                               &stats_, 8)),
       simd_(std::make_unique<BaselineEngine>(*hier_, energy_.get(),
-                                             &stats_, 32, config.core)),
+                                             &stats_, 32)),
       ccEngine_(std::make_unique<CcEngine>(*hier_, *cc_, energy_.get(),
                                            &stats_)),
       clocks_(config.hierarchy.cores, 0)
@@ -104,9 +104,8 @@ System::dump(Addr addr, std::size_t len)
 void
 System::warm(CacheLevel level, CoreId core, Addr addr, std::size_t len)
 {
-    // Warm without perturbing the experiment's metrics: stash, act,
-    // restore energy is unnecessary since we snapshot via resetMetrics in
-    // benches; still, warming should not advance core clocks.
+    // The fills charge energy and stats like any access (benches call
+    // resetMetrics() after warming); only the core clocks stay put.
     Addr first = alignDown(addr, kBlockSize);
     Addr last = alignDown(addr + len - 1, kBlockSize);
     for (Addr blk = first; blk <= last; blk += kBlockSize) {

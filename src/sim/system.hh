@@ -37,13 +37,12 @@ struct VerifyConfig
     verify::WatchdogParams watchdogParams;
 };
 
-/** Aggregate configuration (defaults reproduce Table IV). */
+/** Aggregate configuration (defaults reproduce Table IV). Timing and
+ *  energy are constants of the modules that charge them. */
 struct SystemConfig
 {
     cache::HierarchyParams hierarchy;
-    energy::EnergyParams energy;
     cc::CcControllerParams cc;
-    CoreParams core;
     VerifyConfig verify;
 };
 
@@ -85,9 +84,13 @@ class System
     /** @} */
 
     /**
-     * Warm an address range into a cache level for @p core without
-     * charging energy or time (benchmark preconditioning, e.g. "all
-     * operands are in L3" in Section VI-D).
+     * Warm an address range into a cache level for @p core (benchmark
+     * preconditioning, e.g. "all operands are in L3" in Section VI-D).
+     * The fills charge cache, NoC and DRAM energy and count in the
+     * stats like any access; only the core clocks stay put. Benches
+     * call resetMetrics() afterwards to measure from a warm, zeroed
+     * machine; serve::buildRequest does not, so a served request's
+     * energy and stats include warming its buffers.
      */
     void warm(CacheLevel level, CoreId core, Addr addr, std::size_t len);
 

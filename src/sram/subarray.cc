@@ -7,23 +7,9 @@
 
 namespace ccache::sram {
 
-namespace {
-
-/** Number of distinct BitlineOp values, for the op-count array. */
-constexpr std::size_t kNumOps =
-    static_cast<std::size_t>(BitlineOp::CmpStep) + 1;
-
-std::size_t
-opIndex(BitlineOp op)
-{
-    return static_cast<std::size_t>(op);
-}
-
-} // namespace
-
 SubArray::SubArray(const SubArrayParams &params)
     : params_(params), cells_(params.rows, params.cols),
-      xorTree_(8 * kBlockSize), opCounts_(kNumOps, 0)
+      xorTree_(8 * kBlockSize)
 {
     params_.validate();
 }
@@ -87,26 +73,16 @@ SubArray::storeBlock(const BlockLoc &loc, const BitVector &bits)
 }
 
 Block
-SubArray::read(const BlockLoc &loc, OpCost *cost)
+SubArray::read(const BlockLoc &loc)
 {
     checkLoc(loc);
-    ++opCounts_[opIndex(BitlineOp::Read)];
-    if (cost) {
-        cost->delay = params_.opDelay(BitlineOp::Read);
-        cost->energy = params_.opEnergy(BitlineOp::Read);
-    }
     return bitsToBlock(senseBlock(loc));
 }
 
 void
-SubArray::write(const BlockLoc &loc, const Block &data, OpCost *cost)
+SubArray::write(const BlockLoc &loc, const Block &data)
 {
     checkLoc(loc);
-    ++opCounts_[opIndex(BitlineOp::Write)];
-    if (cost) {
-        cost->delay = params_.opDelay(BitlineOp::Write);
-        cost->energy = params_.opEnergy(BitlineOp::Write);
-    }
     storeBlock(loc, blockToBits(data));
 }
 
@@ -123,108 +99,78 @@ SubArray::activatePair(const BlockLoc &a, const BlockLoc &b)
             extractPartition(digital.norBits, a.partition)};
 }
 
-OpCost
-SubArray::logicalOp(BitlineOp op, const BlockLoc &a, const BlockLoc &b,
-                    const BlockLoc &dst)
+SubArray::TwoRowSense
+SubArray::logicalSense(const BlockLoc &a, const BlockLoc &b,
+                       const BlockLoc &dst)
 {
     checkSamePartition(a, b);
     checkSamePartition(a, dst);
-    ++opCounts_[opIndex(op)];
-
-    auto sense = activatePair(a, b);
-    BitVector result(8 * kBlockSize);
-    switch (op) {
-      case BitlineOp::And:
-        result = sense.andBits;
-        break;
-      case BitlineOp::Nor:
-        result = sense.norBits;
-        break;
-      case BitlineOp::Or:
-        // OR = NOT(NOR): the sense output is inverted before the
-        // write-back driver.
-        result = ~sense.norBits;
-        break;
-      case BitlineOp::Xor:
-        // XOR = NOR(AND, NOR): neither both-ones nor both-zeros.
-        result = ~(sense.andBits | sense.norBits);
-        break;
-      default:
-        CC_PANIC("not a two-operand logical op: ", toString(op));
-    }
-    storeBlock(dst, result);
-    return {params_.opDelay(op), params_.opEnergy(op)};
+    return activatePair(a, b);
 }
 
-OpCost
+void
 SubArray::opAnd(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst)
 {
-    return logicalOp(BitlineOp::And, a, b, dst);
+    storeBlock(dst, logicalSense(a, b, dst).andBits);
 }
 
-OpCost
+void
 SubArray::opOr(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst)
 {
-    return logicalOp(BitlineOp::Or, a, b, dst);
+    // OR = NOT(NOR): the sense output is inverted before the write-back
+    // driver.
+    storeBlock(dst, ~logicalSense(a, b, dst).norBits);
 }
 
-OpCost
+void
 SubArray::opXor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst)
 {
-    return logicalOp(BitlineOp::Xor, a, b, dst);
+    // XOR = NOR(AND, NOR): neither both-ones nor both-zeros.
+    auto sense = logicalSense(a, b, dst);
+    storeBlock(dst, ~(sense.andBits | sense.norBits));
 }
 
-OpCost
+void
 SubArray::opNor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst)
 {
-    return logicalOp(BitlineOp::Nor, a, b, dst);
+    storeBlock(dst, logicalSense(a, b, dst).norBits);
 }
 
-OpCost
+void
 SubArray::opNot(const BlockLoc &src, const BlockLoc &dst)
 {
     checkSamePartition(src, dst);
-    ++opCounts_[opIndex(BitlineOp::Not)];
 
     // Single-row activation; BLB carries the complement of the stored data.
     storeBlock(dst, ~extractPartition(cells_.row(src.row), src.partition));
-    return {params_.opDelay(BitlineOp::Not),
-            params_.opEnergy(BitlineOp::Not)};
 }
 
-OpCost
+void
 SubArray::opCopy(const BlockLoc &src, const BlockLoc &dst)
 {
     checkSamePartition(src, dst);
     CC_ASSERT(src.row != dst.row, "copy needs distinct rows");
-    ++opCounts_[opIndex(BitlineOp::Copy)];
 
     // Figure 4: the sense amplifiers read the source and their outputs are
     // fed straight back onto the bit-lines while the destination word-line
     // is write-enabled. The data never leaves the sub-array.
     BitVector sensed = senseBlock(src);
     storeBlock(dst, sensed);
-    return {params_.opDelay(BitlineOp::Copy),
-            params_.opEnergy(BitlineOp::Copy)};
 }
 
-OpCost
+void
 SubArray::opBuz(const BlockLoc &loc)
 {
     checkLoc(loc);
-    ++opCounts_[opIndex(BitlineOp::Buz)];
 
     // Resetting the input data latch before the write drives zeros.
     storeBlock(loc, BitVector(8 * kBlockSize));
-    return {params_.opDelay(BitlineOp::Buz),
-            params_.opEnergy(BitlineOp::Buz)};
 }
 
 CmpResult
-SubArray::compareWords(BitlineOp op, const BlockLoc &a, const BlockLoc &b)
+SubArray::opCmp(const BlockLoc &a, const BlockLoc &b)
 {
     checkSamePartition(a, b);
-    ++opCounts_[opIndex(op)];
 
     // Bit-wise XOR computed on the bit-lines; per-word equality is the
     // wired-NOR of the 64 XOR outputs of that word. Each 64-bit block
@@ -241,20 +187,13 @@ SubArray::compareWords(BitlineOp op, const BlockLoc &a, const BlockLoc &b)
     }
     result.allEqual =
         result.wordEqualMask == (std::uint64_t{1} << kWordsPerBlock) - 1;
-    result.cost = {params_.opDelay(op), params_.opEnergy(op)};
     return result;
-}
-
-CmpResult
-SubArray::opCmp(const BlockLoc &a, const BlockLoc &b)
-{
-    return compareWords(BitlineOp::Cmp, a, b);
 }
 
 CmpResult
 SubArray::opSearch(const BlockLoc &key, const BlockLoc &data)
 {
-    return compareWords(BitlineOp::Search, key, data);
+    return opCmp(key, data);
 }
 
 ClmulResult
@@ -262,13 +201,10 @@ SubArray::opClmul(const BlockLoc &a, const BlockLoc &b,
                   std::size_t word_bits)
 {
     checkSamePartition(a, b);
-    ++opCounts_[opIndex(BitlineOp::Clmul)];
 
     auto sense = activatePair(a, b);
     ClmulResult result;
     result.parities = xorTree_.reduceWords(sense.andBits, word_bits);
-    result.cost = {params_.opDelay(BitlineOp::Clmul),
-                   params_.opEnergy(BitlineOp::Clmul)};
     return result;
 }
 
@@ -312,20 +248,11 @@ SubArray::checkBitSerialOperands(const BitSerialOperand &a,
 }
 
 void
-SubArray::chargeStep(BitlineOp op, OpCost *cost)
-{
-    ++opCounts_[opIndex(op)];
-    cost->delay += params_.opDelay(op);
-    cost->energy += params_.opEnergy(op);
-}
-
-OpCost
 SubArray::opBitSerialAdd(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
     checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/true);
 
-    OpCost cost;
     carryLatch_ = BitVector(8 * kBlockSize);
     for (std::size_t k = 0; k < width; ++k) {
         // One dual-row activation senses AND on BL and NOR on BLB; the
@@ -337,47 +264,39 @@ SubArray::opBitSerialAdd(const BitSerialOperand &a, const BitSerialOperand &b,
         BitVector sum = x ^ carryLatch_;
         carryLatch_ = sense.andBits | (x & carryLatch_);
         storeBlock(sliceLoc(dst, k), sum);
-        chargeStep(BitlineOp::AddStep, &cost);
     }
-    return cost;
 }
 
-OpCost
+void
 SubArray::opBitSerialSub(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
     checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/true);
 
-    OpCost cost;
     carryLatch_ = BitVector(8 * kBlockSize);  // borrow latch
     for (std::size_t k = 0; k < width; ++k) {
         // diff = a^b^borrow; borrow' = (~a & b) | (~(a^b) & borrow).
         // ~a & b is not directly sensed by the pair activation, but
         // b & (a^b) equals it, so one extra single-row sense of the b
-        // slice recovers the borrow term (costed by SubStep).
+        // slice recovers the borrow term.
         auto sense = activatePair(sliceLoc(a, k), sliceLoc(b, k));
         BitVector x = ~(sense.andBits | sense.norBits);
         BitVector bbits = senseBlock(sliceLoc(b, k));
         BitVector diff = x ^ carryLatch_;
         carryLatch_ = (bbits & x) | (~x & carryLatch_);
         storeBlock(sliceLoc(dst, k), diff);
-        chargeStep(BitlineOp::SubStep, &cost);
     }
-    return cost;
 }
 
-OpCost
+void
 SubArray::opBitSerialMul(const BitSerialOperand &a, const BitSerialOperand &b,
                          const BitSerialOperand &dst, std::size_t width)
 {
     checkBitSerialOperands(a, b, dst, width, /*exact_alias=*/false);
 
-    OpCost cost;
     // Zero the accumulator slices through the reset data latch.
-    for (std::size_t k = 0; k < width; ++k) {
+    for (std::size_t k = 0; k < width; ++k)
         storeBlock(sliceLoc(dst, k), BitVector(8 * kBlockSize));
-        chargeStep(BitlineOp::Buz, &cost);
-    }
 
     // Shift-and-add: partial product j is (a & b_j) << j, accumulated
     // bit-serially into the dst slices; bits at or above width truncate
@@ -391,15 +310,12 @@ SubArray::opBitSerialMul(const BitSerialOperand &a, const BitSerialOperand &b,
             auto sense = activatePair(sliceLoc(a, k), sliceLoc(b, j));
             BitVector pp = sense.andBits;
             BitVector acc = senseBlock(sliceLoc(dst, j + k));
-            chargeStep(BitlineOp::Read, &cost);
             BitVector x = acc ^ pp;
             BitVector sum = x ^ carryLatch_;
             carryLatch_ = (acc & pp) | (x & carryLatch_);
             storeBlock(sliceLoc(dst, j + k), sum);
-            chargeStep(BitlineOp::AddStep, &cost);
         }
     }
-    return cost;
 }
 
 BitSerialCmpResult
@@ -436,7 +352,6 @@ SubArray::opBitSerialCompare(const BitSerialOperand &a,
             res.lt |= fresh & ~abits;
         }
         decided |= x;
-        chargeStep(BitlineOp::CmpStep, &res.cost);
     }
     res.eq = ~decided;
     return res;
@@ -455,12 +370,6 @@ SubArray::rawActivate(const std::vector<std::size_t> &rows)
         cells_.activateWords(rows, underdrive, /*track_margin=*/true);
     return {std::move(digital.andBits), std::move(digital.norBits),
             digital.margin};
-}
-
-std::uint64_t
-SubArray::opCount(BitlineOp op) const
-{
-    return opCounts_[opIndex(op)];
 }
 
 double

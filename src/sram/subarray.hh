@@ -13,9 +13,11 @@
  * in-place operations are legal only between blocks of the same partition
  * (operand locality, Section IV-C).
  *
- * Every operation both computes the functional result through the bit-line
- * circuit semantics and returns its delay/energy cost, so tests can check
- * the circuit-level definitions against reference software implementations.
+ * Every operation computes its functional result through the bit-line
+ * circuit semantics, so tests can check the circuit-level definitions
+ * against reference software implementations. The sub-array has no cost
+ * model: the controller prices each op from Section IV-J and Tables I
+ * and V.
  */
 
 #ifndef CCACHE_SRAM_SUBARRAY_HH
@@ -42,13 +44,6 @@ struct BlockLoc
     bool operator==(const BlockLoc &) const = default;
 };
 
-/** Cost of one sub-array operation. */
-struct OpCost
-{
-    Cycles delay = 0;
-    EnergyPJ energy = 0.0;
-};
-
 /** Result of a comparison-style operation. */
 struct CmpResult
 {
@@ -57,8 +52,6 @@ struct CmpResult
 
     /** True iff the entire blocks are equal. */
     bool allEqual = false;
-
-    OpCost cost;
 };
 
 /** Result of a clmul operation. */
@@ -66,8 +59,6 @@ struct ClmulResult
 {
     /** One parity bit per word of the configured granularity. */
     std::vector<bool> parities;
-
-    OpCost cost;
 };
 
 /**
@@ -88,7 +79,6 @@ struct BitSerialCmpResult
     BitVector lt;   ///< lane i set iff a[i] < b[i]
     BitVector gt;   ///< lane i set iff a[i] > b[i]
     BitVector eq;   ///< lane i set iff a[i] == b[i]
-    OpCost cost;
 };
 
 /** One compute-capable sub-array. */
@@ -102,34 +92,33 @@ class SubArray
     std::size_t rowsPerPartition() const { return params_.rows; }
 
     /** Baseline accesses. @{ */
-    Block read(const BlockLoc &loc, OpCost *cost = nullptr);
-    void write(const BlockLoc &loc, const Block &data,
-               OpCost *cost = nullptr);
+    Block read(const BlockLoc &loc);
+    void write(const BlockLoc &loc, const Block &data);
     /** @} */
 
     /** In-place two-operand logical ops; result written to @p dst.
      *  All three locations must share a partition. @{ */
-    OpCost opAnd(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
-    OpCost opOr(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
-    OpCost opXor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
-    OpCost opNor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
+    void opAnd(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
+    void opOr(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
+    void opXor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
+    void opNor(const BlockLoc &a, const BlockLoc &b, const BlockLoc &dst);
     /** @} */
 
     /** In-place NOT: @p dst = ~@p src (single-row BLB sense). */
-    OpCost opNot(const BlockLoc &src, const BlockLoc &dst);
+    void opNot(const BlockLoc &src, const BlockLoc &dst);
 
     /** In-place copy via sense-amp feedback (Figure 4); never latches the
      *  source outside the sub-array. */
-    OpCost opCopy(const BlockLoc &src, const BlockLoc &dst);
+    void opCopy(const BlockLoc &src, const BlockLoc &dst);
 
     /** In-place zeroing via reset data latch. */
-    OpCost opBuz(const BlockLoc &loc);
+    void opBuz(const BlockLoc &loc);
 
     /** Word-granular equality via wired-NOR of XOR bits. */
     CmpResult opCmp(const BlockLoc &a, const BlockLoc &b);
 
-    /** Search is an iterative cmp of a key block against a data block;
-     *  identical circuit activity to cmp but tracked separately. */
+    /** Search is an iterative cmp of a key block against a data block:
+     *  the same circuit activity as cmp. */
     CmpResult opSearch(const BlockLoc &key, const BlockLoc &data);
 
     /** Carryless multiply: AND then XOR-reduce at @p word_bits. */
@@ -147,18 +136,18 @@ class SubArray
      */
 
     /** dst = a + b (mod 2^width). dst may alias a or b. */
-    OpCost opBitSerialAdd(const BitSerialOperand &a,
+    void opBitSerialAdd(const BitSerialOperand &a,
                           const BitSerialOperand &b,
                           const BitSerialOperand &dst, std::size_t width);
 
     /** dst = a - b (mod 2^width) via the borrow latch. */
-    OpCost opBitSerialSub(const BitSerialOperand &a,
+    void opBitSerialSub(const BitSerialOperand &a,
                           const BitSerialOperand &b,
                           const BitSerialOperand &dst, std::size_t width);
 
     /** dst = a * b (mod 2^width), shift-and-add over partial products.
      *  dst rows must be disjoint from both source row ranges. */
-    OpCost opBitSerialMul(const BitSerialOperand &a,
+    void opBitSerialMul(const BitSerialOperand &a,
                           const BitSerialOperand &b,
                           const BitSerialOperand &dst, std::size_t width);
 
@@ -184,9 +173,6 @@ class SubArray
     };
     RawSense rawActivate(const std::vector<std::size_t> &rows);
 
-    /** Count of executed ops by type, for stats and tests. */
-    std::uint64_t opCount(BitlineOp op) const;
-
   private:
     /** Column range covered by partition @p p. */
     std::pair<std::size_t, std::size_t> columnRange(std::size_t p) const;
@@ -195,15 +181,11 @@ class SubArray
     BitVector extractPartition(const BitVector &row_bits,
                                std::size_t p) const;
 
-    /** Read block bits through an (optionally charged) activation. */
+    /** Read block bits through a single-row activation. */
     BitVector senseBlock(const BlockLoc &loc);
 
     /** Write block bits into the cells of @p loc. */
     void storeBlock(const BlockLoc &loc, const BitVector &bits);
-
-    /** Shared implementation of the two-operand logical ops. */
-    OpCost logicalOp(BitlineOp op, const BlockLoc &a, const BlockLoc &b,
-                     const BlockLoc &dst);
 
     /** Compute the (BL, BLB) senses for two activated blocks. */
     struct TwoRowSense
@@ -213,10 +195,10 @@ class SubArray
     };
     TwoRowSense activatePair(const BlockLoc &a, const BlockLoc &b);
 
-    /** Word-granular equality of two blocks, counted and costed as
-     *  @p op (cmp or search). */
-    CmpResult compareWords(BitlineOp op, const BlockLoc &a,
-                           const BlockLoc &b);
+    /** The senses of a two-operand logical op writing @p dst: all three
+     *  locations must share a partition. */
+    TwoRowSense logicalSense(const BlockLoc &a, const BlockLoc &b,
+                             const BlockLoc &dst);
 
     void checkLoc(const BlockLoc &loc) const;
     void checkSamePartition(const BlockLoc &a, const BlockLoc &b) const;
@@ -238,13 +220,9 @@ class SubArray
         return {o.partition, o.row0 + k};
     }
 
-    /** Charge one bit-serial step of kind @p op into @p cost. */
-    void chargeStep(BitlineOp op, OpCost *cost);
-
     SubArrayParams params_;
     BitcellArray cells_;
     XorReductionTree xorTree_;
-    std::vector<std::uint64_t> opCounts_;
 
     /** Scratch row list reused by activatePair (no per-op allocation). */
     std::vector<std::size_t> pairRows_ = {0, 0};

@@ -21,7 +21,6 @@ tinyParams()
     CacheParams p;
     p.geometry = geometry::CacheGeometryParams::l1d();
     p.level = CacheLevel::L1;
-    p.accessLatency = 5;
     return p;
 }
 
@@ -167,10 +166,9 @@ TEST_F(CacheTest, EnergyChargedPerTableV)
     cache.fill(0x1000, patternBlock(1), Mesi::Exclusive);  // one write
     Block out;
     cache.read(at(0x1000), out);  // one read
-    const auto &p = em.params();
     double expect =
-        p.cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Write) +
-        p.cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Read);
+        energy::cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Write) +
+        energy::cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Read);
     EXPECT_DOUBLE_EQ(em.dynamic().l1Access + em.dynamic().l1Ic, expect);
 }
 

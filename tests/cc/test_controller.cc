@@ -277,6 +277,82 @@ TEST_F(ControllerTest, InPlaceBeatsNearPlaceLatency)
               4.0);
 }
 
+TEST_F(ControllerTest, NearPlaceEnergyStaysAtItsLevel)
+{
+    // Near-place ops at L1 on L1-resident operands: the L1 controller's
+    // logic unit books its datapath energy to l1-access, so nothing
+    // reaches the L3. One Table II op (the near-place unit) and one
+    // 2-bit bit-serial add (the controller's word-serial path).
+    ctrl.mutableParams().forceLevel = CacheLevel::L1;
+    ctrl.mutableParams().forceNearPlace = true;
+    const Addr a = 0x200000, b = 0x208000, d = 0x210000;
+    const struct
+    {
+        const char *name;
+        CcInstruction instr;
+    } cases[] = {
+        {"and", CcInstruction::logicalAnd(a, b, d, kBlockSize)},
+        {"add", CcInstruction::add(a, b, d, kBlockSize, 2)},
+    };
+    for (const auto &c : cases) {
+        for (Addr base : {a, b, d}) {
+            std::size_t rows =
+                isBitSerial(c.instr.op) ? c.instr.sliceCount(base) : 1;
+            for (std::size_t k = 0; k < rows; ++k) {
+                Addr row = CcInstruction::sliceAddr(base, k);
+                loadRandom(row, kBlockSize);
+                hier.read(0, row);
+            }
+        }
+        em.reset();
+        auto res = ctrl.execute(0, c.instr);
+        ASSERT_EQ(res.level, CacheLevel::L1) << c.name;
+        ASSERT_EQ(res.nearPlaceOps, 1u) << c.name;
+        ASSERT_FALSE(res.riscFallback) << c.name;
+        const auto &dyn = em.dynamic();
+        EXPECT_EQ(dyn.l3Access, 0.0) << c.name;
+        EXPECT_EQ(dyn.l3Ic, 0.0) << c.name;
+        EXPECT_GT(dyn.l1Access, energy::kNearPlaceLogicPerBlock) << c.name;
+    }
+}
+
+TEST_F(ControllerTest, LatencyIsIssuePlusFetchPlusComputePlusNotify)
+{
+    // latency = issue + fetch + compute + notify for a fault-free,
+    // single-page, non-streamed op. Only an L3 op notifies across the
+    // ring: the computing slice sends one Control message to the
+    // issuing core's stop. The pages live on slice 5, four hops from
+    // core 1.
+    const CoreId core = 1;
+    const unsigned slice = 5;
+    for (CacheLevel level :
+         {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
+        const Addr base = 0x300000 + static_cast<Addr>(level) * 0x10000;
+        const Addr a = base, b = base + 0x4000, d = base + 0x8000;
+        for (Addr page : {a, b, d})
+            hier.mapPage(page, slice);
+        loadRandom(a, 512);
+        loadRandom(b, 512);
+        ctrl.mutableParams().forceLevel = level;
+        auto res =
+            ctrl.execute(core, CcInstruction::logicalAnd(a, b, d, 512));
+        ASSERT_EQ(res.level, level);
+        ASSERT_FALSE(res.riscFallback);
+        ASSERT_EQ(res.pageSplits, 0u);
+        ASSERT_GT(res.fetchLatency, 0u);  // cold operands were staged
+
+        Cycles notify = 0;
+        if (level == CacheLevel::L3) {
+            noc::Ring ring(noc::RingParams{}, nullptr, nullptr);
+            notify = ring.send(slice, core, noc::MsgClass::Control);
+            EXPECT_EQ(notify, 4 * noc::Ring::kHopLatency + 1);
+        }
+        EXPECT_EQ(res.latency - res.fetchLatency - res.computeLatency,
+                  CcController::kIssueLatency + notify)
+            << toString(level);
+    }
+}
+
 TEST_F(ControllerTest, ParallelismScalesWithPartitions)
 {
     // 64 blocks spread over all 64 L3 partitions: completion must be far
@@ -284,7 +360,7 @@ TEST_F(ControllerTest, ParallelismScalesWithPartitions)
     loadRandom(0x180000, 4096);
     auto res =
         ctrl.execute(0, CcInstruction::copy(0x180000, 0x188000, 4096));
-    Cycles serial = 64 * ctrl.params().inPlaceOpLatency;
+    Cycles serial = 64 * inPlaceLatency(CacheLevel::L3);
     EXPECT_LT(res.computeLatency, serial / 4);
     EXPECT_GT(res.fetchLatency, 0u);  // operands were cold
 }

@@ -2,13 +2,11 @@
  * @file
  * Controller edge cases: cross-slice operands (near-place fallback at
  * L3), RISC-fallback result correctness for CC-R, staging races,
- * odd vector sizes through the engines, replicated-clmul
- * bookkeeping, and rejected controller parameters.
+ * odd vector sizes through the engines and replicated-clmul
+ * bookkeeping.
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
@@ -296,34 +294,6 @@ TEST(ControllerEdges, LockRetryCounterVisible)
     ctrl.execute(0, CcInstruction::buz(dest, 64));
     EXPECT_GT(sys.stats().value("cc.lock_retries"), 0u);
     EXPECT_GT(sys.stats().value("cc.risc_fallbacks"), 0u);
-}
-
-TEST(ControllerEdges, RejectsNonsensicalParams)
-{
-    energy::EnergyModel em;
-    StatRegistry stats;
-    cache::Hierarchy hier(cache::HierarchyParams{}, &em, &stats);
-    auto build = [&](auto &&mutate) {
-        CcControllerParams p;
-        mutate(p);
-        CcController ctrl(hier, &em, &stats, p);
-    };
-    // The command bus rate is a divisor.
-    EXPECT_THROW(build([](CcControllerParams &p) {
-                     p.commandIssuePerCycle = 0;
-                 }),
-                 FatalError);
-    // The pipeline factor scales the op latency into Cycles.
-    for (double bad : {0.0, -0.5, 1.5, std::nan("")}) {
-        EXPECT_THROW(build([bad](CcControllerParams &p) {
-                         p.partitionPipelineFactor = bad;
-                     }),
-                     FatalError)
-            << bad;
-    }
-    EXPECT_NO_THROW(build([](CcControllerParams &p) {
-        p.partitionPipelineFactor = 1.0;
-    }));
 }
 
 } // namespace

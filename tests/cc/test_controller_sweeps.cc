@@ -91,15 +91,14 @@ INSTANTIATE_TEST_SUITE_P(
 /** In-place op latency must rise monotonically down the hierarchy. */
 TEST(ControllerParams, LatencyMonotoneByLevel)
 {
-    CcControllerParams p;
-    EXPECT_LT(p.inPlaceLatency(CacheLevel::L1),
-              p.inPlaceLatency(CacheLevel::L2));
-    EXPECT_LT(p.inPlaceLatency(CacheLevel::L2),
-              p.inPlaceLatency(CacheLevel::L3));
+    EXPECT_LT(inPlaceLatency(CacheLevel::L1),
+              inPlaceLatency(CacheLevel::L2));
+    EXPECT_LT(inPlaceLatency(CacheLevel::L2),
+              inPlaceLatency(CacheLevel::L3));
     // Near-place always slower than in-place at the same level.
     for (CacheLevel l :
          {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
-        EXPECT_GT(p.nearPlace.latency(l), p.inPlaceLatency(l));
+        EXPECT_GT(nearPlaceLatency(l), inPlaceLatency(l));
     }
 }
 

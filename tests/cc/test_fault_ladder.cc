@@ -80,7 +80,6 @@ TEST(FaultLadderTest, DisabledInjectionLeavesCostsUntouched)
     // guarantee.
     CcControllerParams with_faults;
     with_faults.faults.seed = 999;     // ignored while disabled
-    with_faults.scrubBlocksPerInstr = 64;
 
     Sim def;
     Sim off(with_faults);
@@ -227,11 +226,12 @@ TEST(FaultLadderTest, MarginFailuresDegradeToNearPlace)
     // exhausts its budget and lands on the near-place unit, whose
     // single-row full-margin reads succeed.
     EXPECT_EQ(res.faultDegradedOps, res.blockOps);
-    EXPECT_EQ(res.faultRetries, res.blockOps * p.maxFaultRetries);
+    EXPECT_EQ(res.faultRetries,
+              res.blockOps * CcController::kMaxFaultRetries);
     EXPECT_EQ(res.faultRiscRecoveries, 0u);
     EXPECT_GT(res.latency, ref.latency);
     EXPECT_EQ(sim.stats.value("cc.fault.margin_failures"),
-              res.blockOps * (p.maxFaultRetries + 1));
+              res.blockOps * (CcController::kMaxFaultRetries + 1));
     EXPECT_EQ(sim.dumpBytes(0x30000, kLen), refAnd(a, b));
 
     // Copy activates one row at a time: margin failures never apply.
@@ -339,18 +339,27 @@ TEST(FaultLadderTest, ScrubberFindsLatentUpsets)
     p.faults.enabled = true;
     p.faults.seed = 10;
     p.faults.backgroundUpsetPerInstr = 1.0;
-    p.scrubBlocksPerInstr = 16;
 
     Sim sim(p);
     sim.loadRandom(0x10000, kLen, 1);
     sim.loadRandom(0x20000, kLen, 2);
-    for (int i = 0; i < 32; ++i) {
+    constexpr unsigned kInstrs = 32;
+    for (unsigned i = 0; i < kInstrs; ++i) {
         sim.ctrl.execute(
             0, CcInstruction::logicalAnd(0x10000, 0x20000, 0x30000,
                                          kLen));
     }
 
-    EXPECT_GT(sim.stats.value("cc.fault.scrub_visits"), 0u);
+    // The scrubber stops at most kScrubBlocksPerInstr blocks before each
+    // instruction, and its time is its own budget: kScrubCheckLatency
+    // per visited block.
+    std::uint64_t visits = sim.stats.value("cc.fault.scrub_visits");
+    EXPECT_GT(visits, 0u);
+    EXPECT_LE(visits, kInstrs * CcController::kScrubBlocksPerInstr);
+    EXPECT_DOUBLE_EQ(sim.stats.accumValue("cc.fault.scrub_cycles"),
+                     static_cast<double>(visits) *
+                         static_cast<double>(
+                             CcController::kScrubCheckLatency));
     EXPECT_GT(sim.ctrl.faultInjector().backgroundUpsets(), 0u);
     // Latent errors were found and resolved by the scrubber or by the
     // access path's ECC check; they must not pile up unboundedly.
@@ -401,7 +410,6 @@ TEST(FaultLadderTest, CoherenceCheckerGreenThroughEveryRung)
         {"scrub",
          [](CcControllerParams &p) {
              p.faults.backgroundUpsetPerInstr = 1.0;
-             p.scrubBlocksPerInstr = 16;
          }},
     };
 

@@ -88,7 +88,7 @@ TEST(BlockComputeTest, BuzIgnoresInputs)
 class NearPlaceTest : public ::testing::Test
 {
   protected:
-    NearPlaceTest() : unit(NearPlaceParams{}, &em, &stats) {}
+    NearPlaceTest() : unit(&em, &stats) {}
     energy::EnergyModel em;
     StatRegistry stats;
     NearPlaceUnit unit;
@@ -100,7 +100,7 @@ TEST_F(NearPlaceTest, ComputesRwResult)
     Block a = randomBlock(rng), b = randomBlock(rng);
     auto res = unit.execute(CcOpcode::Xor, CacheLevel::L3, a, b);
     EXPECT_EQ(res.result, BlockCompute::apply(CcOpcode::Xor, a, b));
-    EXPECT_EQ(res.latency, unit.params().opLatency);
+    EXPECT_EQ(res.latency, nearPlaceLatency(CacheLevel::L3));
     EXPECT_EQ(unit.opsExecuted(), 1u);
     EXPECT_EQ(stats.value("cc.near_place_ops"), 1u);
 }
@@ -112,37 +112,53 @@ TEST_F(NearPlaceTest, ComputesCmpMask)
     b[9] ^= 1;  // word 1 differs
     auto res = unit.execute(CcOpcode::Cmp, CacheLevel::L2, a, b);
     EXPECT_EQ(res.wordEqualMask, 0xffu & ~(1u << 1));
-    EXPECT_EQ(res.latency, unit.params().opLatencyL2);
+    EXPECT_EQ(res.latency, nearPlaceLatency(CacheLevel::L2));
 }
 
 TEST_F(NearPlaceTest, LatencyScalesByLevel)
 {
-    NearPlaceParams p;
-    EXPECT_GT(p.latency(CacheLevel::L3), p.latency(CacheLevel::L2));
-    EXPECT_GT(p.latency(CacheLevel::L2), p.latency(CacheLevel::L1));
+    EXPECT_GT(nearPlaceLatency(CacheLevel::L3),
+              nearPlaceLatency(CacheLevel::L2));
+    EXPECT_GT(nearPlaceLatency(CacheLevel::L2),
+              nearPlaceLatency(CacheLevel::L1));
 }
 
 TEST_F(NearPlaceTest, ChargesHtreeReadsAndWriteback)
 {
     Block a = randomBlock(rng), b = randomBlock(rng);
     unit.execute(CcOpcode::And, CacheLevel::L3, a, b);
-    const auto &p = em.params();
     // Two source reads cross the H-tree + one result write + logic.
-    double expect = 2 * p.cacheOpEnergy(CacheLevel::L3,
-                                        energy::CacheOp::Read) +
-        p.cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Write) +
-        p.nearPlaceLogicPerBlock;
+    double expect =
+        2 * energy::cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Read) +
+        energy::cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Write) +
+        energy::kNearPlaceLogicPerBlock;
     EXPECT_DOUBLE_EQ(em.dynamic().dynamicTotal(), expect);
+}
+
+TEST_F(NearPlaceTest, ChargesEverythingToItsOwnLevel)
+{
+    // An L1 op reads, computes and writes back at the L1 controller:
+    // the logic-unit energy lands in l1-access, not in L3's.
+    Block a = randomBlock(rng), b = randomBlock(rng);
+    unit.execute(CcOpcode::And, CacheLevel::L1, a, b);
+    const auto &d = em.dynamic();
+    EXPECT_EQ(d.l3Access, 0.0);
+    EXPECT_EQ(d.l3Ic, 0.0);
+    EXPECT_EQ(d.l2Access + d.l2Ic, 0.0);
+    double expect =
+        2 * energy::cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Read) +
+        energy::cacheOpEnergy(CacheLevel::L1, energy::CacheOp::Write) +
+        energy::kNearPlaceLogicPerBlock;
+    EXPECT_DOUBLE_EQ(d.l1Access + d.l1Ic, expect);
 }
 
 TEST_F(NearPlaceTest, CcRChargesNoWriteback)
 {
     Block a = randomBlock(rng), b = randomBlock(rng);
     unit.execute(CcOpcode::Cmp, CacheLevel::L3, a, b);
-    const auto &p = em.params();
-    double expect = 2 * p.cacheOpEnergy(CacheLevel::L3,
-                                        energy::CacheOp::Read) +
-        p.nearPlaceLogicPerBlock;
+    double expect =
+        2 * energy::cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Read) +
+        energy::kNearPlaceLogicPerBlock;
     EXPECT_DOUBLE_EQ(em.dynamic().dynamicTotal(), expect);
 }
 
@@ -153,8 +169,8 @@ TEST_F(NearPlaceTest, NearPlaceCostsMoreThanInPlacePerOp)
     Block a = randomBlock(rng), b = randomBlock(rng);
     unit.execute(CcOpcode::And, CacheLevel::L3, a, b);
     double near_place = em.dynamic().dynamicTotal();
-    double in_place = em.params().cacheOpEnergy(CacheLevel::L3,
-                                                energy::CacheOp::Logic);
+    double in_place =
+        energy::cacheOpEnergy(CacheLevel::L3, energy::CacheOp::Logic);
     EXPECT_GT(near_place, 2.0 * in_place);
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the energy parameter tables (Tables I and V) and the
- * component-resolved energy accounting.
+ * Tests for the energy tables (Tables I and V) and the
+ * component-resolved energy accounting. The transcription tests type
+ * their expected values from the paper, not from the code.
  */
 
 #include <gtest/gtest.h>
@@ -11,71 +12,77 @@
 namespace ccache::energy {
 namespace {
 
+TEST(EnergyParams, TableIValuesTranscribed)
+{
+    // Table I: cache-ic (H-tree) / cache-access pJ per read.
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L1).htree, 179.0);
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L1).access, 116.0);
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L2).htree, 675.0);
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L2).access, 127.0);
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L3).htree, 1985.0);
+    EXPECT_DOUBLE_EQ(readSplit(CacheLevel::L3).access, 467.0);
+}
+
 TEST(EnergyParams, TableVValuesTranscribed)
 {
-    EnergyParams p;
-    // Spot-check the exact paper numbers.
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Write),
-                     2852.0);
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Read),
-                     2452.0);
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Cmp), 840.0);
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L2, CacheOp::Search),
-                     1396.0);
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L1, CacheOp::Logic),
-                     387.0);
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L1, CacheOp::Copy),
-                     324.0);
+    // Every Table V cell, pJ per 64-byte block, in the paper's column
+    // order; the columns print under the paper's names.
+    const CacheOp ops[] = {CacheOp::Write, CacheOp::Read, CacheOp::Cmp,
+                           CacheOp::Copy, CacheOp::Search, CacheOp::Not,
+                           CacheOp::Logic};
+    const char *names[] = {"write", "read", "cmp", "copy",
+                           "search", "not", "logic"};
+    for (std::size_t i = 0; i < 7; ++i)
+        EXPECT_STREQ(toString(ops[i]), names[i]);
+    const struct
+    {
+        CacheLevel level;
+        double pj[7];
+    } rows[] = {
+        {CacheLevel::L3, {2852, 2452, 840, 1340, 3692, 1340, 1672}},
+        {CacheLevel::L2, {1154, 802, 242, 608, 1396, 608, 704}},
+        {CacheLevel::L1, {375, 295, 186, 324, 561, 324, 387}},
+    };
+    for (const auto &row : rows) {
+        for (std::size_t i = 0; i < 7; ++i)
+            EXPECT_DOUBLE_EQ(cacheOpEnergy(row.level, ops[i]), row.pj[i])
+                << toString(row.level) << " " << toString(ops[i]);
+    }
 }
 
 TEST(EnergyParams, PaperInternalConsistency)
 {
-    EnergyParams p;
     // read == Table I ic + access at every level.
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L1, CacheOp::Read),
-                     p.l1Read.total());
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L2, CacheOp::Read),
-                     p.l2Read.total());
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Read),
-                     p.l3Read.total());
+    for (CacheLevel l :
+         {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
+        EXPECT_DOUBLE_EQ(cacheOpEnergy(l, CacheOp::Read),
+                         readSplit(l).total());
+    }
     // search == cmp + write (the key write, Section VI-C).
     for (CacheLevel l :
          {CacheLevel::L1, CacheLevel::L2, CacheLevel::L3}) {
-        EXPECT_DOUBLE_EQ(p.cacheOpEnergy(l, CacheOp::Search),
-                         p.cacheOpEnergy(l, CacheOp::Cmp) +
-                             p.cacheOpEnergy(l, CacheOp::Write));
+        EXPECT_DOUBLE_EQ(cacheOpEnergy(l, CacheOp::Search),
+                         cacheOpEnergy(l, CacheOp::Cmp) +
+                             cacheOpEnergy(l, CacheOp::Write));
     }
     // buz costed like copy; clmul like cmp.
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Buz),
-                     p.cacheOpEnergy(CacheLevel::L3, CacheOp::Copy));
-    EXPECT_DOUBLE_EQ(p.cacheOpEnergy(CacheLevel::L3, CacheOp::Clmul),
-                     p.cacheOpEnergy(CacheLevel::L3, CacheOp::Cmp));
+    EXPECT_DOUBLE_EQ(cacheOpEnergy(CacheLevel::L3, CacheOp::Buz),
+                     cacheOpEnergy(CacheLevel::L3, CacheOp::Copy));
+    EXPECT_DOUBLE_EQ(cacheOpEnergy(CacheLevel::L3, CacheOp::Clmul),
+                     cacheOpEnergy(CacheLevel::L3, CacheOp::Cmp));
 }
 
 TEST(EnergyParams, HtreeFractions)
 {
-    EnergyParams p;
     // Baseline accesses follow the Table I split (L3 ~81%).
-    EXPECT_NEAR(p.htreeFraction(CacheLevel::L3, CacheOp::Read), 0.81,
-                0.01);
+    EXPECT_NEAR(htreeFraction(CacheLevel::L3, CacheOp::Read), 0.81, 0.01);
     // In-place ops only pay command distribution (small fixed share).
-    EXPECT_DOUBLE_EQ(p.htreeFraction(CacheLevel::L3, CacheOp::Logic),
-                     0.10);
-    EXPECT_DOUBLE_EQ(p.htreeFraction(CacheLevel::L1, CacheOp::Cmp), 0.10);
+    EXPECT_DOUBLE_EQ(htreeFraction(CacheLevel::L3, CacheOp::Logic), 0.10);
+    EXPECT_DOUBLE_EQ(htreeFraction(CacheLevel::L1, CacheOp::Cmp), 0.10);
     // Search's fraction reflects only its embedded key write.
-    double search = p.htreeFraction(CacheLevel::L3, CacheOp::Search);
+    double search = htreeFraction(CacheLevel::L3, CacheOp::Search);
     EXPECT_GT(search, 0.10);
-    EXPECT_LT(search, p.htreeFraction(CacheLevel::L3, CacheOp::Write));
-}
-
-TEST(EnergyParams, CacheOpForMapsBitlineOps)
-{
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::And), CacheOp::Logic);
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::Or), CacheOp::Logic);
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::Copy), CacheOp::Copy);
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::Search), CacheOp::Search);
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::Clmul), CacheOp::Clmul);
-    EXPECT_EQ(cacheOpFor(sram::BitlineOp::Read), CacheOp::Read);
+    EXPECT_LT(search, htreeFraction(CacheLevel::L3, CacheOp::Write));
 }
 
 TEST(EnergyModelTest, ChargeCacheOpSplitsComponents)
@@ -93,19 +100,17 @@ TEST(EnergyModelTest, InstructionCharges)
 {
     EnergyModel em;
     em.chargeInstructions(10);
-    EXPECT_DOUBLE_EQ(em.dynamic().core, 10 * em.params().corePerInstr);
+    EXPECT_DOUBLE_EQ(em.dynamic().core, 10 * kCorePerInstr);
     em.chargeVectorInstructions(1);
     EXPECT_DOUBLE_EQ(em.dynamic().core,
-                     10 * em.params().corePerInstr +
-                         em.params().corePerInstr +
-                         em.params().coreVectorExtra);
+                     10 * kCorePerInstr + kCorePerInstr + kCoreVectorExtra);
 }
 
 TEST(EnergyModelTest, NocChargePerFlitHop)
 {
     EnergyModel em;
     em.chargeNoc(72, 3);  // 9 flits x 3 hops
-    EXPECT_DOUBLE_EQ(em.dynamic().noc, 27 * em.params().nocPerFlitHop);
+    EXPECT_DOUBLE_EQ(em.dynamic().noc, 27 * kNocPerFlitHop);
 }
 
 TEST(EnergyModelTest, BreakdownArithmetic)
@@ -122,7 +127,7 @@ TEST(EnergyModelTest, BreakdownArithmetic)
     EXPECT_DOUBLE_EQ(d.cacheAccess(), 30.0);
     EXPECT_DOUBLE_EQ(d.cacheIc(), 30.0);
     EXPECT_DOUBLE_EQ(d.dataMovement(),
-                     60.0 + d.noc + em.params().dramPerBlock);
+                     60.0 + d.noc + kDramPerBlock);
     EXPECT_DOUBLE_EQ(d.dynamicTotal(), 100.0 + d.dataMovement());
 }
 
@@ -143,8 +148,7 @@ TEST(EnergyModelTest, StaticScalesWithTimeCoresAndShare)
 {
     EnergyModel em;
     auto t1 = em.totals(2660000, 1, 1.0);  // 1 ms at 2.66 GHz
-    EXPECT_NEAR(t1.coreStatic, em.params().coreStaticW * 1e-3 * 1e12,
-                1e6);
+    EXPECT_NEAR(t1.coreStatic, kCoreStaticW * 1e-3 * 1e12, 1e6);
     auto t8 = em.totals(2660000, 8, 1.0);
     EXPECT_NEAR(t8.coreStatic / t1.coreStatic, 8.0, 1e-9);
     auto half = em.totals(2660000, 1, 0.5);

@@ -34,7 +34,7 @@ TEST(Ring, LocalSliceStillCrossesRingInterface)
 
 TEST(Ring, LatencyIsHopsTimesLatencyPlusSerialization)
 {
-    Ring ring(RingParams{}, nullptr, nullptr);  // hopLatency=3, linkBytes=32
+    Ring ring(RingParams{}, nullptr, nullptr);  // 3-cycle hops, 32-byte links
     // Control: 8 bytes -> 1 cycle serialization.
     EXPECT_EQ(ring.send(0, 2, MsgClass::Control), 2u * 3u + 1u);
     // Data: 72 bytes -> ceil(72/32)=3 cycles serialization.
@@ -47,7 +47,7 @@ TEST(Ring, ChargesEnergyPerFlitHop)
     StatRegistry stats;
     Ring ring(RingParams{}, &em, &stats);
     ring.send(0, 2, MsgClass::Data);  // 72B = 9 flits, 2 hops
-    double expected = em.params().nocPerFlitHop * 9 * 2;
+    double expected = energy::kNocPerFlitHop * 9 * 2;
     EXPECT_DOUBLE_EQ(em.dynamic().noc, expected);
     EXPECT_EQ(stats.value("noc.flit_hops"), 18u);
     EXPECT_EQ(ring.flitHops(), 18u);
@@ -63,14 +63,6 @@ TEST(Ring, RejectsEmptyRing)
 {
     RingParams p;
     p.nodes = 0;
-    EXPECT_THROW((void)Ring(p, nullptr, nullptr), FatalError);
-}
-
-TEST(Ring, RejectsZeroLinkWidth)
-{
-    // Serialization divides by the link width.
-    RingParams p;
-    p.linkBytes = 0;
     EXPECT_THROW((void)Ring(p, nullptr, nullptr), FatalError);
 }
 

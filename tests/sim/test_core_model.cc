@@ -5,47 +5,43 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "sim/core_model.hh"
 
 namespace ccache::sim {
 namespace {
 
+using M = CoreCostModel;
+
 TEST(CoreCostModel, IssueBoundKernel)
 {
-    CoreParams p;
-    p.issueWidth = 4;
-    CoreCostModel m(p);
-    m.addInstrs(400);
+    CoreCostModel m;
+    m.addInstrs(100 * M::kIssueWidth);
     EXPECT_EQ(m.cycles(), 100u);
-    EXPECT_EQ(m.instructions(), 400u);
+    EXPECT_EQ(m.instructions(), 100u * M::kIssueWidth);
 }
 
 TEST(CoreCostModel, HitStreamBoundByMemIssueWidth)
 {
-    CoreParams p;
-    p.memIssueWidth = 2;
-    CoreCostModel m(p);
-    for (int i = 0; i < 200; ++i)
-        m.addMemAccess(5);  // L1 hits
+    CoreCostModel m;
+    // Accesses at the L1 latency are pipelined hits.
+    for (unsigned i = 0; i < 100 * M::kMemIssueWidth; ++i)
+        m.addMemAccess(cache::accessLatency(CacheLevel::L1));
     EXPECT_EQ(m.cycles(), 100u);
 }
 
 TEST(CoreCostModel, MissesOverlapUpToMshrs)
 {
-    CoreParams p;
-    p.mshrs = 4;
-    CoreCostModel m(p);
-    for (int i = 0; i < 8; ++i)
+    CoreCostModel m;
+    for (unsigned i = 0; i < 4 * M::kMshrs; ++i)
         m.addMemAccess(100);
-    // 8 x 100 cycles of miss latency, 4 deep -> 200 cycles.
-    EXPECT_EQ(m.cycles(), 200u);
+    // 4 x kMshrs misses of 100 cycles, kMshrs deep -> 400 cycles.
+    EXPECT_EQ(m.cycles(), 400u);
 }
 
 TEST(CoreCostModel, SingleMissIsNotOverOverlapped)
 {
-    CoreParams p;
-    p.mshrs = 8;
-    CoreCostModel m(p);
+    CoreCostModel m;
     m.addMemAccess(120);
     // One miss cannot take less than its own latency.
     EXPECT_EQ(m.cycles(), 120u);
@@ -53,23 +49,19 @@ TEST(CoreCostModel, SingleMissIsNotOverOverlapped)
 
 TEST(CoreCostModel, DependentAccessesSerialize)
 {
-    CoreParams p;
-    p.mshrs = 8;
-    CoreCostModel m(p);
+    CoreCostModel m;
     for (int i = 0; i < 10; ++i)
         m.addDependentMemAccess(50);
     // A dependent chain gets no MLP at all.
-    EXPECT_GE(m.cycles(), 500u);
+    EXPECT_EQ(m.cycles(), 500u);
 }
 
 TEST(CoreCostModel, BranchMispredictionsAddSerialLatency)
 {
-    CoreParams p;
-    p.branchMispredictPenalty = 20;
-    CoreCostModel m(p);
+    CoreCostModel m;
     m.addBranches(100, 0.5);
-    // 50 mispredictions x 20 cycles.
-    EXPECT_GE(m.cycles(), 1000u);
+    // 50 mispredictions, each a pipeline refill.
+    EXPECT_EQ(m.cycles(), 50 * M::kBranchMispredictPenalty);
     m.reset();
     m.addBranches(100, 0.0);
     EXPECT_LT(m.cycles(), 100u);
@@ -78,8 +70,8 @@ TEST(CoreCostModel, BranchMispredictionsAddSerialLatency)
 TEST(CoreCostModel, MaxOfIssueAndMemoryBound)
 {
     CoreCostModel m;
-    m.addInstrs(4000);   // 1000 cycles issue-bound
-    m.addMemAccess(100); // small memory component
+    m.addInstrs(1000 * M::kIssueWidth);  // 1000 cycles issue-bound
+    m.addMemAccess(100);                 // small memory component
     EXPECT_GE(m.cycles(), 1000u);
     m.reset();
     EXPECT_EQ(m.cycles(), 1u);

@@ -7,9 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <string>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "sram/subarray.hh"
@@ -186,8 +183,6 @@ TEST_F(SubArrayTest, SearchMatchesCmp)
     auto result = sa.opSearch({0, 0}, {0, 1});
     EXPECT_FALSE(result.allEqual);
     EXPECT_EQ(result.wordEqualMask & 1u, 0u);
-    EXPECT_EQ(sa.opCount(BitlineOp::Search), 1u);
-    EXPECT_EQ(sa.opCount(BitlineOp::Cmp), 0u);
 }
 
 TEST_F(SubArrayTest, ClmulMatchesReference)
@@ -213,64 +208,6 @@ TEST_F(SubArrayTest, ClmulMatchesReference)
     }
 }
 
-TEST_F(SubArrayTest, DelayFactorsPerPaper)
-{
-    const auto &p = sa.params();
-    // Section VI-C: and/or/xor 3x a sub-array access, others 2x.
-    EXPECT_EQ(p.opDelay(BitlineOp::Read), p.accessDelay);
-    EXPECT_EQ(p.opDelay(BitlineOp::And), 3 * p.accessDelay);
-    EXPECT_EQ(p.opDelay(BitlineOp::Xor), 3 * p.accessDelay);
-    EXPECT_EQ(p.opDelay(BitlineOp::Copy), 2 * p.accessDelay);
-    EXPECT_EQ(p.opDelay(BitlineOp::Cmp), 2 * p.accessDelay);
-    EXPECT_EQ(p.opDelay(BitlineOp::Search), 2 * p.accessDelay);
-}
-
-TEST_F(SubArrayTest, EnergyFactorsPerPaper)
-{
-    const auto &p = sa.params();
-    // Section VI-C: cmp/search/clmul 1.5x, copy/buz/not 2x, logic 2.5x.
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::Cmp), 1.5 * p.accessEnergy);
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::Clmul), 1.5 * p.accessEnergy);
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::Copy), 2.0 * p.accessEnergy);
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::Buz), 2.0 * p.accessEnergy);
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::And), 2.5 * p.accessEnergy);
-    EXPECT_DOUBLE_EQ(p.opEnergy(BitlineOp::Xor), 2.5 * p.accessEnergy);
-}
-
-TEST_F(SubArrayTest, OpCostReported)
-{
-    Block a = randomBlock(rng);
-    sa.write({0, 0}, a);
-    sa.write({0, 1}, a);
-    auto cost = sa.opAnd({0, 0}, {0, 1}, {0, 2});
-    EXPECT_EQ(cost.delay, sa.params().opDelay(BitlineOp::And));
-    EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::And));
-}
-
-TEST_F(SubArrayTest, ReadWriteCostReported)
-{
-    OpCost cost;
-    sa.write({0, 0}, randomBlock(rng), &cost);
-    EXPECT_EQ(cost.delay, sa.params().opDelay(BitlineOp::Write));
-    EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::Write));
-    sa.read({0, 0}, &cost);
-    EXPECT_EQ(cost.delay, sa.params().opDelay(BitlineOp::Read));
-    EXPECT_DOUBLE_EQ(cost.energy, sa.params().opEnergy(BitlineOp::Read));
-}
-
-TEST_F(SubArrayTest, OpCountsTracked)
-{
-    Block a = randomBlock(rng);
-    sa.write({0, 0}, a);
-    sa.write({0, 1}, a);
-    sa.opAnd({0, 0}, {0, 1}, {0, 2});
-    sa.opAnd({0, 0}, {0, 1}, {0, 3});
-    sa.opCopy({0, 0}, {0, 4});
-    EXPECT_EQ(sa.opCount(BitlineOp::Write), 2u);
-    EXPECT_EQ(sa.opCount(BitlineOp::And), 2u);
-    EXPECT_EQ(sa.opCount(BitlineOp::Copy), 1u);
-}
-
 TEST(SubArrayParams, ValidateRejectsBadConfigs)
 {
     SubArrayParams p;
@@ -284,16 +221,6 @@ TEST(SubArrayParams, ValidateRejectsBadConfigs)
     p = SubArrayParams{};
     p.wordlineUnderdrive = 1.5;
     EXPECT_THROW(p.validate(), FatalError);
-}
-
-TEST(SubArrayParams, EveryOpHasADistinctName)
-{
-    constexpr auto kOps = static_cast<std::size_t>(BitlineOp::CmpStep) + 1;
-    std::set<std::string> names;
-    for (std::size_t i = 0; i < kOps; ++i)
-        names.insert(toString(static_cast<BitlineOp>(i)));
-    EXPECT_EQ(names.size(), kOps);
-    EXPECT_EQ(names.count("?"), 0u);
 }
 
 // ---------------------------------------------------------------------
