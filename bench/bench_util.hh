@@ -46,8 +46,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,13 +56,11 @@
 #include <unistd.h>
 #endif
 
-#include "common/event_trace.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parallel_for.hh"
 #include "common/perf_counters.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
-#include "common/thread_pool.hh"
 
 namespace bench {
 
@@ -208,7 +207,7 @@ atomicWriteFile(const std::string &path, const std::string &content)
  *     bench::ResultsWriter results("fig7_microbench");
  *     results.config("operand_bytes", 4096);
  *     results.metric("copy.speedup", speedup);
- *     results.stats("cc_copy", sys.stats());
+ *     results.statsJson("cc_copy", sys.stats().dumpJson());
  *     results.write();   // -> results/fig7_microbench.json
  */
 class ResultsWriter
@@ -239,13 +238,8 @@ class ResultsWriter
         doc_["metrics"][name] = value;
     }
 
-    /** Embed a full stats dump under @p label (one per configuration). */
-    void stats(const std::string &label, const ccache::StatRegistry &reg)
-    {
-        doc_["stats"][label] = reg.dumpJson();
-    }
-
-    /** Same, for a dump captured earlier (registry no longer alive). */
+    /** Embed a full stats dump (StatRegistry::dumpJson()) under
+     *  @p label, one per configuration. */
     void statsJson(const std::string &label, ccache::Json dump)
     {
         doc_["stats"][label] = std::move(dump);
@@ -343,32 +337,31 @@ class ResultsWriter
     std::uint64_t startOps_ = ccache::perf::ccBlockOps();
 };
 
-/** Default base seed of a bench sweep (see SweepContext::seed()). */
+/** Base seed of every bench sweep (see SweepContext::seed()). */
 inline constexpr std::uint64_t kSweepBaseSeed = 0x5eedcac8e5ULL;
 
 /**
- * Execution context of one sweep point. Everything a point touches is
- * owned here — RNG, stat registry, trace sink, recorded metrics — so
- * points share no mutable state and may run on any thread in any order.
+ * Execution context of one sweep point. A point owns its RNG and its
+ * metric, config and stats-dump slots, so points share no mutable state
+ * and may run on any thread in any order. A point that simulates builds
+ * its own sim::System, which owns the registry and trace it records to.
  *
- * The RNG seed is derived as hash(base_seed, point key), never from a
- * global or from scheduling, so a point's random stream is a pure
- * function of its identity (DESIGN.md §8).
+ * The RNG seed is derived as hash(kSweepBaseSeed, point key), never
+ * from a global or from scheduling, so a point's random stream is a
+ * pure function of its identity (DESIGN.md §8).
  */
 class SweepContext
 {
   public:
-    SweepContext(std::string key, std::size_t index,
-                 std::uint64_t base_seed)
-        : key_(std::move(key)), index_(index),
-          seed_(ccache::deriveSeed(base_seed, key_)), rng_(seed_)
+    explicit SweepContext(std::string key)
+        : key_(std::move(key)),
+          seed_(ccache::deriveSeed(kSweepBaseSeed, key_)), rng_(seed_)
     {
     }
 
     const std::string &key() const { return key_; }
-    std::size_t index() const { return index_; }
 
-    /** This point's derived seed: hash(base_seed, key). */
+    /** This point's derived seed: hash(kSweepBaseSeed, key). */
     std::uint64_t seed() const { return seed_; }
 
     /** This point's private RNG, seeded with seed(). */
@@ -381,19 +374,11 @@ class SweepContext
         return ccache::Rng(ccache::deriveSeed(seed_, label));
     }
 
-    /** Point-local stat registry; merged (in point order) into
-     *  SweepRunner::mergedStats() at the barrier. */
-    ccache::StatRegistry &stats() { return stats_; }
-
-    /** Point-local trace sink (disabled unless the point enables it);
-     *  merged in point order into SweepRunner::mergedTrace(). */
-    ccache::EventTrace &trace() { return trace_; }
-
     /** Record one headline number into the bench's ResultsWriter
      *  (applied at the barrier, in point order). */
-    void metric(std::string name, double value)
+    void metric(const std::string &name, double value)
     {
-        metrics_.emplace_back(std::move(name), value);
+        metrics_.emplace_back(name, value);
     }
 
     /** Record one configuration fact into the ResultsWriter. */
@@ -412,11 +397,8 @@ class SweepContext
     friend class SweepRunner;
 
     std::string key_;
-    std::size_t index_;
     std::uint64_t seed_;
     ccache::Rng rng_;
-    ccache::StatRegistry stats_;
-    ccache::EventTrace trace_;
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<std::pair<std::string, ccache::Json>> configs_;
     std::vector<std::pair<std::string, ccache::Json>> statsDumps_;
@@ -424,11 +406,11 @@ class SweepContext
 
 /**
  * The parallel sweep engine: fans a bench's independent (config) points
- * out across a work-stealing thread pool and merges their outputs at
- * the barrier, in point-definition order, so every output surface —
- * ResultsWriter document, merged stats, merged trace, anything the
- * points stored into caller-owned slots — is bit-identical to a serial
- * run regardless of thread count or scheduling (DESIGN.md §8).
+ * out with ccache::parallelFor and applies their outputs to the
+ * ResultsWriter at the barrier, in point-definition order, so the
+ * result document — and anything the points stored into caller-owned
+ * slots — is bit-identical to a serial run regardless of thread count
+ * or scheduling (DESIGN.md §8).
  *
  *     bench::ResultsWriter results("fig8_cache_levels");
  *     bench::SweepRunner sweep(&results);
@@ -438,7 +420,7 @@ class SweepContext
  *             out[i] = runOnce(...);          // into a disjoint slot
  *             ctx.metric(key + ".saving", out[i].saving);
  *         });
- *     sweep.run();           // $CCACHE_JOBS workers (1 = inline)
+ *     sweep.run();           // $CCACHE_JOBS threads (1 = inline)
  *     ...print tables from out[]...
  */
 class SweepRunner
@@ -446,9 +428,8 @@ class SweepRunner
   public:
     using PointFn = std::function<void(SweepContext &)>;
 
-    explicit SweepRunner(ResultsWriter *results = nullptr,
-                         std::uint64_t base_seed = kSweepBaseSeed)
-        : results_(results), baseSeed_(base_seed)
+    explicit SweepRunner(ResultsWriter *results = nullptr)
+        : results_(results)
     {
     }
 
@@ -457,48 +438,24 @@ class SweepRunner
     void add(std::string key, PointFn fn)
     {
         CC_ASSERT(!ran_, "SweepRunner::add after run");
-        Point p;
-        p.key = std::move(key);
-        p.fn = std::move(fn);
-        points_.push_back(std::move(p));
+        points_.emplace_back(std::move(key), std::move(fn));
     }
 
-    std::size_t size() const { return points_.size(); }
-
-    /** Number of sweep workers: $CCACHE_JOBS or hardware threads. */
-    static unsigned defaultJobs()
-    {
-        return ccache::ThreadPool::defaultWorkers();
-    }
-
-    /** Run every point across @p jobs workers (1 = inline serial run,
-     *  the determinism reference), then merge at the barrier. */
-    void run(unsigned jobs = defaultJobs())
-    {
-        ccache::ThreadPool pool(jobs <= 1 ? 0 : jobs);
-        runOn(pool);
-    }
-
-    /** Same, on a caller-provided pool. */
-    void runOn(ccache::ThreadPool &pool)
+    /** Run every point on @p jobs threads (1 = inline serial run, the
+     *  determinism reference), then apply their outputs in point order. */
+    void run(unsigned jobs = ccache::defaultJobs())
     {
         CC_ASSERT(!ran_, "SweepRunner::run called twice");
         ran_ = true;
-        // Contexts are created up front so index/seed assignment cannot
-        // depend on execution order.
-        for (std::size_t i = 0; i < points_.size(); ++i)
-            points_[i].ctx = std::make_unique<SweepContext>(
-                points_[i].key, i, baseSeed_);
-        // Failures are contained per point, INSIDE the task: the pool
-        // must never see an exception (it would rethrow at the barrier
-        // and discard the surviving points). A failed point contributes
-        // only its structured error record at the merge; whether other
-        // points ran before or after it cannot change their bytes
-        // (DESIGN.md §8 survives error containment).
-        pool.parallelFor(points_.size(), [this](std::size_t i) {
+        // Failures are contained per point, inside the task, so every
+        // other point still contributes. A failed point contributes
+        // only its structured error record; whether other points ran
+        // before or after it cannot change their bytes (DESIGN.md §8
+        // survives error containment).
+        ccache::parallelFor(jobs, points_.size(), [this](std::size_t i) {
             Point &p = points_[i];
             try {
-                p.fn(*p.ctx);
+                p.fn(p.ctx);
             } catch (const ccache::SimError &e) {
                 p.errorKind = "sim_error";
                 p.errorMessage = e.what();
@@ -522,18 +479,16 @@ class SweepRunner
      *  ResultsWriter's "errors" section after the barrier). */
     std::size_t errorCount() const { return errors_; }
 
-    /** Every point's stats, merged in point order at the barrier. */
-    const ccache::StatRegistry &mergedStats() const { return mergedStats_; }
-
-    /** Every point's trace events, merged in point order. */
-    const ccache::EventTrace &mergedTrace() const { return mergedTrace_; }
-
   private:
     struct Point
     {
-        std::string key;
+        Point(std::string key, PointFn f)
+            : ctx(std::move(key)), fn(std::move(f))
+        {
+        }
+
+        SweepContext ctx;
         PointFn fn;
-        std::unique_ptr<SweepContext> ctx;
         std::string errorKind;      ///< empty = the point succeeded
         std::string errorMessage;
         ccache::Json errorDiagnostic;
@@ -543,41 +498,35 @@ class SweepRunner
     {
         for (Point &p : points_) {
             if (!p.errorKind.empty()) {
-                // A failed point may hold partial metrics/stats from
-                // before the throw; contributing any of them would make
-                // the output depend on where exactly it died. Only the
+                // A failed point may hold partial metrics from before
+                // the throw; contributing any of them would make the
+                // output depend on where exactly it died. Only the
                 // error record survives.
                 ++errors_;
                 std::fprintf(stderr,
                              "sweep point '%s' FAILED (%s): %s\n",
-                             p.key.c_str(), p.errorKind.c_str(),
+                             p.ctx.key().c_str(), p.errorKind.c_str(),
                              p.errorMessage.c_str());
                 if (results_)
-                    results_->error(p.key, p.errorKind, p.errorMessage,
-                                    &p.errorDiagnostic);
+                    results_->error(p.ctx.key(), p.errorKind,
+                                    p.errorMessage, &p.errorDiagnostic);
                 continue;
             }
-            SweepContext &ctx = *p.ctx;
-            if (results_) {
-                for (auto &[key, value] : ctx.configs_)
-                    results_->config(key, std::move(value));
-                for (auto &[name, value] : ctx.metrics_)
-                    results_->metric(name, value);
-                for (auto &[label, dump] : ctx.statsDumps_)
-                    results_->statsJson(label, std::move(dump));
-            }
-            mergedStats_.mergeFrom(ctx.stats_);
-            mergedTrace_.mergeFrom(ctx.trace_);
+            if (!results_)
+                continue;
+            for (auto &[key, value] : p.ctx.configs_)
+                results_->config(key, std::move(value));
+            for (auto &[name, value] : p.ctx.metrics_)
+                results_->metric(name, value);
+            for (auto &[label, dump] : p.ctx.statsDumps_)
+                results_->statsJson(label, std::move(dump));
         }
     }
 
     std::vector<Point> points_;
     ResultsWriter *results_;
-    std::uint64_t baseSeed_;
     bool ran_ = false;
     std::size_t errors_ = 0;
-    ccache::StatRegistry mergedStats_;
-    ccache::EventTrace mergedTrace_;
 };
 
 /**

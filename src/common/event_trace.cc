@@ -52,17 +52,6 @@ EventTrace::clear()
     cursors_.clear();
 }
 
-void
-EventTrace::mergeFrom(const EventTrace &other)
-{
-    events_.reserve(events_.size() + other.events_.size());
-    for (const Event &e : other.events_) {
-        Cycles &cur = cursor(e.track);
-        cur = std::max(cur, e.ts + e.dur);
-        events_.push_back(e);
-    }
-}
-
 Json
 EventTrace::toJson() const
 {

@@ -86,17 +86,6 @@ class EventTrace
     /** Drop all recorded events and reset the track cursors. */
     void clear();
 
-    /**
-     * Append every event of @p other (recorded independently, e.g. by
-     * one shard of a parallel sweep) to this trace, advancing the track
-     * cursors to cover the appended events. The parallel sweep engine
-     * merges shard traces in definition order at the barrier, so the
-     * merged event sequence is identical at any thread count
-     * (DESIGN.md §8). Records regardless of the enabled() gate: the
-     * shards already applied it when recording.
-     */
-    void mergeFrom(const EventTrace &other);
-
     /** The full trace document: {"traceEvents": [...], ...}. */
     Json toJson() const;
 

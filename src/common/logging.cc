@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <cstdlib>
 #include <iostream>
 
 #include "common/types.hh"
@@ -25,14 +24,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::ostringstream os;
     os << "panic: " << msg << " @ " << file << ":" << line;
-    // $CCACHE_PANIC_ABORT=1 trades containment for a core dump at the
-    // failure site (debuggers, CI triage); the default throw lets
-    // SweepRunner/ccbench record the point as errored and continue.
-    const char *env = std::getenv("CCACHE_PANIC_ABORT");
-    if (env && env[0] == '1') {
-        std::cerr << os.str() << std::endl;
-        std::abort();
-    }
     throw SimError(os.str());
 }
 

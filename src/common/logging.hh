@@ -8,10 +8,8 @@
  *    that no configuration, however extreme, should be able to reach.
  *    They throw SimError so a sweep driver can contain one corrupted
  *    point (record a structured error, keep the other points) instead
- *    of losing a whole catalog run to std::abort(). Set
- *    $CCACHE_PANIC_ABORT=1 to restore the aborting behaviour when a
- *    core dump at the failure site is worth more than containment
- *    (debugger sessions, CI triage).
+ *    of losing a whole catalog run to std::abort(). In a debugger,
+ *    `catch throw` stops at the failure site.
  *
  *  - fatal() is for unusable *configurations*: the user asked for
  *    something the model cannot simulate (zero cores, geometry that
@@ -99,7 +97,7 @@ concat(Args &&...args)
 
 /** Print "warn: <msg>" to stderr: a recoverable problem the caller
  *  reports and works around (a trace file that cannot be written, a
- *  stats merge that is skipped). */
+ *  malformed $CCACHE_JOBS). */
 #define CC_WARN(...)                                                        \
     ::ccache::detail::warnImpl(::ccache::detail::concat(__VA_ARGS__))
 

@@ -3,8 +3,8 @@
  * Process-wide throughput counters for the perf section of bench result
  * files (DESIGN.md §13).
  *
- * Simulation statistics live in per-point StatRegistry instances so the
- * sweep engine can merge them deterministically. Wall-clock throughput
+ * Simulation statistics live in the StatRegistry of each point's own
+ * System, so no two sweep points share one. Wall-clock throughput
  * is the opposite kind of number: it is intentionally nondeterministic
  * (it measures this machine, this run) and must aggregate across every
  * sweep point in the process regardless of which thread ran it. One

@@ -50,45 +50,14 @@ StatHistogram::mean() const
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-bool
-StatHistogram::mergeFrom(const StatHistogram &other)
-{
-    if (bucketWidth_ != other.bucketWidth_ ||
-        buckets_.size() != other.buckets_.size())
-        return false;
-    if (other.count_ == 0)
-        return true;
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    return true;
-}
-
-StatLogHistogram::StatLogHistogram(std::string name, std::string desc,
-                                   unsigned sub_bucket_bits)
-    : name_(std::move(name)), desc_(std::move(desc)),
-      subBucketBits_(sub_bucket_bits)
-{
-    CC_ASSERT(sub_bucket_bits >= 1 && sub_bucket_bits <= 16,
-              "log-histogram sub-bucket bits out of range");
-}
-
 std::size_t
 StatLogHistogram::bucketIndex(std::uint64_t value) const
 {
-    const std::uint64_t sub = std::uint64_t{1} << subBucketBits_;
+    const std::uint64_t sub = std::uint64_t{1} << kSubBucketBits;
     if (value < sub)
         return static_cast<std::size_t>(value);
     unsigned msb = std::bit_width(value) - 1;   // value in [2^msb, 2^msb+1)
-    unsigned octave = msb - subBucketBits_;
+    unsigned octave = msb - kSubBucketBits;
     return static_cast<std::size_t>(
         sub + std::uint64_t{octave} * sub + ((value >> octave) - sub));
 }
@@ -96,7 +65,7 @@ StatLogHistogram::bucketIndex(std::uint64_t value) const
 std::uint64_t
 StatLogHistogram::bucketLowerBound(std::size_t idx) const
 {
-    const std::uint64_t sub = std::uint64_t{1} << subBucketBits_;
+    const std::uint64_t sub = std::uint64_t{1} << kSubBucketBits;
     if (idx < sub)
         return idx;
     unsigned octave = static_cast<unsigned>(idx / sub) - 1;
@@ -107,7 +76,7 @@ StatLogHistogram::bucketLowerBound(std::size_t idx) const
 std::uint64_t
 StatLogHistogram::bucketUpperBound(std::size_t idx) const
 {
-    const std::uint64_t sub = std::uint64_t{1} << subBucketBits_;
+    const std::uint64_t sub = std::uint64_t{1} << kSubBucketBits;
     if (idx < sub)
         return idx;
     unsigned octave = static_cast<unsigned>(idx / sub) - 1;
@@ -144,29 +113,6 @@ double
 StatLogHistogram::mean() const
 {
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-bool
-StatLogHistogram::mergeFrom(const StatLogHistogram &other)
-{
-    if (subBucketBits_ != other.subBucketBits_)
-        return false;
-    if (other.count_ == 0)
-        return true;
-    if (other.buckets_.size() > buckets_.size())
-        buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    return true;
 }
 
 std::uint64_t
@@ -219,13 +165,11 @@ StatRegistry::histogram(const std::string &name, double bucket_width,
 }
 
 StatLogHistogram &
-StatRegistry::logHistogram(const std::string &name, const std::string &desc,
-                           unsigned sub_bucket_bits)
+StatRegistry::logHistogram(const std::string &name, const std::string &desc)
 {
     auto it = logHistograms_.find(name);
     if (it == logHistograms_.end())
-        it = logHistograms_
-                 .emplace(name, StatLogHistogram(name, desc, sub_bucket_bits))
+        it = logHistograms_.emplace(name, StatLogHistogram(name, desc))
                  .first;
     return it->second;
 }
@@ -290,35 +234,6 @@ StatRegistry::resetAll()
         h.reset();
     for (auto &[name, h] : logHistograms_)
         h.reset();
-}
-
-void
-StatRegistry::mergeFrom(const StatRegistry &other)
-{
-    for (const auto &[name, c] : other.counters_)
-        counter(name, c.description()).inc(c.value());
-    for (const auto &[name, a] : other.accums_)
-        accum(name, a.description()).add(a.value());
-    for (const auto &[name, h] : other.histograms_) {
-        auto it = histograms_.find(name);
-        if (it == histograms_.end()) {
-            histograms_.emplace(name, h);
-            continue;
-        }
-        if (!it->second.mergeFrom(h))
-            CC_WARN("stat histogram '", name,
-                    "' has mismatched bucket geometry; merge skipped");
-    }
-    for (const auto &[name, h] : other.logHistograms_) {
-        auto it = logHistograms_.find(name);
-        if (it == logHistograms_.end()) {
-            logHistograms_.emplace(name, h);
-            continue;
-        }
-        if (!it->second.mergeFrom(h))
-            CC_WARN("stat log-histogram '", name,
-                    "' has mismatched sub-bucket resolution; merge skipped");
-    }
 }
 
 std::string
@@ -399,7 +314,7 @@ StatRegistry::dumpJson() const
         entry["mean"] = h.mean();
         entry["min"] = h.min();
         entry["max"] = h.max();
-        entry["sub_bucket_bits"] = h.subBucketBits();
+        entry["sub_bucket_bits"] = StatLogHistogram::kSubBucketBits;
         Json quantiles = Json::object();
         quantiles["p50"] = h.quantile(0.50);
         quantiles["p90"] = h.quantile(0.90);

@@ -107,13 +107,6 @@ class StatHistogram
     void sample(double value);
     void reset();
 
-    /**
-     * Fold @p other into this histogram. Returns false (leaving this
-     * histogram untouched) when the bucket geometries differ — merged
-     * histograms must have been registered identically.
-     */
-    bool mergeFrom(const StatHistogram &other);
-
     std::uint64_t count() const { return count_; }
     double mean() const;
     double min() const { return count_ ? min_ : 0.0; }
@@ -137,10 +130,10 @@ class StatHistogram
 /**
  * Log-bucketed histogram for long-tailed quantities (latencies, queue
  * depths): values are integer-valued samples bucketed HDR-histogram
- * style — exact below 2^subBucketBits, then 2^subBucketBits
+ * style — exact below 2^kSubBucketBits, then 2^kSubBucketBits
  * sub-buckets per octave, bounding the relative quantization error by
- * 2^-subBucketBits (6.25% at the default 4 bits) across the whole
- * 64-bit range with under a thousand buckets.
+ * 2^-kSubBucketBits (6.25%) across the whole 64-bit range with under a
+ * thousand buckets.
  *
  * Unlike StatHistogram's fixed uniform grid, no upper bound needs to
  * be guessed at registration time, which is what tail-latency
@@ -153,26 +146,22 @@ class StatHistogram
 class StatLogHistogram
 {
   public:
-    /** Default sub-bucket resolution (16 sub-buckets per octave). */
-    static constexpr unsigned kDefaultSubBucketBits = 4;
+    /** Sub-bucket resolution: 16 sub-buckets per octave. */
+    static constexpr unsigned kSubBucketBits = 4;
 
     StatLogHistogram() = default;
-    explicit StatLogHistogram(std::string name, std::string desc = "",
-                              unsigned sub_bucket_bits =
-                                  kDefaultSubBucketBits);
+    explicit StatLogHistogram(std::string name, std::string desc = "")
+        : name_(std::move(name)), desc_(std::move(desc))
+    {
+    }
 
     void sample(std::uint64_t value);
     void reset();
-
-    /** Fold @p other into this histogram. Returns false (no change)
-     *  when the sub-bucket resolutions differ. */
-    bool mergeFrom(const StatLogHistogram &other);
 
     std::uint64_t count() const { return count_; }
     double mean() const;
     std::uint64_t min() const { return count_ ? min_ : 0; }
     std::uint64_t max() const { return count_ ? max_ : 0; }
-    unsigned subBucketBits() const { return subBucketBits_; }
 
     /**
      * Upper bound on the q-quantile (0 < q <= 1): the smallest bucket
@@ -198,7 +187,6 @@ class StatLogHistogram
   private:
     std::string name_;
     std::string desc_;
-    unsigned subBucketBits_ = kDefaultSubBucketBits;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
@@ -251,11 +239,9 @@ class StatRegistry
                              std::size_t nbuckets,
                              const std::string &desc = "");
 
-    /** Get or create a log-bucketed histogram. Resolution is fixed by
-     *  the first registration. */
-    StatLogHistogram &logHistogram(
-        const std::string &name, const std::string &desc = "",
-        unsigned sub_bucket_bits = StatLogHistogram::kDefaultSubBucketBits);
+    /** Get or create a log-bucketed histogram. */
+    StatLogHistogram &logHistogram(const std::string &name,
+                                   const std::string &desc = "");
 
     /** Register (or replace) a derived formula evaluated at dump time. */
     StatFormula &formula(const std::string &name, StatFormula::Fn fn,
@@ -281,21 +267,6 @@ class StatRegistry
 
     /** Reset every statistic to zero (formulas have no state). */
     void resetAll();
-
-    /**
-     * Fold every statistic of @p other into this registry: counters and
-     * accumulators add, histograms merge bucket-wise (geometry must
-     * match; mismatches are reported with a warn and skipped). Formulas
-     * are NOT merged — they capture references into their own registry
-     * and a sum-of-ratios is not the ratio-of-sums anyway; re-register
-     * formulas on the merged registry when they are wanted.
-     *
-     * Merging is commutative for counters and histogram counts, and the
-     * parallel sweep engine always merges shards in their definition
-     * order, so floating-point accumulator sums are bit-identical
-     * regardless of thread count (DESIGN.md §8).
-     */
-    void mergeFrom(const StatRegistry &other);
 
     /** Render all stats, sorted by name, one per line. */
     std::string dump() const;
@@ -372,12 +343,10 @@ class StatGroup
                                     desc);
     }
 
-    StatLogHistogram &logHistogram(
-        const std::string &name, const std::string &desc = "",
-        unsigned sub_bucket_bits = StatLogHistogram::kDefaultSubBucketBits)
+    StatLogHistogram &logHistogram(const std::string &name,
+                                   const std::string &desc = "")
     {
-        return registry_->logHistogram(qualify(name), desc,
-                                       sub_bucket_bits);
+        return registry_->logHistogram(qualify(name), desc);
     }
 
     StatFormula &formula(const std::string &name, StatFormula::Fn fn,

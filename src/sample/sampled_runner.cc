@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 #include "sim/system.hh"
 
 namespace ccache::sample {
@@ -50,16 +50,14 @@ runSampled(const std::vector<sim::TraceRecord> &records,
     cp.seed = params.seed;
     run.clustering = clusterIntervals(intervals, cp);
 
-    // 3. Replay each phase's representative, fanned out across the
-    //    pool into disjoint slots (byte-identical at any thread count,
-    //    DESIGN.md §8). Each replay: fresh System, functional warm-up
-    //    over the preceding records, metrics reset, then the interval.
+    // 3. Replay each phase's representative, fanned out into disjoint
+    //    slots (byte-identical at any thread count, DESIGN.md §8). Each
+    //    replay: fresh System, functional warm-up over the preceding
+    //    records, metrics reset, then the interval.
     const std::vector<Phase> &phases = run.clustering.phases;
     run.representatives.resize(phases.size());
-    unsigned jobs = params.jobs ? params.jobs
-                                : ThreadPool::defaultWorkers();
-    ThreadPool pool(jobs <= 1 ? 0 : jobs);
-    pool.parallelFor(phases.size(), [&](std::size_t p) {
+    unsigned jobs = params.jobs ? params.jobs : defaultJobs();
+    parallelFor(jobs, phases.size(), [&](std::size_t p) {
         const Phase &phase = phases[p];
         const IntervalFeatures &iv = intervals[phase.representative];
         RepresentativeRun &rep = run.representatives[p];

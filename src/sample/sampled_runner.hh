@@ -23,7 +23,7 @@
  * Against an optional golden full run the estimator reports
  * per-metric relative error; bench/sampled_trace gates those errors
  * in CI. Representative replays are independent simulations and fan
- * out across a thread pool into disjoint slots, so results are
+ * out with parallelFor into disjoint slots, so results are
  * byte-identical at any thread count (DESIGN.md §8).
  */
 

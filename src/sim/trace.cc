@@ -156,6 +156,9 @@ parseTrace(std::istream &in)
     std::string line;
     std::size_t lineno = 0;
     bool oversized = false;
+    // Records replay on the default machine, whose hierarchy indexes
+    // its private caches by core unchecked.
+    const unsigned cores = cache::HierarchyParams{}.cores;
 
     while (getlineBounded(in, line, oversized)) {
         ++lineno;
@@ -174,6 +177,14 @@ parseTrace(std::istream &in)
         auto fail = [&](const std::string &msg) {
             parsed.errors.push_back({lineno, line, msg});
         };
+        auto badCore = [&](std::uint64_t core) {
+            if (core < cores)
+                return false;
+            fail("core " + std::to_string(core) +
+                 " out of range: the machine has " +
+                 std::to_string(cores) + " cores");
+            return true;
+        };
 
         TraceRecord rec;
         const std::string &kind = tokens[0];
@@ -188,6 +199,8 @@ parseTrace(std::istream &in)
                 fail("bad core or address");
                 continue;
             }
+            if (badCore(core))
+                continue;
             rec.kind = kind == "R" ? TraceRecord::Kind::Read
                                    : TraceRecord::Kind::Write;
             rec.core = static_cast<CoreId>(core);
@@ -202,6 +215,8 @@ parseTrace(std::istream &in)
                 fail("bad core");
                 continue;
             }
+            if (badCore(core))
+                continue;
             std::vector<std::uint64_t> args;
             bool ok = true;
             for (std::size_t t = 3; t < tokens.size(); ++t) {

@@ -13,7 +13,9 @@
  * Mnemonics follow Table II: cc_copy a b, cc_buz a, cc_cmp a b,
  * cc_search a k, cc_and/or/xor a b c, cc_not a b, cc_clmul64/128/256
  * a b c. Addresses are hex (0x...) or decimal; <n> is the vector size
- * in bytes.
+ * in bytes. <core> must be below the default machine's core count
+ * (`cache::HierarchyParams::cores`), the machine the trace tools replay
+ * on.
  */
 
 #ifndef CCACHE_SIM_TRACE_HH

@@ -2,8 +2,8 @@
  * @file
  * Tests for the log-bucketed latency histogram (StatLogHistogram): the
  * HDR-style bucket geometry, the quantile error bound the serving
- * layer's tail-latency reporting relies on, merging, and the versioned
- * JSON export ("log_histograms" section, schema v2).
+ * layer's tail-latency reporting relies on, the fixed 4-bit resolution,
+ * and the versioned JSON export ("log_histograms" section, schema v2).
  */
 
 #include <gtest/gtest.h>
@@ -68,17 +68,22 @@ TEST(StatLogHistogram, QuantileErrorBounded)
     EXPECT_EQ(h.quantile(1.0), h.max());
 }
 
-TEST(StatLogHistogram, MergeRequiresMatchingResolution)
+TEST(StatLogHistogram, ResolutionIsFourSubBucketBits)
 {
-    StatLogHistogram a("a"), b("b");
-    StatLogHistogram coarse("c", "", /*sub_bucket_bits=*/2);
-    a.sample(10);
-    b.sample(1000);
-    EXPECT_FALSE(a.mergeFrom(coarse));
-    EXPECT_TRUE(a.mergeFrom(b));
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.min(), 10u);
-    EXPECT_EQ(a.max(), 1000u);
+    // 16 exact buckets below 16, then 16 sub-buckets per octave; the
+    // export names the resolution.
+    static_assert(StatLogHistogram::kSubBucketBits == 4);
+    StatRegistry reg;
+    StatLogHistogram &h = reg.logHistogram("lat");
+    EXPECT_EQ(h.bucketIndex(15), 15u);
+    EXPECT_EQ(h.bucketIndex(16), 16u);
+    EXPECT_EQ(h.bucketIndex(32), 32u);
+    EXPECT_EQ(h.bucketLowerBound(h.bucketIndex(1000)), 992u);
+    EXPECT_EQ(h.bucketUpperBound(h.bucketIndex(1000)), 1023u);
+    h.sample(1000);
+    Json doc = reg.dumpJson();
+    EXPECT_EQ(doc["log_histograms"]["lat"]["sub_bucket_bits"].asNumber(),
+              4.0);
 }
 
 TEST(StatLogHistogram, ResetClears)

@@ -1,24 +1,28 @@
 /**
  * @file
  * Determinism tests for the parallel sweep engine (DESIGN.md §8): the
- * same sweep run at 1, 2 and 8 threads must produce byte-identical
- * merged outputs — the ResultsWriter document, the merged StatRegistry
- * dump, the merged EventTrace, and the `results/<bench>.json` files on
- * disk — plus unit coverage of the seed-derivation scheme.
+ * same sweep run at 1, 2 and 8 threads must produce a byte-identical
+ * ResultsWriter document (metrics, config entries and embedded stats
+ * dumps, applied in point order) and byte-identical
+ * `results/<bench>.json` files on disk — plus unit coverage of the
+ * seed-derivation scheme.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
 
 namespace {
 
@@ -45,7 +49,7 @@ TEST(DeriveSeed, DistinctAcrossRealisticKeyGrid)
 
 TEST(SweepContext, RngStreamsAreIndependentPerLabel)
 {
-    bench::SweepContext ctx("point", 0, 42);
+    bench::SweepContext ctx("point");
     ccache::Rng a1 = ctx.rngFor("stream_a");
     ccache::Rng b = ctx.rngFor("stream_b");
     // Drawing from b must not shift a second instance of a.
@@ -60,18 +64,11 @@ TEST(SweepContext, RngStreamsAreIndependentPerLabel)
 }
 
 /**
- * A synthetic sweep exercising every merge surface: per-point RNG
- * draws, metrics, config entries, stats (counters, accumulators,
- * histograms), embedded stats dumps and trace events.
+ * A synthetic sweep exercising every output a point records: per-point
+ * RNG draws, metrics, config entries and embedded stats dumps of a
+ * point-owned registry (counters, accumulators, histograms).
  */
-struct SweepOutputs
-{
-    std::string document;
-    std::string stats;
-    std::string trace;
-};
-
-SweepOutputs
+std::string
 runSweepAt(unsigned jobs)
 {
     bench::ResultsWriter results("determinism_probe");
@@ -85,53 +82,34 @@ runSweepAt(unsigned jobs)
             ctx.metric(key + ".rng_sum", acc);
             ctx.config(key + ".iters", 100 + 13 * p);
 
-            auto &c = ctx.stats().counter("probe.events",
-                                          "synthetic event count");
+            ccache::StatRegistry stats;
+            auto &c = stats.counter("probe.events", "synthetic event count");
             c.inc(static_cast<std::uint64_t>(p) + 1);
-            auto &a = ctx.stats().accum("probe.weight",
-                                        "synthetic fp accumulator");
+            auto &a = stats.accum("probe.weight", "synthetic fp accumulator");
             a.add(0.1 * p);
-            auto &h = ctx.stats().histogram("probe.dist", 10.0, 8,
-                                            "synthetic histogram");
+            auto &h = stats.histogram("probe.dist", 10.0, 8,
+                                      "synthetic histogram");
             for (int i = 0; i < 20; ++i)
                 h.sample(static_cast<double>(ctx.rng().below(80)));
 
-            ctx.statsJson(key, ctx.stats().dumpJson());
-
-            ctx.trace().enable();
-            ctx.trace().complete(ccache::tracecat::kCc, key,
-                                 /*track=*/0, /*start=*/10 * p, /*dur=*/5);
+            ctx.statsJson(key, stats.dumpJson());
         });
     }
     sweep.run(jobs);
-    SweepOutputs out;
-    out.document = results.document().dump(2);
-    out.stats = sweep.mergedStats().dumpJson().dump(2);
-    out.trace = sweep.mergedTrace().toJson().dump(2);
-    return out;
+    return results.document().dump(2);
 }
 
 TEST(SweepDeterminism, MergedOutputsByteIdenticalAcrossThreadCounts)
 {
-    SweepOutputs serial = runSweepAt(1);
-    for (unsigned jobs : {2u, 8u}) {
-        SweepOutputs parallel = runSweepAt(jobs);
-        EXPECT_EQ(serial.document, parallel.document)
+    std::string serial = runSweepAt(1);
+    for (unsigned jobs : {2u, 8u})
+        EXPECT_EQ(serial, runSweepAt(jobs))
             << "ResultsWriter document differs at " << jobs << " threads";
-        EXPECT_EQ(serial.stats, parallel.stats)
-            << "merged stats differ at " << jobs << " threads";
-        EXPECT_EQ(serial.trace, parallel.trace)
-            << "merged trace differs at " << jobs << " threads";
-    }
 }
 
 TEST(SweepDeterminism, RepeatedParallelRunsIdentical)
 {
-    SweepOutputs a = runSweepAt(8);
-    SweepOutputs b = runSweepAt(8);
-    EXPECT_EQ(a.document, b.document);
-    EXPECT_EQ(a.stats, b.stats);
-    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(runSweepAt(8), runSweepAt(8));
 }
 
 /** Read one file fully (binary). */
@@ -201,23 +179,28 @@ TEST(SweepDeterminism, ResultFilesOnDiskByteIdentical)
     fs::remove_all(dir8);
 }
 
-TEST(SweepRunner, MergesStatsInPointOrder)
+TEST(SweepRunner, AppliesPointOutputsInDefinitionOrder)
 {
-    // Floating-point accumulators are order-sensitive; the merge order
-    // must be the definition order, not completion order.
-    auto run = [](unsigned jobs) {
-        bench::SweepRunner sweep(nullptr);
-        for (int p = 0; p < 16; ++p) {
+    // Outputs are applied at the barrier in the order the points were
+    // added, not the order they finished: when every point records the
+    // same metric, the last-defined point's value stands at any thread
+    // count, even though it finishes first.
+    for (unsigned jobs : {1u, 8u}) {
+        bench::ResultsWriter results("order_probe");
+        bench::SweepRunner sweep(&results);
+        for (int p = 0; p < 8; ++p) {
             sweep.add("p" + std::to_string(p),
                       [p](bench::SweepContext &ctx) {
-                ctx.stats().accum("order.sensitive", "fp sum")
-                    .add(1.0 / (3.0 + p));
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(7 - p));
+                ctx.metric("order.last", p);
             });
         }
         sweep.run(jobs);
-        return sweep.mergedStats().dumpJson().dump();
-    };
-    EXPECT_EQ(run(1), run(8));
+        EXPECT_EQ(results.document().find("metrics")
+                      ->find("order.last")->asNumber(), 7.0)
+            << jobs << " threads";
+    }
 }
 
 TEST(SweepRunner, SeedsIndependentOfThreadCount)

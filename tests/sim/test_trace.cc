@@ -101,6 +101,34 @@ CC 0 cc_xor 0x1000 0x2000 0x3000
         EXPECT_FALSE(err.message.empty());
 }
 
+TEST(TraceParser, CoreOutsideTheMachineReported)
+{
+    // The default machine has cores 0-7. Core 8 and 99 would index past
+    // the hierarchy's private caches; 4294967296 used to narrow to core
+    // 0. Each is a per-line error naming the core and the core count.
+    auto parsed = parseTrace(std::string(R"(R 7 0x1000
+R 8 0x1000
+W 99 0x2000
+R 4294967296 0x1000
+CC 4294967295 cc_copy 0x1000 0x2000 64
+CC 7 cc_copy 0x1000 0x2000 64
+)"));
+    ASSERT_EQ(parsed.records.size(), 2u);
+    EXPECT_EQ(parsed.records[0].core, 7u);
+    EXPECT_EQ(parsed.records[1].core, 7u);
+    ASSERT_EQ(parsed.errors.size(), 4u);
+    const char *cores[] = {"8", "99", "4294967296", "4294967295"};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const TraceParseError &err = parsed.errors[i];
+        EXPECT_EQ(err.lineNumber, i + 2);
+        EXPECT_NE(err.message.find(std::string("core ") + cores[i] +
+                                   " out of range"),
+                  std::string::npos) << err.message;
+        EXPECT_NE(err.message.find("has 8 cores"), std::string::npos)
+            << err.message;
+    }
+}
+
 TEST(TraceParser, OversizedLineSkippedAndReported)
 {
     // A line longer than kMaxTraceLineBytes is skipped (without ever

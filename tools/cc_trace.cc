@@ -40,7 +40,6 @@
 #include <string>
 
 #include "common/json.hh"
-#include "common/thread_pool.hh"
 #include "number_arg.hh"
 #include "sample/idiom.hh"
 #include "sample/sampled_runner.hh"
@@ -128,29 +127,21 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--interval")) {
-            long n = std::atol(needArg("--interval"));
-            if (n < 1) {
-                std::fprintf(stderr, "cc_trace: bad --interval\n");
-                return 2;
-            }
-            params.intervalRecords = static_cast<std::size_t>(n);
+            params.intervalRecords = cctools::positiveArg<std::size_t>(
+                "cc_trace", "--interval", needArg("--interval"));
         } else if (!std::strcmp(argv[i], "--clusters")) {
-            long n = std::atol(needArg("--clusters"));
-            if (n < 1) {
-                std::fprintf(stderr, "cc_trace: bad --clusters\n");
-                return 2;
-            }
-            params.clusters = static_cast<std::size_t>(n);
+            params.clusters = cctools::positiveArg<std::size_t>(
+                "cc_trace", "--clusters", needArg("--clusters"));
         } else if (!std::strcmp(argv[i], "--warmup")) {
-            params.warmupRecords = static_cast<std::size_t>(
-                std::atol(needArg("--warmup")));
+            params.warmupRecords = cctools::numberArg<std::size_t>(
+                "cc_trace", "--warmup", needArg("--warmup"));
             warmupSet = true;
         } else if (!std::strcmp(argv[i], "--seed")) {
             params.seed = cctools::numberArg<std::uint64_t>(
                 "cc_trace", "--seed", needArg("--seed"), 0);
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            params.jobs = static_cast<unsigned>(
-                std::atol(needArg("--jobs")));
+            params.jobs = cctools::positiveArg<unsigned>(
+                "cc_trace", "--jobs", needArg("--jobs"));
         } else if (!std::strcmp(argv[i], "--convert")) {
             convert = true;
         } else if (!std::strcmp(argv[i], "--golden")) {

@@ -18,10 +18,10 @@
  *
  * Every executable in the bench directory (default: the `bench/`
  * sibling of this binary's directory, i.e. `build/bench/`) is one unit
- * of work. ccbench fans the units out across a work-stealing thread
- * pool (`-j`, default: $CCACHE_JOBS or hardware threads), each bench
- * running as its own subprocess (posix_spawn, not system(3), so SIGINT
- * and SIGTERM reach ccbench itself) with
+ * of work. ccbench fans the units out with ccache::parallelFor (`-j`,
+ * default: $CCACHE_JOBS or hardware threads; never more threads than
+ * benches), each bench running as its own subprocess (posix_spawn, not
+ * system(3), so SIGINT and SIGTERM reach ccbench itself) with
  *
  *   - CCACHE_RESULTS_DIR pointing at the shared results directory, so
  *     every bench writes `results/<bench>.json` exactly as a serial
@@ -75,7 +75,7 @@
 #include <unistd.h>
 
 #include "common/json.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_for.hh"
 #include "catalog_filter.hh"
 #include "number_arg.hh"
 #include "result_compare.hh"
@@ -97,7 +97,7 @@ onStopSignal(int)
 
 struct Options
 {
-    unsigned jobs = ccache::ThreadPool::defaultWorkers();
+    unsigned jobs = 0;          ///< 0 until set: ccache::defaultJobs()
     unsigned innerJobs = 1;
     std::string binDir;
     std::string resultsDir;
@@ -303,15 +303,15 @@ main(int argc, char **argv)
         };
         if (!std::strcmp(argv[i], "-j") ||
             !std::strcmp(argv[i], "--jobs")) {
-            long n = std::atol(needArg("-j"));
-            opt.jobs = n >= 1 ? static_cast<unsigned>(n) : 1;
-        } else if (!std::strncmp(argv[i], "-j", 2) &&
-                   std::isdigit(static_cast<unsigned char>(argv[i][2]))) {
-            long n = std::atol(argv[i] + 2);
-            opt.jobs = n >= 1 ? static_cast<unsigned>(n) : 1;
+            const char *flag = argv[i];
+            opt.jobs = cctools::positiveArg<unsigned>("ccbench", flag,
+                                                      needArg(flag));
+        } else if (!std::strncmp(argv[i], "-j", 2)) {
+            opt.jobs = cctools::positiveArg<unsigned>("ccbench", "-j",
+                                                      argv[i] + 2);
         } else if (!std::strcmp(argv[i], "--inner-jobs")) {
-            long n = std::atol(needArg("--inner-jobs"));
-            opt.innerJobs = n >= 1 ? static_cast<unsigned>(n) : 1;
+            opt.innerJobs = cctools::positiveArg<unsigned>(
+                "ccbench", "--inner-jobs", needArg("--inner-jobs"));
         } else if (!std::strcmp(argv[i], "--bin-dir")) {
             opt.binDir = needArg("--bin-dir");
         } else if (!std::strcmp(argv[i], "--results")) {
@@ -348,6 +348,8 @@ main(int argc, char **argv)
             opt.filter.addSubstring(argv[i]);
         }
     }
+    if (opt.jobs == 0)
+        opt.jobs = ccache::defaultJobs();
     if (opt.binDir.empty())
         opt.binDir = defaultBinDir(argv[0]);
     if (opt.resultsDir.empty())
@@ -435,24 +437,21 @@ main(int argc, char **argv)
     // Fan the catalog out. Each task writes only its own BenchRun slot;
     // the journal is the only shared mutable state and has its mutex.
     auto wall_start = std::chrono::steady_clock::now();
-    {
-        ccache::ThreadPool pool(opt.jobs <= 1 ? 0 : opt.jobs);
-        pool.parallelFor(catalog.size(), [&](std::size_t i) {
-            BenchRun &b = catalog[i];
-            if (b.cached)
-                return;
-            if (g_stop) {
-                b.skipped = true;
-                return;
-            }
-            runBench(b, opt);
-            if (b.exitCode == 0) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal << "ok " << b.name << "\n";
-                journal.flush();
-            }
-        });
-    }
+    ccache::parallelFor(opt.jobs, catalog.size(), [&](std::size_t i) {
+        BenchRun &b = catalog[i];
+        if (b.cached)
+            return;
+        if (g_stop) {
+            b.skipped = true;
+            return;
+        }
+        runBench(b, opt);
+        if (b.exitCode == 0) {
+            std::lock_guard<std::mutex> lock(journal_mutex);
+            journal << "ok " << b.name << "\n";
+            journal.flush();
+        }
+    });
     auto wall_end = std::chrono::steady_clock::now();
     double wall =
         std::chrono::duration<double>(wall_end - wall_start).count();

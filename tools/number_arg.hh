@@ -82,6 +82,22 @@ numberArg(const char *tool, const char *flag, const char *text,
     std::exit(2);
 }
 
+/** A decimal count where 0 means nothing (a worker count, an interval
+ *  size): an integer in [1, max of @p T]. Anything else exits 2. */
+template <typename T>
+T
+positiveArg(const char *tool, const char *flag, const char *text)
+{
+    T v{};
+    if (parseUnsigned(text, 10, &v) && v >= 1)
+        return v;
+    std::fprintf(stderr, "%s: bad %s value '%s' (want an integer in "
+                         "[1, %llu])\n", tool, flag, text,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()));
+    std::exit(2);
+}
+
 /** A drift threshold of ccstat or ccbench: a finite fraction >= 0 (a
  *  NaN threshold would pass every comparison and silence the gate). */
 inline double
