@@ -20,15 +20,14 @@
  *       "config": { "<key>": <value>, ... },
  *       "metrics": { "<metric>": <number>, ... },
  *       "stats": { "<label>": <StatRegistry::dumpJson()>, ... },
- *       "perf": { "wall_clock_s": <number>, "cc_block_ops": <number>,
- *                 "ops_per_sec": <number> } }
+ *       "perf": { "wall_clock_s": <number> } }
  *
  * The "perf" section is the one intentionally nondeterministic part of
- * the file: it measures this run on this machine (DESIGN.md §13). It is
- * composed only at write() time and never enters document(), so the
- * determinism tests and the thread-count identity checks compare
- * documents without it; byte-level comparisons of written files must
- * strip it first (`ccstat --identical` does).
+ * the file: it measures this run's wall clock on this machine
+ * (DESIGN.md §13). It is composed only at write() time and never
+ * enters document(), so the determinism tests and the thread-count
+ * identity checks compare documents without it; byte-level comparisons
+ * of written files must strip it first (`ccstat --identical` does).
  *
  * Benches define their measurement grid as SweepRunner points (one per
  * independent (bench, config) simulation) and print their tables after
@@ -59,7 +58,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel_for.hh"
-#include "common/perf_counters.hh"
 #include "common/rng.hh"
 
 namespace bench {
@@ -164,8 +162,9 @@ gitSha()
  * Crash-safe file write: the content lands in `<path>.tmp.<pid>` first
  * and is atomically renamed over @p path only after every stream
  * operation (open, write, flush, close) reported success. A reader —
- * including `ccbench --resume` after a SIGKILL — therefore sees either
- * the complete old file or the complete new file, never a torn one.
+ * including a catalog run again after an interrupted one — therefore
+ * sees either the complete old file or the complete new file, never a
+ * torn one.
  */
 inline bool
 atomicWriteFile(const std::string &path, const std::string &content)
@@ -285,22 +284,16 @@ class ResultsWriter
     const ccache::Json &document() const { return doc_; }
 
     /**
-     * This run's measured throughput: wall-clock since this writer was
-     * constructed, the CC block ops the process executed in that window,
-     * and their quotient. Nondeterministic on purpose — this is the
-     * number the perf CI gate tracks (DESIGN.md §13).
+     * This run's wall clock since this writer was constructed.
+     * Nondeterministic on purpose — this is the number the perf CI gate
+     * tracks (DESIGN.md §13).
      */
     ccache::Json perfSection() const
     {
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-        std::uint64_t ops = ccache::perf::ccBlockOps() - startOps_;
         ccache::Json p = ccache::Json::object();
-        p["wall_clock_s"] = wall;
-        p["cc_block_ops"] = ops;
-        p["ops_per_sec"] =
-            wall > 0.0 ? static_cast<double>(ops) / wall : 0.0;
+        p["wall_clock_s"] = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start_)
+                                .count();
         return p;
     }
 
@@ -334,7 +327,6 @@ class ResultsWriter
     std::size_t errorCount_ = 0;
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
-    std::uint64_t startOps_ = ccache::perf::ccBlockOps();
 };
 
 /** Base seed of every bench sweep (see SweepContext::seed()). */

@@ -14,7 +14,7 @@
  *
  * Every sweep point is an independent simulated-time run seeded from
  * its key, so the result file is byte-identical at any thread count
- * and under interrupted+resumed ccbench runs (§8).
+ * and whether ccbench runs it alone or in the full catalog (§8).
  */
 
 #include <string>

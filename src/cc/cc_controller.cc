@@ -7,7 +7,6 @@
 #include "cc/bitserial.hh"
 #include "common/bit_util.hh"
 #include "common/logging.hh"
-#include "common/perf_counters.hh"
 #include "common/rng.hh"
 #include "verify/coherence_checker.hh"
 #include "verify/watchdog.hh"
@@ -1018,7 +1017,6 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
 
     const OpPlan plan(instr);
     res.blockOps = plan.steps * plan.bitlineSteps;
-    perf::addCcBlockOps(res.blockOps);
     scratchA_.resize(plan.srcRows);
     scratchB_.resize(plan.srcRows);
     scratchD_.resize(std::max<std::size_t>(plan.dstRows, 1));

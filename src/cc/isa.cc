@@ -332,7 +332,11 @@ CcInstruction::validate() const
         clmulWordBits != 128 && clmulWordBits != 256) {
         CC_FATAL(toString(), ": clmul word width must be 64/128/256");
     }
-    for (Addr a : operandAddrs()) {
+    const std::vector<Addr> addrs = operandAddrs();
+    for (Addr a : addrs) {
+        // The controller reads address 0 as "no operand".
+        if (a == 0)
+            CC_FATAL(toString(), ": operand address 0 is reserved");
         if (!isAligned(a, kBlockSize))
             CC_FATAL(toString(), ": operand 0x", std::hex, a,
                      " is not 64-byte aligned");
@@ -350,7 +354,7 @@ CcInstruction::validate() const
         // Page-aligned bases give the transposed layout its locality
         // guarantee (see kSliceStride) and keep every slice row inside
         // one page.
-        for (Addr a : operandAddrs()) {
+        for (Addr a : addrs) {
             if (!isAligned(a, kSliceStride))
                 CC_FATAL(toString(), ": transposed operand 0x", std::hex,
                          a, std::dec, " is not slice-stride aligned");
@@ -366,6 +370,17 @@ CcInstruction::validate() const
                              ": mul destination overlaps a source");
             }
         }
+    }
+    // No operand range may wrap past 2^64: a page-split piece would
+    // then start at address 0, which the controller reads as "no
+    // operand".
+    const Addr extent = isBitSerial(op) ? laneBits * kSliceStride
+                                        : std::max(size, kSearchKeyBytes);
+    for (Addr a : addrs) {
+        const Addr end = a + extent;
+        if (end != 0 && end < a)
+            CC_FATAL(toString(), ": operand 0x", std::hex, a,
+                     " range wraps past 2^64");
     }
 }
 

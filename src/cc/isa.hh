@@ -175,7 +175,8 @@ struct CcInstruction
     /**
      * Validate against the ISA limits; throws FatalError with a
      * diagnostic on malformed encodings (zero/oversized vectors, bad
-     * clmul width, unaligned operands).
+     * clmul width, unaligned operands, an operand at address 0 or
+     * one whose range wraps past 2^64).
      */
     void validate() const;
 

@@ -125,7 +125,7 @@ EventTrace::writeFile(const std::string &path) const
 {
     // Temp-file + atomic rename with checked stream state: an
     // interrupted or failed write can never leave a torn trace file
-    // behind for tooling (or --resume) to trip over.
+    // behind for tooling to trip over.
     namespace fs = std::filesystem;
 #if defined(__unix__) || defined(__APPLE__)
     std::string tmp =

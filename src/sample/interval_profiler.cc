@@ -62,7 +62,8 @@ IntervalFeatures::normalized() const
 IntervalProfiler::IntervalProfiler(std::size_t interval_records)
     : intervalRecords_(interval_records)
 {
-    CC_ASSERT(interval_records > 0, "interval size must be positive");
+    if (interval_records == 0)
+        CC_FATAL("interval size must be positive");
 }
 
 void

@@ -79,7 +79,8 @@ clusterIntervals(const std::vector<IntervalFeatures> &intervals,
         points.push_back(f.normalized());
 
     std::size_t k = std::min(params.clusters, intervals.size());
-    CC_ASSERT(k > 0, "cluster count must be positive");
+    if (k == 0)
+        CC_FATAL("cluster count must be positive");
 
     Rng rng(params.seed);
     std::vector<std::vector<double>> centroids =

@@ -31,7 +31,8 @@ SampledRun
 runSampled(const std::vector<sim::TraceRecord> &records,
            const SampledRunParams &params)
 {
-    CC_ASSERT(params.intervalRecords > 0, "interval size must be positive");
+    if (params.intervalRecords == 0)
+        CC_FATAL("interval size must be positive");
 
     SampledRun run;
 

@@ -10,7 +10,8 @@ namespace ccache::workload {
 
 BitmapIndex::BitmapIndex(const BitmapGenParams &params) : params_(params)
 {
-    CC_ASSERT(params.bins > 0 && params.rows > 0, "degenerate index");
+    if (params.bins == 0 || params.rows == 0)
+        CC_FATAL("degenerate index: bins and rows must be positive");
 
     Rng rng(params.seed);
     bins_.assign(params.bins, BitVector(params.rows));

@@ -1,7 +1,6 @@
 #include "workload/splash_trace.hh"
 
 #include <algorithm>
-#include <ostream>
 #include <set>
 
 #include "common/logging.hh"
@@ -95,43 +94,6 @@ SplashTrace::nextInterval(std::uint64_t instructions)
     for (std::size_t p : dirtied)
         act.dirtiedPages.push_back(heapBase_ + p * kPageSize);
     return act;
-}
-
-SplashTrace::TraceCounts
-SplashTrace::writeTrace(std::ostream &os, std::size_t intervals,
-                        std::uint64_t instructions_per_interval,
-                        CoreId core)
-{
-    constexpr std::size_t kBlocksPerPage = kPageSize / kBlockSize;
-    TraceCounts counts;
-    os << "# synthetic SPLASH-2 trace: " << toString(app_) << "\n";
-    for (std::size_t iv = 0; iv < intervals; ++iv) {
-        IntervalActivity act = nextInterval(instructions_per_interval);
-
-        // COW first-writes: one store into each freshly-dirtied page.
-        for (Addr page : act.dirtiedPages) {
-            Addr addr = page + rng_.below(kBlocksPerPage) * kBlockSize;
-            os << "W " << core << " 0x" << std::hex << addr << std::dec
-               << "\n";
-            ++counts.writes;
-        }
-
-        // The rest of the interval's accesses: locality-weighted reads
-        // over the resident set (block-aligned).
-        std::uint64_t remaining =
-            act.memAccesses > act.dirtiedPages.size()
-                ? act.memAccesses - act.dirtiedPages.size()
-                : 0;
-        for (std::uint64_t r = 0; r < remaining; ++r) {
-            std::size_t page = rng_.below(profile_.residentPages);
-            Addr addr = heapBase_ + page * kPageSize +
-                rng_.below(kBlocksPerPage) * kBlockSize;
-            os << "R " << core << " 0x" << std::hex << addr << std::dec
-               << "\n";
-            ++counts.reads;
-        }
-    }
-    return counts;
 }
 
 } // namespace ccache::workload

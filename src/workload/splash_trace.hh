@@ -14,7 +14,6 @@
 #define CCACHE_WORKLOAD_SPLASH_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -73,27 +72,6 @@ class SplashTrace
 
     /** Generate the next checkpoint interval (@p instructions long). */
     IntervalActivity nextInterval(std::uint64_t instructions);
-
-    /** Record counts emitted by writeTrace(). */
-    struct TraceCounts
-    {
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-    };
-
-    /**
-     * Emit @p intervals checkpoint intervals in the sim/trace.hh text
-     * format (`R`/`W` records for @p core, block-aligned addresses),
-     * so synthetic SPLASH footprints round-trip through the sampled
-     * trace frontend (`parseTrace` -> profiler -> sampled run). Each
-     * interval writes its dirtied pages first (the COW first-writes),
-     * then spreads the remaining accesses as locality-weighted reads
-     * over the resident set. Deterministic: consumes only this
-     * generator's RNG stream.
-     */
-    TraceCounts writeTrace(std::ostream &os, std::size_t intervals,
-                           std::uint64_t instructions_per_interval,
-                           CoreId core = 0);
 
   private:
     SplashApp app_;

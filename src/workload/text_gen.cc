@@ -10,10 +10,9 @@ TextGen::TextGen(const TextGenParams &params)
     : params_(params), rng_(params.seed),
       zipf_(params.vocabulary, params.zipfExponent)
 {
-    CC_ASSERT(params.vocabulary > 0, "empty vocabulary");
-    CC_ASSERT(params.minWordLen >= 1 &&
-                  params.minWordLen <= params.maxWordLen,
-              "bad word length range");
+    // An empty vocabulary never gets here: zipf_ rejects zero ranks.
+    if (params.minWordLen < 1 || params.minWordLen > params.maxWordLen)
+        CC_FATAL("bad word length range");
 
     // Unique synthetic words: lowercase letters, Zipf-rank ordered.
     std::set<std::string> seen;

@@ -81,7 +81,8 @@ advanceClock(TenantState &t, const TenantTraffic &spec)
 {
     for (;;) {
         double rate = t.rate * rateMultiplier(spec, t.clock);
-        CC_ASSERT(rate > 0.0, "tenant phase rate must stay positive");
+        if (!(rate > 0.0))
+            CC_FATAL("tenant phase rate must stay positive");
         Cycles gap = expGap(t, rate);
         Cycles boundary = nextRateChange(spec, t.clock);
         if (boundary != 0 && t.clock + gap >= boundary) {
@@ -122,7 +123,8 @@ drawBytes(TenantState &t, const TenantTraffic &spec, cc::CcOpcode op)
 std::vector<RequestSpec>
 generateTraffic(const TrafficParams &params)
 {
-    CC_ASSERT(!params.tenants.empty(), "traffic needs at least one tenant");
+    if (params.tenants.empty())
+        CC_FATAL("traffic needs at least one tenant");
 
     // Shared key-space alias table; each tenant samples it through its
     // own RNG stream, so keyed and unkeyed tenants stay decorrelated.
@@ -142,14 +144,13 @@ generateTraffic(const TrafficParams &params)
                                std::to_string(i) + ":" + spec.name));
         t.keyRng = Rng(deriveSeed(
             params.seed, std::to_string(i) + ":" + spec.name + ":key"));
-        CC_ASSERT(spec.requestsPerKilocycle > 0.0,
-                  "tenant arrival rate must be positive");
-        CC_ASSERT(std::is_sorted(
-                      spec.phases.begin(), spec.phases.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.at < b.at;
-                      }),
-                  "tenant rate phases must be sorted by start cycle");
+        if (!(spec.requestsPerKilocycle > 0.0))
+            CC_FATAL("tenant arrival rate must be positive");
+        if (!std::is_sorted(spec.phases.begin(), spec.phases.end(),
+                            [](const auto &a, const auto &b) {
+                                return a.at < b.at;
+                            }))
+            CC_FATAL("tenant rate phases must be sorted by start cycle");
         t.rate = spec.requestsPerKilocycle / 1000.0;
         const std::pair<double, cc::CcOpcode> weights[] = {
             {spec.weightAnd, cc::CcOpcode::And},
@@ -167,7 +168,8 @@ generateTraffic(const TrafficParams &params)
             t.mixTotal += w;
             t.mix.emplace_back(t.mixTotal, op);
         }
-        CC_ASSERT(!t.mix.empty(), "tenant op mix is empty");
+        if (t.mix.empty())
+            CC_FATAL("tenant op mix is empty");
         advanceClock(t, spec);
     }
 

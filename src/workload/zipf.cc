@@ -8,9 +8,13 @@ namespace ccache::workload {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : exponent_(s)
 {
-    CC_ASSERT(n > 0, "zipf sampler needs at least one rank");
-    CC_ASSERT(n <= 0xffffffffULL, "zipf alias table is 32-bit indexed");
-    CC_ASSERT(s >= 0.0, "zipf exponent must be non-negative");
+    if (n == 0)
+        CC_FATAL("zipf sampler needs at least one rank");
+    if (n > 0xffffffffULL)
+        CC_FATAL("zipf alias table is 32-bit indexed: ", n,
+                 " ranks do not fit");
+    if (!(s >= 0.0))
+        CC_FATAL("zipf exponent must be non-negative, not ", s);
 
     // Unnormalized pmf and its sum. One pass, no RNG.
     std::vector<double> weight(n);

@@ -84,6 +84,56 @@ TEST(CcIsa, ValidateRejectsBadEncodings)
                  FatalError);
 }
 
+/** The controller reads address 0 as "no operand": an operand there
+ *  used to crash it (all operands 0) or drop the write (cc_copy
+ *  0x1000 0x0 left address 0 unwritten). validate() rejects it in
+ *  every operand slot of every opcode class. */
+TEST(CcIsa, ValidateRejectsOperandAtAddressZero)
+{
+    EXPECT_THROW(CcInstruction::copy(0x1000, 0, 64).validate(),
+                 FatalError);
+    EXPECT_THROW(CcInstruction::copy(0, 0x1000, 64).validate(),
+                 FatalError);
+    EXPECT_THROW(CcInstruction::buz(0, 64).validate(), FatalError);
+    EXPECT_THROW(CcInstruction::cmp(0x1000, 0, 64).validate(), FatalError);
+    EXPECT_THROW(CcInstruction::search(0, 0x1000, 64).validate(),
+                 FatalError);
+    EXPECT_THROW(CcInstruction::logicalXor(0x1000, 0x2000, 0, 64).validate(),
+                 FatalError);
+    EXPECT_THROW(CcInstruction::logicalNot(0, 0x1000, 64).validate(),
+                 FatalError);
+    EXPECT_THROW(
+        CcInstruction::clmul(0x1000, 0, 0x3000, 64, 64).validate(),
+        FatalError);
+    EXPECT_THROW(
+        CcInstruction::add(0, 0x10000, 0x20000, 64, 8).validate(),
+        FatalError);
+    // Unused operand fields stay 0 and are not operands.
+    EXPECT_NO_THROW(CcInstruction::buz(0x1000, 64).validate());
+    EXPECT_NO_THROW(CcInstruction::cmp(0x1000, 0x2000, 64).validate());
+}
+
+/** A range that wraps past 2^64 would page-split into a piece at
+ *  address 0: cc_copy 0x10000 0xfffffffffffff000 8192 wrote only its
+ *  first page. A range that ends exactly at 2^64 stays legal. */
+TEST(CcIsa, ValidateRejectsRangesWrappingPastTheTop)
+{
+    const Addr top_page = ~Addr{0} - kPageSize + 1;
+    EXPECT_THROW(
+        CcInstruction::copy(0x10000, top_page, 2 * kPageSize).validate(),
+        FatalError);
+    EXPECT_THROW(CcInstruction::buz(top_page + 64, kPageSize).validate(),
+                 FatalError);
+    EXPECT_THROW(
+        CcInstruction::search(~Addr{0} - 63, 0x1000, 128).validate(),
+        FatalError);
+    EXPECT_THROW(
+        CcInstruction::add(top_page, 0x10000, 0x40000, 64, 8).validate(),
+        FatalError);
+    EXPECT_NO_THROW(
+        CcInstruction::copy(0x10000, top_page, kPageSize).validate());
+}
+
 TEST(CcIsa, SpansPageDetection)
 {
     // Entirely within one page.

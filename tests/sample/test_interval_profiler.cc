@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "sample/interval_profiler.hh"
 
 namespace ccache::sample {
@@ -137,6 +138,11 @@ TEST(IntervalProfiler, OneShotHelperMatchesStreaming)
         EXPECT_EQ(oneShot[i].coldTouches,
                   prof.intervals()[i].coldTouches);
     }
+}
+
+TEST(IntervalProfiler, RejectsZeroIntervalSize)
+{
+    EXPECT_THROW(IntervalProfiler(0), FatalError);
 }
 
 } // namespace

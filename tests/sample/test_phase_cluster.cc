@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "sample/phase_cluster.hh"
 
 namespace ccache::sample {
@@ -127,6 +128,13 @@ TEST(PhaseCluster, EmptyInputYieldsNoPhases)
     auto out = clusterIntervals({}, ClusterParams{});
     EXPECT_TRUE(out.phases.empty());
     EXPECT_TRUE(out.assignment.empty());
+}
+
+TEST(PhaseCluster, RejectsZeroClusters)
+{
+    ClusterParams params;
+    params.clusters = 0;
+    EXPECT_THROW(clusterIntervals(threePhaseTrace(2), params), FatalError);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "sample/sampled_runner.hh"
 
@@ -141,6 +142,13 @@ TEST(SampledRunner, EmptyTraceYieldsEmptyRun)
     EXPECT_TRUE(run.representatives.empty());
     EXPECT_EQ(run.estimate.recordsTotal, 0u);
     EXPECT_EQ(run.estimate.intervalsTotal, 0u);
+}
+
+TEST(SampledRunner, RejectsZeroIntervalSize)
+{
+    SampledRunParams params = testParams();
+    params.intervalRecords = 0;
+    EXPECT_THROW(runSampled(makeTrace(1, 1), params), FatalError);
 }
 
 } // namespace

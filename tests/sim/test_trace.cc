@@ -129,6 +129,35 @@ CC 7 cc_copy 0x1000 0x2000 64
     }
 }
 
+TEST(TraceParser, OperandAtAddressZeroReported)
+{
+    // The controller reads address 0 as "no operand": a record whose
+    // operands are all 0 used to crash it, and one with only some at 0
+    // dropped its write. Each is a per-line error now.
+    auto parsed = parseTrace(std::string(R"(CC 0 cc_buz 0x0 64
+CC 0 cc_copy 0x0 0x0 64
+CC 0 cc_cmp 0x0 0x0 64
+CC 0 cc_and 0x0 0x0 0x0 64
+CC 0 cc_or 0x0 0x0 0x0 64
+CC 0 cc_xor 0x0 0x0 0x0 64
+CC 0 cc_not 0x0 0x0 64
+CC 0 cc_clmul64 0x0 0x0 0x0 64
+CC 0 cc_copy 0x1000 0x0 64
+CC 0 cc_search 0x0 0x1000 64
+CC 0 cc_copy 0x2000 0x1000 64
+)"));
+    ASSERT_EQ(parsed.records.size(), 1u);
+    EXPECT_EQ(parsed.records[0].instr.src1, 0x2000u);
+    EXPECT_EQ(parsed.records[0].instr.dest, 0x1000u);
+    ASSERT_EQ(parsed.errors.size(), 10u);
+    for (std::size_t i = 0; i < parsed.errors.size(); ++i) {
+        const TraceParseError &err = parsed.errors[i];
+        EXPECT_EQ(err.lineNumber, i + 1);
+        EXPECT_NE(err.message.find("operand address 0 is reserved"),
+                  std::string::npos) << err.message;
+    }
+}
+
 TEST(TraceParser, OversizedLineSkippedAndReported)
 {
     // A line longer than kMaxTraceLineBytes is skipped (without ever

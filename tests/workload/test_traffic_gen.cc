@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "workload/traffic_gen.hh"
 
 namespace ccache::workload {
@@ -266,6 +267,33 @@ TEST(TrafficGen, FanoutOnOneTenantDoesNotPerturbOthers)
         EXPECT_EQ(xa[i].bytes, ya[i].bytes);
         EXPECT_EQ(xa[i].fanout, 1u);
     }
+}
+
+/** Each malformed traffic configuration is a FatalError naming the
+ *  problem, not a panic. */
+TEST(TrafficGen, RejectsMalformedConfigs)
+{
+    TrafficParams none = twoTenants();
+    none.tenants.clear();
+    EXPECT_THROW(generateTraffic(none), FatalError);
+
+    TrafficParams idle = twoTenants();
+    idle.tenants[1].requestsPerKilocycle = 0.0;
+    EXPECT_THROW(generateTraffic(idle), FatalError);
+
+    TrafficParams unsorted = twoTenants();
+    unsorted.tenants[0].phases = {{100000, 8.0}, {50000, 1.0}};
+    EXPECT_THROW(generateTraffic(unsorted), FatalError);
+
+    TrafficParams stalled = twoTenants();
+    stalled.tenants[0].phases = {{0, 0.0}};
+    EXPECT_THROW(generateTraffic(stalled), FatalError);
+
+    TrafficParams no_ops = twoTenants();
+    TenantTraffic &t = no_ops.tenants[0];
+    t.weightAnd = t.weightOr = t.weightXor = t.weightCopy = 0.0;
+    t.weightSearch = t.weightCmp = t.weightBuz = t.weightNot = 0.0;
+    EXPECT_THROW(generateTraffic(no_ops), FatalError);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "common/logging.hh"
 #include "workload/bitmap_gen.hh"
 #include "workload/splash_trace.hh"
 #include "workload/text_gen.hh"
@@ -168,9 +169,40 @@ TEST(SplashTrace, DeterministicPerSeed)
 {
     SplashTrace a(SplashApp::Barnes, 0x1000000, 7);
     SplashTrace b(SplashApp::Barnes, 0x1000000, 7);
-    auto ia = a.nextInterval(100000);
-    auto ib = b.nextInterval(100000);
-    EXPECT_EQ(ia.dirtiedPages, ib.dirtiedPages);
+    SplashTrace c(SplashApp::Barnes, 0x1000000, 0xfeed);
+    bool differs = false;
+    for (int i = 0; i < 3; ++i) {
+        auto ia = a.nextInterval(100000);
+        auto ib = b.nextInterval(100000);
+        auto ic = c.nextInterval(100000);
+        EXPECT_EQ(ia.dirtiedPages, ib.dirtiedPages);
+        differs = differs || ia.dirtiedPages != ic.dirtiedPages;
+    }
+    EXPECT_TRUE(differs) << "a different seed drew the same intervals";
+}
+
+TEST(TextGen, RejectsEmptyVocabularyAndBadWordLengths)
+{
+    TextGenParams empty;
+    empty.vocabulary = 0;
+    EXPECT_THROW(TextGen{empty}, FatalError);
+    TextGenParams zero_len;
+    zero_len.minWordLen = 0;
+    EXPECT_THROW(TextGen{zero_len}, FatalError);
+    TextGenParams inverted;
+    inverted.minWordLen = 9;
+    inverted.maxWordLen = 4;
+    EXPECT_THROW(TextGen{inverted}, FatalError);
+}
+
+TEST(BitmapGen, RejectsDegenerateIndex)
+{
+    BitmapGenParams no_bins;
+    no_bins.bins = 0;
+    EXPECT_THROW(BitmapIndex{no_bins}, FatalError);
+    BitmapGenParams no_rows;
+    no_rows.rows = 0;
+    EXPECT_THROW(BitmapIndex{no_rows}, FatalError);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "workload/zipf.hh"
 
 namespace ccache::workload {
@@ -112,6 +113,17 @@ TEST(ZipfSampler, MultiMillionRankBuild)
     // With s = 0.99 the hottest 1% of ranks carries roughly half the
     // mass at this scale; loose lower bound to stay noise-proof.
     EXPECT_GT(head, kDraws / 4);
+}
+
+/** A rank count the 32-bit alias table cannot index, an empty rank
+ *  space and a negative or NaN exponent are configuration errors,
+ *  rejected before the table is allocated. */
+TEST(ZipfSampler, RejectsUnsupportedParameters)
+{
+    EXPECT_THROW(ZipfSampler(0, 0.99), FatalError);
+    EXPECT_THROW(ZipfSampler(std::size_t{1} << 32, 0.99), FatalError);
+    EXPECT_THROW(ZipfSampler(16, -0.5), FatalError);
+    EXPECT_THROW(ZipfSampler(16, std::nan("")), FatalError);
 }
 
 } // namespace

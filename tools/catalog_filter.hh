@@ -1,29 +1,17 @@
 /**
  * @file
- * Catalog selection and resume planning for ccbench — factored out of
- * the driver so the behaviour is unit-testable without spawning
- * subprocesses.
+ * Catalog selection for ccbench — factored out of ccbench.cc so the
+ * behaviour is unit-testable without spawning subprocesses.
  *
  * Two selection mechanisms compose (a bench runs when it passes both):
  *  - positional BENCH arguments: plain substring match, any-of;
  *  - --filter PATTERN flags: ECMAScript regex, partial match, any-of.
- *
- * Resume planning: a bench can be satisfied from the journal when it
- * has an `ok <name>` entry AND its result JSON still exists (the
- * journal alone is not proof — results directories get cleaned).
- *
- * Journal open mode: a run restricted to a subset of the catalog
- * (filtered or resumed) must APPEND to the journal; only an
- * unrestricted fresh run truncates it. Otherwise `ccbench --filter x`
- * would erase the completion records of every other bench and a later
- * `--resume` would needlessly re-run the whole catalog.
  */
 
 #ifndef CCACHE_TOOLS_CATALOG_FILTER_HH
 #define CCACHE_TOOLS_CATALOG_FILTER_HH
 
 #include <regex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,8 +37,6 @@ class CatalogFilter
         }
         return true;
     }
-
-    bool empty() const { return substrings_.empty() && regexes_.empty(); }
 
     /** True when @p name passes the selection: it must match at least
      *  one substring (if any are given) and at least one regex (if any
@@ -78,32 +64,6 @@ class CatalogFilter
     std::vector<std::string> substrings_;
     std::vector<std::regex> regexes_;
 };
-
-/** True when the journal must be opened in append mode: any run that
- *  does not cover the full catalog (resume, or a filtered subset) must
- *  preserve the completion records of the benches it is not running. */
-inline bool
-journalAppendMode(bool resume, bool filtered)
-{
-    return resume || filtered;
-}
-
-/**
- * Which of @p names are already satisfied: journaled as done AND their
- * result file still exists (per @p result_exists). Returns a parallel
- * bool vector.
- */
-template <typename ResultExistsFn>
-std::vector<bool>
-planResume(const std::vector<std::string> &names,
-           const std::set<std::string> &done,
-           ResultExistsFn &&result_exists)
-{
-    std::vector<bool> cached(names.size(), false);
-    for (std::size_t i = 0; i < names.size(); ++i)
-        cached[i] = done.count(names[i]) != 0 && result_exists(names[i]);
-    return cached;
-}
 
 } // namespace cctools
 

@@ -46,7 +46,9 @@
  *
  * Numbers are parsed strictly (number_arg.hh): a malformed, negative,
  * overflowing or non-finite value, or one out of its range, is a
- * usage error that names the flag (exit 2).
+ * usage error that names the flag (exit 2). A configuration the model
+ * rejects (a FatalError, e.g. `--zipf-keys` beyond 2^32 - 1) prints
+ * `cc_server: <message>` and exits 2 as well.
  */
 
 #include <cstdio>
@@ -56,6 +58,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/logging.hh"
 #include "number_arg.hh"
 #include "serve/server.hh"
 #include "serve/shard_router.hh"
@@ -116,10 +119,8 @@ usage(const char *argv0)
                  argv0);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+serverMain(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
@@ -452,4 +453,19 @@ main(int argc, char **argv)
         return 1;
 
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A configuration the model cannot simulate (say, a key space the
+    // Zipf alias table cannot index) is a usage error, not an abort.
+    try {
+        return serverMain(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "cc_server: %s\n", e.what());
+        return 2;
+    }
 }

@@ -6,22 +6,20 @@
  * Usage:
  *
  *     ccbench [-j N] [--inner-jobs N] [--bin-dir DIR] [--results DIR]
- *             [--baseline DIR] [--threshold FRAC] [--stats] [--list]
- *             [--no-compare] [--resume] [--filter REGEX] [BENCH...]
+ *             [--baseline DIR] [--list] [--no-compare]
+ *             [--filter REGEX] [BENCH...]
  *
  * Catalog selection: positional BENCH arguments are substring matches;
  * `--filter` takes an ECMAScript regex (partial match, repeatable).
- * Both may be combined — a bench runs when it passes both. A filtered
- * run appends to the completion journal instead of truncating it, so
- * `--resume` of the full catalog stays correct after a filtered run
- * (see tools/catalog_filter.hh).
+ * Both may be combined — a bench runs when it passes both
+ * (tools/catalog_filter.hh).
  *
  * Every executable in the bench directory (default: the `bench/`
  * sibling of this binary's directory, i.e. `build/bench/`) is one unit
  * of work. ccbench fans the units out with ccache::parallelFor (`-j`,
  * default: $CCACHE_JOBS or hardware threads; never more threads than
- * benches), each bench running as its own subprocess (posix_spawn, not
- * system(3), so SIGINT and SIGTERM reach ccbench itself) with
+ * benches), each bench running as its own posix_spawn()ed process, so
+ * a bench that crashes fails alone, with
  *
  *   - CCACHE_RESULTS_DIR pointing at the shared results directory, so
  *     every bench writes `results/<bench>.json` exactly as a serial
@@ -35,36 +33,25 @@
  * Each bench's stdout/stderr is captured to `results/<bench>.log`.
  * After the barrier, every result file with a matching file in the
  * baseline directory (default `ci/baseline/`) is compared with the
- * shared result_compare.hh logic, and a wall-clock summary reports the
- * parallel makespan against the serial-equivalent (sum of per-bench)
- * time.
+ * shared result_compare.hh logic at cctools::kDriftThreshold, and a
+ * wall-clock summary reports the parallel makespan against the
+ * serial-equivalent (sum of per-bench) time.
  *
- * Crash-safe recovery: each successful bench appends an `ok <name>`
- * line to `<results>/ccbench.journal`. On SIGINT/SIGTERM ccbench
- * drains gracefully — unstarted benches are skipped, already-running
- * ones finish and are journaled, comparisons are skipped, and the exit
- * status is 130. A follow-up `ccbench --resume` re-runs only the
- * benches without a journal entry (and whose result JSON exists);
- * because every bench rewrites its result file atomically and
- * deterministically, an interrupted-then-resumed catalog is
- * byte-identical to an uninterrupted run.
+ * The serial catalog runs in seconds, so there is no resume: an
+ * interrupted catalog is simply run again. Every bench writes its
+ * result file atomically (bench::atomicWriteFile), so an interruption
+ * never leaves a torn file behind.
  *
  * Exit status: 0 all benches ran and no metric drifted, 1 when a bench
- * failed or a metric drifted, 2 on usage or I/O errors, 130 when
- * interrupted.
+ * failed or a metric drifted, 2 on usage or I/O errors.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <mutex>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,15 +73,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Set by the SIGINT/SIGTERM handler; polled between bench launches. */
-volatile std::sig_atomic_t g_stop = 0;
-
-extern "C" void
-onStopSignal(int)
-{
-    g_stop = 1;
-}
-
 struct Options
 {
     unsigned jobs = 0;          ///< 0 until set: ccache::defaultJobs()
@@ -102,11 +80,8 @@ struct Options
     std::string binDir;
     std::string resultsDir;
     std::string baselineDir = "ci/baseline";
-    double threshold = 0.05;
-    bool compareStats = false;
     bool listOnly = false;
     bool compare = true;
-    bool resume = false;
     cctools::CatalogFilter filter;
 };
 
@@ -116,8 +91,6 @@ struct BenchRun
     fs::path binary;
     int exitCode = -1;
     double seconds = 0.0;
-    bool cached = false;    ///< satisfied from the journal (--resume)
-    bool skipped = false;   ///< never started (graceful drain)
 };
 
 void
@@ -126,9 +99,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [-j N] [--inner-jobs N] [--bin-dir DIR] "
                  "[--results DIR]\n"
-                 "       [--baseline DIR] [--threshold FRAC] [--stats] "
-                 "[--list] [--no-compare]\n"
-                 "       [--resume] [--filter REGEX] [BENCH...]\n",
+                 "       [--baseline DIR] [--list] [--no-compare] "
+                 "[--filter REGEX] [BENCH...]\n",
                  argv0);
 }
 
@@ -206,20 +178,6 @@ describeBench(const fs::path &binary)
     return line;
 }
 
-/** Names journaled as complete in `<results>/ccbench.journal`. */
-std::set<std::string>
-readJournal(const std::string &path)
-{
-    std::set<std::string> done;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("ok ", 0) == 0)
-            done.insert(line.substr(3));
-    }
-    return done;
-}
-
 /**
  * Run one bench as a subprocess, stdout+stderr captured to its log
  * file. Returns via run.exitCode: the child's exit status, 128+sig if
@@ -270,7 +228,7 @@ runBench(BenchRun &run, const Options &opt)
 
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0) {
-        if (errno != EINTR) {   // EINTR: our own SIGINT/SIGTERM handler
+        if (errno != EINTR) {
             run.exitCode = -1;
             return;
         }
@@ -318,17 +276,10 @@ main(int argc, char **argv)
             opt.resultsDir = needArg("--results");
         } else if (!std::strcmp(argv[i], "--baseline")) {
             opt.baselineDir = needArg("--baseline");
-        } else if (!std::strcmp(argv[i], "--threshold")) {
-            opt.threshold = cctools::thresholdArg("ccbench", "--threshold",
-                                                  needArg("--threshold"));
-        } else if (!std::strcmp(argv[i], "--stats")) {
-            opt.compareStats = true;
         } else if (!std::strcmp(argv[i], "--list")) {
             opt.listOnly = true;
         } else if (!std::strcmp(argv[i], "--no-compare")) {
             opt.compare = false;
-        } else if (!std::strcmp(argv[i], "--resume")) {
-            opt.resume = true;
         } else if (!std::strcmp(argv[i], "--filter")) {
             std::string error;
             if (!opt.filter.addRegex(needArg("--filter"), &error)) {
@@ -381,106 +332,28 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Completion journal: an unrestricted fresh run truncates it;
-    // --resume honours it; a filtered run appends so the records of
-    // benches outside the filter survive (catalog_filter.hh).
-    std::string journal_path = opt.resultsDir + "/ccbench.journal";
-    std::size_t resumed = 0;
-    if (opt.resume) {
-        std::set<std::string> done = readJournal(journal_path);
-        std::vector<std::string> names;
-        names.reserve(catalog.size());
-        for (const BenchRun &b : catalog)
-            names.push_back(b.name);
-        std::vector<bool> cached = cctools::planResume(
-            names, done, [&](const std::string &name) {
-                return fs::exists(opt.resultsDir + "/" + name + ".json");
-            });
-        for (std::size_t i = 0; i < catalog.size(); ++i) {
-            if (cached[i]) {
-                catalog[i].cached = true;
-                catalog[i].exitCode = 0;
-                ++resumed;
-            }
-        }
-    }
-    bool append = cctools::journalAppendMode(opt.resume,
-                                             !opt.filter.empty());
-    std::ofstream journal(journal_path,
-                          append ? std::ios::app : std::ios::trunc);
-    if (!journal) {
-        std::fprintf(stderr, "ccbench: cannot open %s\n",
-                     journal_path.c_str());
-        return 2;
-    }
-    std::mutex journal_mutex;
-
-    // Graceful drain on ^C / TERM: stop launching, let running benches
-    // finish (they are separate processes writing atomically anyway),
-    // journal what completed, and skip the baseline gate.
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = onStopSignal;
-    sigemptyset(&sa.sa_mask);
-    sigaction(SIGINT, &sa, nullptr);
-    sigaction(SIGTERM, &sa, nullptr);
-
     std::printf("ccbench: %zu benches, %u jobs (inner sweeps: %u), "
                 "results -> %s\n",
                 catalog.size(), opt.jobs, opt.innerJobs,
                 opt.resultsDir.c_str());
-    if (resumed)
-        std::printf("ccbench: resuming, %zu bench(es) already complete "
-                    "per %s\n",
-                    resumed, journal_path.c_str());
 
-    // Fan the catalog out. Each task writes only its own BenchRun slot;
-    // the journal is the only shared mutable state and has its mutex.
+    // Fan the catalog out. Each task writes only its own BenchRun slot.
     auto wall_start = std::chrono::steady_clock::now();
-    ccache::parallelFor(opt.jobs, catalog.size(), [&](std::size_t i) {
-        BenchRun &b = catalog[i];
-        if (b.cached)
-            return;
-        if (g_stop) {
-            b.skipped = true;
-            return;
-        }
-        runBench(b, opt);
-        if (b.exitCode == 0) {
-            std::lock_guard<std::mutex> lock(journal_mutex);
-            journal << "ok " << b.name << "\n";
-            journal.flush();
-        }
-    });
+    ccache::parallelFor(opt.jobs, catalog.size(),
+                        [&](std::size_t i) { runBench(catalog[i], opt); });
     auto wall_end = std::chrono::steady_clock::now();
     double wall =
         std::chrono::duration<double>(wall_end - wall_start).count();
-    bool interrupted = g_stop != 0;
 
     int failures = 0;
-    std::size_t skipped = 0;
     double serial_equiv = 0.0;
     for (const BenchRun &b : catalog) {
         serial_equiv += b.seconds;
-        if (b.cached) {
-            std::printf("cached   %-28s (journal)\n", b.name.c_str());
-        } else if (b.skipped) {
-            std::printf("skip     %-28s (interrupted before start)\n",
-                        b.name.c_str());
-            ++skipped;
-        } else if (b.exitCode != 0) {
-            // A bench killed by the same ^C that stopped ccbench is part
-            // of the interruption, not a bench failure.
-            if (interrupted && b.exitCode >= 128) {
-                std::printf("int      %-28s (signal during drain)\n",
-                            b.name.c_str());
-                ++skipped;
-            } else {
-                std::printf("FAIL     %-28s exit %d (see %s/%s.log)\n",
-                            b.name.c_str(), b.exitCode,
-                            opt.resultsDir.c_str(), b.name.c_str());
-                ++failures;
-            }
+        if (b.exitCode != 0) {
+            std::printf("FAIL     %-28s exit %d (see %s/%s.log)\n",
+                        b.name.c_str(), b.exitCode,
+                        opt.resultsDir.c_str(), b.name.c_str());
+            ++failures;
         } else {
             std::printf("ok       %-28s %6.2fs\n", b.name.c_str(),
                         b.seconds);
@@ -488,11 +361,9 @@ main(int argc, char **argv)
     }
 
     // Baseline gate: every result file with a committed golden twin.
-    // Skipped entirely on interruption — a partial catalog must not be
-    // judged against the full baseline set.
     int flagged = 0;
     int compared = 0;
-    if (opt.compare && failures == 0 && !interrupted) {
+    if (opt.compare && failures == 0) {
         for (const BenchRun &b : catalog) {
             std::string base_path =
                 opt.baselineDir + "/" + b.name + ".json";
@@ -506,12 +377,13 @@ main(int argc, char **argv)
                 ++flagged;
                 continue;
             }
-            int n = cctools::compareResults(base, cur, opt.threshold,
-                                            opt.compareStats);
+            int n = cctools::compareResults(
+                base, cur, cctools::kDriftThreshold, false);
             std::printf("%-8s %-28s vs %s (%d metric(s) beyond "
                         "%.1f%%)\n",
                         n ? "DRIFT" : "match", b.name.c_str(),
-                        base_path.c_str(), n, 100.0 * opt.threshold);
+                        base_path.c_str(), n,
+                        100.0 * cctools::kDriftThreshold);
             flagged += n;
             ++compared;
         }
@@ -524,17 +396,11 @@ main(int argc, char **argv)
                 "%.2fs, %.2fx)\n",
                 catalog.size(), wall, serial_equiv,
                 wall > 0.0 ? serial_equiv / wall : 0.0);
-    if (interrupted)
-        std::printf("interrupted: %zu bench(es) not run; rerun with "
-                    "--resume to finish the catalog\n",
-                    skipped);
     if (failures)
         std::printf("%d bench(es) FAILED\n", failures);
     if (flagged)
         std::printf("%d metric(s) drifted beyond the baseline "
                     "threshold\n",
                     flagged);
-    if (interrupted)
-        return 130;
     return failures || flagged ? 1 : 0;
 }

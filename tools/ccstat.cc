@@ -23,7 +23,7 @@
  *  - `--identical` replaces the semantic comparison with a byte-level
  *    one that ignores the "perf" section: the documents must serialize
  *    identically after stripping it. This is what CI's thread-count and
- *    resume identity loops use instead of raw `cmp`.
+ *    filtered-run identity checks use instead of raw `cmp`.
  *
  * Exit status: 0 when everything is within the threshold, 1 when at
  * least one metric drifted, 2 on I/O, parse or schema errors or a
@@ -49,7 +49,7 @@ struct Options
 {
     std::string baselinePath;
     std::string currentPath;
-    double threshold = 0.05;
+    double threshold = cctools::kDriftThreshold;
     double perfThreshold = 0.5;
     bool compareStats = false;
     bool comparePerf = false;

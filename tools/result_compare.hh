@@ -22,6 +22,10 @@
 
 namespace cctools {
 
+/** Relative metric drift beyond which a comparison flags a metric: the
+ *  ccbench baseline gate and ccstat's default `--threshold`. */
+inline constexpr double kDriftThreshold = 0.05;
+
 /**
  * Load one results file and validate its schema marker. Returns false
  * (with a diagnostic on stderr) when the file is missing, unparseable
@@ -139,10 +143,10 @@ compareMaps(const std::map<std::string, double> &base,
 
 /**
  * Copy of @p doc without the run-local "perf" section. Every byte-level
- * identity check (thread-count determinism, resume integrity) must
- * compare through this: the perf section measures the machine, not the
- * simulation, and legitimately differs between otherwise identical runs
- * (DESIGN.md §13).
+ * identity check (thread-count determinism, a filtered run against a
+ * standalone one) must compare through this: the perf section measures
+ * the machine, not the simulation, and legitimately differs between
+ * otherwise identical runs (DESIGN.md §13).
  */
 inline ccache::Json
 stripPerf(const ccache::Json &doc)
@@ -160,10 +164,9 @@ stripPerf(const ccache::Json &doc)
 /**
  * Compare the "perf" sections of two result documents. Unlike metric
  * drift this is one-sided: only a slowdown beyond @p tolerance is
- * flagged (wall_clock_s up, or ops_per_sec down) — wall clock is noisy
- * and an improvement is never a failure. Baselines written before the
- * perf section existed (or with zero ops) pass trivially. Returns the
- * number of flagged regressions.
+ * flagged (wall_clock_s up) — wall clock is noisy and an improvement is
+ * never a failure. Baselines written before the perf section existed
+ * pass trivially. Returns the number of flagged regressions.
  */
 inline int
 comparePerf(const ccache::Json &base, const ccache::Json &cur,
@@ -180,31 +183,18 @@ comparePerf(const ccache::Json &base, const ccache::Json &cur,
         std::printf("MISSING  perf section (baseline has one)\n");
         return 1;
     }
-    int flagged = 0;
     const ccache::Json *bw = bp->find("wall_clock_s");
     const ccache::Json *cw = cp->find("wall_clock_s");
-    if (bw && cw && bw->isNumber() && cw->isNumber()) {
-        double a = bw->asNumber(), b = cw->asNumber();
-        if (b > a * (1.0 + tolerance)) {
-            std::printf("PERF     wall_clock_s: %.3f -> %.3f "
-                        "(%+.0f%%, tolerance %.0f%%)\n",
-                        a, b, 100.0 * (b - a) / (a != 0.0 ? a : 1.0),
-                        100.0 * tolerance);
-            ++flagged;
-        }
-    }
-    const ccache::Json *bo = bp->find("ops_per_sec");
-    const ccache::Json *co = cp->find("ops_per_sec");
-    if (bo && co && bo->isNumber() && co->isNumber()) {
-        double a = bo->asNumber(), b = co->asNumber();
-        if (a > 0.0 && b < a / (1.0 + tolerance)) {
-            std::printf("PERF     ops_per_sec: %.4g -> %.4g "
-                        "(%+.0f%%, tolerance %.0f%%)\n",
-                        a, b, 100.0 * (b - a) / a, 100.0 * tolerance);
-            ++flagged;
-        }
-    }
-    return flagged;
+    if (!bw || !cw || !bw->isNumber() || !cw->isNumber())
+        return 0;
+    double a = bw->asNumber(), b = cw->asNumber();
+    if (!(b > a * (1.0 + tolerance)))
+        return 0;
+    std::printf("PERF     wall_clock_s: %.3f -> %.3f "
+                "(%+.0f%%, tolerance %.0f%%)\n",
+                a, b, 100.0 * (b - a) / (a != 0.0 ? a : 1.0),
+                100.0 * tolerance);
+    return 1;
 }
 
 /**
