@@ -800,64 +800,108 @@ Hierarchy::chooseLevel(CoreId core, const std::vector<Addr> &operands)
     return CacheLevel::L3;
 }
 
-Block
-Hierarchy::debugRead(Addr addr)
+void
+Hierarchy::debugRead(Addr addr, void *out, std::size_t len)
 {
-    addr = alignDown(addr, kBlockSize);
-    // Private copies can exist only for cores whose sharer bit is set in
-    // the home slice's directory, and only for mapped pages (the
-    // inclusion and dir.missing_sharer invariants the coherence checker
-    // audits, DESIGN.md §9) — so walk the directory instead of probing
-    // every core's L1 and L2. Core order is preserved, so the answer is
-    // bit-identical to the exhaustive scan.
-    if (auto home = homeSliceIfMapped(addr)) {
-        DirEntry e = dir_[*home]->entry(addr);
-        for (unsigned c = 0; c < params_.cores && e.sharers != 0; ++c) {
-            if (!(e.sharers & (1u << c)))
-                continue;
-            if (const Block *d = l1(c).dirtyPeek(addr))
-                return *d;
-            if (const Block *d = l2(c).dirtyPeek(addr))
-                return *d;
+    auto *dst = static_cast<std::uint8_t *>(out);
+    while (len > 0) {
+        std::size_t in_page =
+            std::min(len, kPageSize - (addr & (kPageSize - 1)));
+        len -= in_page;
+        const std::optional<unsigned> home = homeSliceIfMapped(addr);
+        if (!home) {
+            // Unmapped page: never filled anywhere (the coherence
+            // checker's "unmapped implies no valid copies" invariant,
+            // DESIGN.md §9).
+            memory_.readBytes(addr, dst, in_page);
+            addr += in_page;
+            dst += in_page;
+            continue;
         }
-        // L3 residency is possible only at the home slice: every fill
-        // goes through allocateInL3 with a sliceFor-derived target, and
-        // sliceFor pins the page mapping on first touch (mapPage is
-        // pre-access test setup only). L3 data is newest unless a
-        // private M copy exists (checked above); L3-dirty beats memory.
+        const Directory &dir = *dir_[*home];
         const Cache &l3 = *l3_[*home];
-        if (LineRef line = l3.find(addr))
-            return l3.peek(line);
+        while (in_page > 0) {
+            const Addr blk = alignDown(addr, kBlockSize);
+            const std::size_t off = addr - blk;
+            const std::size_t n = std::min(kBlockSize - off, in_page);
+            // Private copies can exist only for cores whose sharer bit
+            // is set in the home slice's directory (the inclusion and
+            // dir.missing_sharer invariants the coherence checker
+            // audits, DESIGN.md §9), so walk the directory instead of
+            // probing every core's L1 and L2; core order picks the
+            // same copy as an exhaustive scan.
+            const Block *src = nullptr;
+            const DirEntry e = dir.entry(blk);
+            for (unsigned c = 0; c < params_.cores && e.sharers && !src;
+                 ++c) {
+                if (!(e.sharers & (1u << c)))
+                    continue;
+                src = l1_[c]->dirtyPeek(blk);
+                if (!src)
+                    src = l2_[c]->dirtyPeek(blk);
+            }
+            // L3 residency is possible only at the home slice: every
+            // fill goes through allocateInL3 with a sliceFor-derived
+            // target, and sliceFor pins the page mapping on first touch
+            // (mapPage is pre-access test setup only). L3 data is newest
+            // unless a private M copy exists (checked above); L3-dirty
+            // beats memory.
+            if (!src) {
+                if (LineRef line = l3.find(blk))
+                    src = &l3.peek(line);
+            }
+            if (src)
+                std::memcpy(dst, src->data() + off, n);
+            else
+                memory_.readBytes(addr, dst, n);
+            addr += n;
+            dst += n;
+            in_page -= n;
+        }
     }
-    // Unmapped page: never filled anywhere (the coherence checker's
-    // "unmapped implies no valid copies" invariant, DESIGN.md §9).
-    return memory_.readBlock(addr);
 }
 
 void
-Hierarchy::debugWrite(Addr addr, const Block &data)
+Hierarchy::debugWrite(Addr addr, const void *data, std::size_t len)
 {
-    addr = alignDown(addr, kBlockSize);
-    memory_.writeBlock(addr, data);
+    if (len == 0)
+        return;
+    memory_.writeBytes(addr, static_cast<const std::uint8_t *>(data), len);
     // Same directory walk as debugRead: only sharer-listed cores can
-    // hold private copies, so the old poke-every-cache broadcast (24
-    // probes per block on the System::load workload-setup hot path)
-    // reduces to the tracked copies plus the slices.
-    auto poke = [&](Cache &cache) {
-        if (LineRef line = cache.find(addr))
-            cache.poke(line, data);
-    };
-    if (auto home = homeSliceIfMapped(addr)) {
-        DirEntry e = dir_[*home]->entry(addr);
-        for (unsigned c = 0; c < params_.cores && e.sharers != 0; ++c) {
-            if (!(e.sharers & (1u << c)))
-                continue;
-            poke(l1(c));
-            poke(l2(c));
+    // hold private copies, and only the home slice can hold the line at
+    // L3, so an unmapped page is skipped whole and a block with no
+    // cached copy costs one directory and one L3 probe.
+    Addr blk = alignDown(addr, kBlockSize);
+    std::size_t blocks = divCeil(addr - blk + len, kBlockSize);
+    while (blocks > 0) {
+        const std::size_t in_page = std::min(
+            blocks, (kPageSize - (blk & (kPageSize - 1))) / kBlockSize);
+        blocks -= in_page;
+        const std::optional<unsigned> home = homeSliceIfMapped(blk);
+        if (!home) {
+            blk += in_page * kBlockSize;
+            continue;
         }
-        // Only the home slice can hold the line (see debugRead); an
-        // unmapped page has no cached copies to update at all.
-        poke(*l3_[*home]);
+        for (std::size_t i = 0; i < in_page; ++i, blk += kBlockSize) {
+            // The copies take memory's whole block, read only once a
+            // copy is found.
+            std::optional<Block> value;
+            auto poke = [&](Cache &cache) {
+                if (LineRef line = cache.find(blk)) {
+                    if (!value)
+                        value = memory_.readBlock(blk);
+                    cache.poke(line, *value);
+                }
+            };
+            const DirEntry e = dir_[*home]->entry(blk);
+            for (unsigned c = 0; c < params_.cores && e.sharers != 0; ++c) {
+                if (!(e.sharers & (1u << c)))
+                    continue;
+                poke(l1(c));
+                poke(l2(c));
+            }
+            poke(*l3_[*home]);
+        }
     }
 }
 

@@ -26,6 +26,7 @@
 
 #include "cache/cache.hh"
 #include "cache/directory.hh"
+#include "common/bit_util.hh"
 #include "common/event_trace.hh"
 #include "common/stats.hh"
 #include "energy/energy_model.hh"
@@ -166,14 +167,31 @@ class Hierarchy
     CacheLevel chooseLevel(CoreId core, const std::vector<Addr> &operands);
 
     /**
-     * Authoritative current value of a block (highest dirty copy wins),
-     * without timing or energy side effects. For checking and loaders.
+     * Functional back door for workload setup and checking, without
+     * timing or energy side effects. The range forms take any byte
+     * range and work a 4 KB page at a time: a page maps to one home
+     * slice, and an unmapped page has no cached copies at all. @{
      */
-    Block debugRead(Addr addr);
 
-    /** Functional back-door write to memory AND all cached copies
-     *  (workload setup). */
-    void debugWrite(Addr addr, const Block &data);
+    /** Authoritative current value of @p len bytes at @p addr: per
+     *  block, a sharer's dirty private copy beats the home L3 copy,
+     *  which beats memory. */
+    void debugRead(Addr addr, void *out, std::size_t len);
+
+    /** debugRead of the block holding @p addr. */
+    Block
+    debugRead(Addr addr)
+    {
+        Block b;
+        debugRead(alignDown(addr, kBlockSize), b.data(), kBlockSize);
+        return b;
+    }
+
+    /** Write @p len bytes at @p addr to memory; every cached copy of a
+     *  touched block then takes memory's new value of the whole block,
+     *  so a reload leaves the caches as coherent as a fresh machine. */
+    void debugWrite(Addr addr, const void *data, std::size_t len);
+    /** @} */
 
     /** Drop every cached block (between benchmark phases). Dirty data is
      *  flushed to memory. */

@@ -269,18 +269,18 @@ CcInstruction::cmpEq(Addr a, Addr b, Addr c, std::size_t slice_bytes,
     return i;
 }
 
-std::vector<Addr>
+OperandAddrs
 CcInstruction::operandAddrs() const
 {
     switch (op) {
       case CcOpcode::Buz:
-        return {dest};
+        return {{dest}, 1};
       case CcOpcode::Copy:
       case CcOpcode::Not:
-        return {src1, dest};
+        return {{src1, dest}, 2};
       case CcOpcode::Cmp:
       case CcOpcode::Search:
-        return {src1, src2};
+        return {{src1, src2}, 2};
       case CcOpcode::And:
       case CcOpcode::Or:
       case CcOpcode::Xor:
@@ -291,7 +291,7 @@ CcInstruction::operandAddrs() const
       case CcOpcode::Lt:
       case CcOpcode::Gt:
       case CcOpcode::Eq:
-        return {src1, src2, dest};
+        return {{src1, src2, dest}, 3};
     }
     return {};
 }
@@ -332,7 +332,7 @@ CcInstruction::validate() const
         clmulWordBits != 128 && clmulWordBits != 256) {
         CC_FATAL(toString(), ": clmul word width must be 64/128/256");
     }
-    const std::vector<Addr> addrs = operandAddrs();
+    const OperandAddrs addrs = operandAddrs();
     for (Addr a : addrs) {
         // The controller reads address 0 as "no operand".
         if (a == 0)

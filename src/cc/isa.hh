@@ -10,6 +10,8 @@
 #ifndef CCACHE_CC_ISA_HH
 #define CCACHE_CC_ISA_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,6 +86,20 @@ inline constexpr std::size_t kMaxBitSerialWidth = 32;
  * page-split exception.
  */
 inline constexpr std::size_t kSliceStride = kPageSize;
+
+/** Memory operand base addresses of one instruction, held inline (an
+ *  instruction has at most three), so the per-instruction checks
+ *  iterate them without allocating. */
+struct OperandAddrs
+{
+    std::array<Addr, 3> addr{};
+    std::size_t count = 0;
+
+    const Addr *begin() const { return addr.data(); }
+    const Addr *end() const { return addr.data() + count; }
+    std::size_t size() const { return count; }
+    Addr operator[](std::size_t i) const { return addr[i]; }
+};
 
 /** One decoded CC instruction. */
 struct CcInstruction
@@ -167,7 +183,7 @@ struct CcInstruction
     }
 
     /** All memory operand base addresses in use. */
-    std::vector<Addr> operandAddrs() const;
+    OperandAddrs operandAddrs() const;
 
     /** Addresses the instruction writes. */
     std::vector<Addr> writtenAddrs() const;

@@ -21,46 +21,88 @@ patternBytes(std::uint64_t pattern_seed, RequestId id, unsigned stream,
     Rng rng(mix64(mix64(pattern_seed ^ id) ^ (0xb0b0000 + stream)));
     Bytes out(n);
     // One xoshiro draw yields eight operand bytes (low byte first, a
-    // platform-independent unpack). Operand fill is the serve harness's
-    // hottest loop (DESIGN.md §13), and the bytes stay a pure function
-    // of (patternSeed, id, stream), so every shard still builds
-    // identical request data.
+    // platform-independent unpack). The stores go through a local
+    // pointer: through out[i + k], each byte store might alias the
+    // vector's own data pointer, so the compiler would reload it and
+    // could not merge the eight stores into one.
+    std::uint8_t *p = out.data();
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         std::uint64_t w = rng.next();
         for (unsigned k = 0; k < 8; ++k)
-            out[i + k] = static_cast<std::uint8_t>(w >> (k * 8));
+            p[i + k] = static_cast<std::uint8_t>(w >> (k * 8));
     }
     if (i < n) {
         std::uint64_t w = rng.next();
         for (; i < n; ++i, w >>= 8)
-            out[i] = static_cast<std::uint8_t>(w);
+            p[i] = static_cast<std::uint8_t>(w);
     }
     return out;
-}
-
-std::uint64_t
-wordAt(const Bytes &buf, std::size_t word)
-{
-    std::uint64_t w = 0;
-    std::memcpy(&w, buf.data() + word * 8, 8);
-    return w;
 }
 
 /** Host-side reference of one CC-R chunk's packed result register:
  *  bit w set iff 8-byte word w of src1 equals word w of src2 (cmp) or
  *  word (w % 8) of the 64-byte key (search). */
 std::uint64_t
-refChunkMask(const Bytes &a, const Bytes &b, bool search)
+refChunkMask(cache::Hierarchy &hier, const cc::CcInstruction &in)
 {
+    // One result bit per word: a chunk is at most kMaxCmpBytes.
+    CC_ASSERT(in.size <= cc::kMaxCmpBytes, in.toString(),
+              ": CC-R chunk exceeds the 64-bit result register");
+    const bool search = in.op == cc::CcOpcode::Search;
+    std::uint8_t a[cc::kMaxCmpBytes], b[cc::kMaxCmpBytes];
+    hier.debugRead(in.src1, a, in.size);
+    hier.debugRead(in.src2, b, search ? cc::kSearchKeyBytes : in.size);
     std::uint64_t mask = 0;
-    for (std::size_t w = 0; w < a.size() / 8; ++w) {
-        std::uint64_t bw = search ? wordAt(b, w % kWordsPerBlock)
-                                  : wordAt(b, w);
-        if (wordAt(a, w) == bw)
+    for (std::size_t w = 0; w < in.size / 8; ++w) {
+        std::uint64_t aw = 0, bw = 0;
+        std::memcpy(&aw, a + w * 8, 8);
+        std::memcpy(&bw, b + (search ? w % kWordsPerBlock : w) * 8, 8);
+        if (aw == bw)
             mask |= std::uint64_t{1} << w;
     }
     return mask;
+}
+
+/** Check one CC-RW chunk's result bytes against a host-side reference,
+ *  a page at a time through stack buffers. */
+bool
+verifyChunk(cache::Hierarchy &hier, const cc::CcInstruction &in)
+{
+    std::uint8_t want[kPageSize], got[kPageSize];
+    for (std::size_t off = 0; off < in.size; off += kPageSize) {
+        const std::size_t n = std::min(kPageSize, in.size - off);
+        switch (in.op) {
+          case cc::CcOpcode::Buz:
+            std::memset(want, 0, n);
+            break;
+          case cc::CcOpcode::Copy:
+            hier.debugRead(in.src1 + off, want, n);
+            break;
+          case cc::CcOpcode::Not:
+            hier.debugRead(in.src1 + off, want, n);
+            for (std::size_t i = 0; i < n; ++i)
+                want[i] = static_cast<std::uint8_t>(~want[i]);
+            break;
+          case cc::CcOpcode::And:
+          case cc::CcOpcode::Or:
+          case cc::CcOpcode::Xor:
+            hier.debugRead(in.src1 + off, want, n);
+            hier.debugRead(in.src2 + off, got, n);
+            for (std::size_t i = 0; i < n; ++i) {
+                want[i] = in.op == cc::CcOpcode::And ? (want[i] & got[i])
+                        : in.op == cc::CcOpcode::Or  ? (want[i] | got[i])
+                                                     : (want[i] ^ got[i]);
+            }
+            break;
+          default:
+            return false;   // not a serve opcode
+        }
+        hier.debugRead(in.dest + off, got, n);
+        if (std::memcmp(got, want, n) != 0)
+            return false;
+    }
+    return true;
 }
 
 /** Write the golden-verifiable operand fill for one placed request.
@@ -263,57 +305,19 @@ bool
 goldenVerifyRequest(sim::System &sys, const Request &req,
                     std::uint64_t result_mask)
 {
-    std::vector<cc::CcInstruction> instrs;
-    instrs.push_back(req.instr);
-    instrs.insert(instrs.end(), req.chunks.begin(), req.chunks.end());
-
+    cache::Hierarchy &hier = sys.hierarchy();
     if (cc::isCcR(req.instr.op)) {
         // The scheduler folds chunk result registers by OR (each chunk
         // packs one bit per 8-byte word); the reference does the same.
-        std::uint64_t expect = 0;
-        for (const cc::CcInstruction &in : instrs) {
-            Bytes a = sys.dump(in.src1, in.size);
-            bool search = in.op == cc::CcOpcode::Search;
-            Bytes b = sys.dump(in.src2,
-                               search ? cc::kSearchKeyBytes : in.size);
-            expect |= refChunkMask(a, b, search);
-        }
+        std::uint64_t expect = refChunkMask(hier, req.instr);
+        for (const cc::CcInstruction &in : req.chunks)
+            expect |= refChunkMask(hier, in);
         return expect == result_mask;
     }
-
-    for (const cc::CcInstruction &in : instrs) {
-        Bytes a = sys.dump(in.src1, in.size);
-        Bytes want;
-        Addr where = in.dest;
-        switch (in.op) {
-          case cc::CcOpcode::Buz:
-            want.assign(in.size, 0);
-            where = in.src1;
-            break;
-          case cc::CcOpcode::Copy:
-            want = a;
-            break;
-          case cc::CcOpcode::Not:
-            want.resize(in.size);
-            for (std::size_t i = 0; i < in.size; ++i)
-                want[i] = static_cast<std::uint8_t>(~a[i]);
-            break;
-          case cc::CcOpcode::And:
-          case cc::CcOpcode::Or:
-          case cc::CcOpcode::Xor: {
-            Bytes b = sys.dump(in.src2, in.size);
-            want.resize(in.size);
-            for (std::size_t i = 0; i < in.size; ++i) {
-                want[i] = in.op == cc::CcOpcode::And ? (a[i] & b[i])
-                        : in.op == cc::CcOpcode::Or  ? (a[i] | b[i])
-                                                     : (a[i] ^ b[i]);
-            }
-            break;
-          }
-          default:
-            return false;   // not a serve opcode
-        }
-        if (sys.dump(where, in.size) != want)
+    if (!verifyChunk(hier, req.instr))
+        return false;
+    for (const cc::CcInstruction &in : req.chunks) {
+        if (!verifyChunk(hier, in))
             return false;
     }
     return true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/bit_util.hh"
 #include "common/logging.hh"
@@ -73,31 +72,14 @@ System::System(const SystemConfig &config)
 void
 System::load(Addr addr, const void *data, std::size_t len)
 {
-    hier_->memory().writeBytes(
-        addr, static_cast<const std::uint8_t *>(data), len);
-    // Keep any cached copies coherent with the new backing data so a
-    // reload between experiment phases behaves like a fresh machine.
-    Addr first = alignDown(addr, kBlockSize);
-    Addr last = alignDown(addr + len - 1, kBlockSize);
-    for (Addr blk = first; blk <= last; blk += kBlockSize)
-        hier_->debugWrite(blk, hier_->memory().readBlock(blk));
+    hier_->debugWrite(addr, data, len);
 }
 
 std::vector<std::uint8_t>
 System::dump(Addr addr, std::size_t len)
 {
     std::vector<std::uint8_t> out(len);
-    Addr first = alignDown(addr, kBlockSize);
-    Addr last = alignDown(addr + len - 1, kBlockSize);
-    std::size_t written = 0;
-    for (Addr blk = first; blk <= last; blk += kBlockSize) {
-        Block b = hier_->debugRead(blk);
-        std::size_t lo = blk < addr ? addr - blk : 0;
-        std::size_t hi = std::min<std::size_t>(kBlockSize,
-                                               addr + len - blk);
-        std::memcpy(out.data() + written, b.data() + lo, hi - lo);
-        written += hi - lo;
-    }
+    hier_->debugRead(addr, out.data(), len);
     return out;
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 #include <string>
 
@@ -15,19 +16,31 @@
 namespace ccache::cc {
 namespace {
 
+/** Element-wise check of @p in's operand base addresses. */
+void
+expectOperands(const CcInstruction &in, std::initializer_list<Addr> want)
+{
+    const OperandAddrs got = in.operandAddrs();
+    ASSERT_EQ(got.size(), want.size()) << in.toString();
+    std::size_t i = 0;
+    for (Addr a : want) {
+        EXPECT_EQ(got[i], a) << in.toString() << " operand " << i;
+        ++i;
+    }
+}
+
 TEST(CcIsa, BuildersEncodeOperands)
 {
     auto c = CcInstruction::copy(0x1000, 0x2000, 256);
     EXPECT_EQ(c.op, CcOpcode::Copy);
-    EXPECT_EQ(c.operandAddrs(), (std::vector<Addr>{0x1000, 0x2000}));
+    expectOperands(c, {0x1000, 0x2000});
     EXPECT_EQ(c.writtenAddrs(), (std::vector<Addr>{0x2000}));
 
     auto z = CcInstruction::buz(0x3000, 128);
-    EXPECT_EQ(z.operandAddrs(), (std::vector<Addr>{0x3000}));
+    expectOperands(z, {0x3000});
 
     auto a = CcInstruction::logicalAnd(0x1000, 0x2000, 0x3000, 512);
-    EXPECT_EQ(a.operandAddrs(),
-              (std::vector<Addr>{0x1000, 0x2000, 0x3000}));
+    expectOperands(a, {0x1000, 0x2000, 0x3000});
 
     auto s = CcInstruction::search(0x1000, 0x2000, 512);
     EXPECT_TRUE(s.writtenAddrs().empty());
@@ -267,7 +280,7 @@ TEST(CcIsaBitSerial, BuildersEncodeOperandsAndWidth)
     auto add = CcInstruction::add(a, b, d, 64, 8);
     EXPECT_EQ(add.op, CcOpcode::Add);
     EXPECT_EQ(add.laneBits, 8u);
-    EXPECT_EQ(add.operandAddrs(), (std::vector<Addr>{a, b, d}));
+    expectOperands(add, {a, b, d});
     EXPECT_NO_THROW(add.validate());
 
     auto lt = CcInstruction::cmpLt(a, b, d, 64, 16, /*is_signed=*/true);

@@ -50,6 +50,25 @@ TEST(EnergyParams, TableVValuesTranscribed)
     }
 }
 
+TEST(EnergyParams, EveryCacheOpHasItsName)
+{
+    // Table V's seven columns plus the two ops the paper folds into
+    // other rows (Section VI-C).
+    const struct
+    {
+        CacheOp op;
+        const char *name;
+    } ops[] = {
+        {CacheOp::Write, "write"}, {CacheOp::Read, "read"},
+        {CacheOp::Cmp, "cmp"},     {CacheOp::Copy, "copy"},
+        {CacheOp::Search, "search"}, {CacheOp::Not, "not"},
+        {CacheOp::Logic, "logic"}, {CacheOp::Buz, "buz"},
+        {CacheOp::Clmul, "clmul"},
+    };
+    for (const auto &o : ops)
+        EXPECT_STREQ(toString(o.op), o.name);
+}
+
 TEST(EnergyParams, PaperInternalConsistency)
 {
     // read == Table I ic + access at every level.

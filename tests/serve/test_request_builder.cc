@@ -2,12 +2,18 @@
  * @file
  * Tests for the shared request builder: operand placement, heap
  * exhaustion degrading into a structured no_capacity rejection with
- * full rollback (DESIGN.md §12), and the CcServer-level regression —
- * an undersized heap sheds instead of killing the run.
+ * full rollback (DESIGN.md §12), the golden check of every serve
+ * opcode, and the CcServer-level regression — an undersized heap sheds
+ * instead of killing the run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "geometry/locality_allocator.hh"
 #include "serve/server.hh"
 #include "sim/system.hh"
@@ -110,6 +116,96 @@ TEST(RequestBuilder, PatternFillIsShardIndependent)
     };
     EXPECT_EQ(build_and_dump(0), build_and_dump(1));
 }
+
+/** Fold every chunk's CC-R result register by OR, as the scheduler
+ *  does, after executing the chunks on core 0. */
+std::uint64_t
+executeRequest(sim::System &sys, const Request &req)
+{
+    std::uint64_t mask = sys.cc().execute(0, req.instr).result;
+    for (const cc::CcInstruction &in : req.chunks)
+        mask |= sys.cc().execute(0, in).result;
+    return mask;
+}
+
+/** Flip the byte at @p addr with a coherent core store. */
+void
+corruptByte(sim::System &sys, Addr addr)
+{
+    std::uint8_t b = static_cast<std::uint8_t>(~sys.dump(addr, 1)[0]);
+    sys.hierarchy().storeBytes(1, addr, &b, 1);
+}
+
+/**
+ * The golden check reads each chunk a page at a time. A CC-RW request
+ * of a full 16 KB chunk plus two and a quarter pages, or a CC-R request
+ * of one and an eighth pages, ends on a partial page of its last chunk;
+ * one corrupted byte there must fail the check. CC-R results fold by
+ * OR, so the CC-R cases plant their only match in that page and corrupt
+ * it: a pattern-filled request matches every bit position in some
+ * earlier chunk, which would hide the loss.
+ */
+class GoldenVerifyLastPage : public ::testing::TestWithParam<cc::CcOpcode>
+{
+};
+
+TEST_P(GoldenVerifyLastPage, OneCorruptByteFailsTheCheck)
+{
+    const cc::CcOpcode op = GetParam();
+    const bool ccr = cc::isCcR(op);
+    const std::size_t n = ccr ? kPageSize + cc::kMaxCmpBytes
+                              : cc::kMaxVectorBytes + 2 * kPageSize + 1024;
+    sim::System sys;
+    geometry::LocalityAllocator alloc(0x40000000, 1 << 20);
+    RequestBuildParams params;
+    params.fillPattern = !ccr;
+    params.patternSeed = 0x5eed;
+    std::optional<Request> req =
+        buildRequest(sys, alloc, params, makeSpec(op, n), 11, nullptr);
+    ASSERT_TRUE(req.has_value());
+    EXPECT_EQ(req->chunks.size(), ccr ? 8u : 1u);
+
+    Addr corrupt = 0;
+    if (ccr) {
+        std::vector<std::uint8_t> a(n);
+        Rng rng(static_cast<std::uint64_t>(op) + 1);
+        for (std::uint8_t &byte : a)
+            byte = static_cast<std::uint8_t>(rng.below(256));
+        sys.load(req->instr.src1, a.data(), n);
+        // The match: the last block as the search key, or one word of
+        // the last chunk equal in both cmp sources.
+        const std::size_t hit = n - kBlockSize;
+        if (op == cc::CcOpcode::Search) {
+            sys.load(req->instr.src2, a.data() + hit, kBlockSize);
+        } else {
+            std::vector<std::uint8_t> b(n);
+            for (std::size_t i = 0; i < n; ++i)
+                b[i] = static_cast<std::uint8_t>(~a[i]);
+            std::memcpy(b.data() + hit, a.data() + hit, 8);
+            sys.load(req->instr.src2, b.data(), n);
+        }
+        corrupt = req->instr.src1 + hit;
+    } else {
+        // The result is dest; cc_buz encodes its one operand there too.
+        corrupt = req->instr.dest + n - 100;
+    }
+
+    const std::uint64_t mask = executeRequest(sys, *req);
+    EXPECT_EQ(mask != 0, ccr);
+    EXPECT_TRUE(goldenVerifyRequest(sys, *req, mask));
+    corruptByte(sys, corrupt);
+    EXPECT_FALSE(goldenVerifyRequest(sys, *req, mask));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServeOpcodes, GoldenVerifyLastPage,
+    ::testing::Values(cc::CcOpcode::Buz, cc::CcOpcode::Copy,
+                      cc::CcOpcode::Not, cc::CcOpcode::And,
+                      cc::CcOpcode::Or, cc::CcOpcode::Xor,
+                      cc::CcOpcode::Cmp, cc::CcOpcode::Search),
+    [](const ::testing::TestParamInfo<cc::CcOpcode> &info) {
+        return std::string(cc::toString(info.param)).substr(3);
+    });
 
 TEST(CcServer, UndersizedHeapShedsNoCapacity)
 {

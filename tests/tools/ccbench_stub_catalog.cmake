@@ -5,7 +5,8 @@
 #
 # STUBS holds a_pass (writes a result file recording $CCACHE_JOBS),
 # b_exit3 (exits 3) and c_segv (dies on SIGSEGV). BASELINE holds the
-# result a_pass writes at --inner-jobs 3.
+# result a_pass writes at --inner-jobs 3. The --list case builds its
+# own stub directory under WORK.
 
 function(expect_match text regex what)
     if(NOT text MATCHES "${regex}")
@@ -51,4 +52,25 @@ if(out MATCHES "b_exit3|c_segv" OR EXISTS ${WORK}/filtered/b_exit3.log OR
    EXISTS ${WORK}/filtered/c_segv.log)
     message(FATAL_ERROR "--filter '^a_' ran an unselected stub:\n${out}")
 endif()
-message(STATUS "ccbench isolated both failing stubs; --filter ran only a_pass")
+
+# --list spawns each bench with --describe from an argv, not through a
+# shell, so a bench directory whose name holds a space still shows the
+# description.
+set(list_dir "${WORK}/list stubs")
+file(WRITE ${WORK}/list_src/d_describe [=[#!/bin/sh
+if [ "$1" = --describe ]; then
+    echo "stub that describes itself"
+fi
+]=])
+file(COPY ${WORK}/list_src/d_describe DESTINATION "${list_dir}"
+    FILE_PERMISSIONS OWNER_READ OWNER_WRITE OWNER_EXECUTE GROUP_READ
+        GROUP_EXECUTE WORLD_READ WORLD_EXECUTE)
+execute_process(
+    COMMAND ${CCBENCH} --list --bin-dir "${list_dir}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--list: want exit 0, got ${rc}\n${out}${err}")
+endif()
+expect_match("${out}" "d_describe +stub that describes itself" "--list")
+message(STATUS "ccbench isolated both failing stubs; --filter ran only "
+               "a_pass; --list described a stub under a spaced path")

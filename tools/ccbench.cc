@@ -158,24 +158,48 @@ discoverCatalog(const std::string &dir, const cctools::CatalogFilter &filter)
 /**
  * One-line self-description of a bench: every catalog binary responds
  * to --describe by printing its registered description and exiting
- * (bench::maybeDescribe). Empty on any failure — the list then simply
- * shows a blank column for that binary.
+ * (bench::maybeDescribe). The bench is spawned from an argv, as
+ * runBench does, so no shell parses its path. Empty on any failure —
+ * the list then simply shows a blank column for that binary.
  */
 std::string
 describeBench(const fs::path &binary)
 {
-    std::string cmd = binary.string() + " --describe 2>/dev/null";
-    FILE *p = ::popen(cmd.c_str(), "r");
-    if (!p)
+    int fds[2];
+    if (::pipe(fds) != 0)
         return "";
-    char buf[256] = {};
-    std::string line;
-    if (std::fgets(buf, sizeof buf, p))
-        line.assign(buf);
-    ::pclose(p);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-        line.pop_back();
-    return line;
+    std::string bin = binary.string();
+    char describe[] = "--describe";
+    char *child_argv[] = {bin.data(), describe, nullptr};
+
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    posix_spawn_file_actions_adddup2(&fa, fds[1], 1);
+    posix_spawn_file_actions_addopen(&fa, 2, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addclose(&fa, fds[0]);
+    posix_spawn_file_actions_addclose(&fa, fds[1]);
+    pid_t pid = -1;
+    int rc = ::posix_spawn(&pid, bin.c_str(), &fa, nullptr, child_argv,
+                           environ);
+    posix_spawn_file_actions_destroy(&fa);
+    ::close(fds[1]);
+
+    std::string out;
+    if (rc == 0) {
+        char buf[256];
+        for (;;) {
+            ssize_t n = ::read(fds[0], buf, sizeof buf);
+            if (n > 0)
+                out.append(buf, static_cast<std::size_t>(n));
+            else if (n == 0 || errno != EINTR)
+                break;
+        }
+        int status = 0;
+        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+        }
+    }
+    ::close(fds[0]);
+    return out.substr(0, out.find_first_of("\r\n"));
 }
 
 /**
