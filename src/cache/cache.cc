@@ -65,7 +65,7 @@ Cache::write(LineRef line, const Block &data, bool set_dirty)
     tags_.touch(line.set(), line.way());
     data_[dataIndex(line)] = data;
     if (set_dirty)
-        lineAt(line).dirty = true;
+        tags_.setDirty(line.set(), line.way(), true);
     chargeWrite();
 }
 
@@ -74,6 +74,8 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
 {
     CC_ASSERT(isAligned(addr, kBlockSize), "fill of unaligned 0x", std::hex,
               addr);
+    CC_ASSERT(valid(state), "fill of 0x", std::hex, addr,
+              " in state Invalid");
     auto f = geom_.decode(addr);
     // One named result, returned from every path, so the evicted block
     // is built in place: its 64 bytes are copied once.
@@ -82,7 +84,7 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
     // Refill of a line that is already resident just updates it.
     if (LineRef hit = probe(f.set, f.tag)) {
         tags_.touch(f.set, hit.way());
-        lineAt(hit).state = state;
+        tags_.setState(f.set, hit.way(), state);
         data_[dataIndex(hit)] = data;
         chargeWrite();
         result.emplace().line = hit;
@@ -96,21 +98,18 @@ Cache::fill(Addr addr, const Block &data, Mesi state)
         return result;
     }
 
+    const std::size_t way = *victim_way;
     FillResult &r = result.emplace();
-    r.line = LineRef(f.set, *victim_way);
-    Line &line = lineAt(r.line);
-    if (line.valid()) {
-        r.evicted.emplace(addrOf(f.set, *victim_way),
-                          data_[dataIndex(r.line)], line.dirty, line.state);
+    r.line = LineRef(f.set, way);
+    if (tags_.valid(f.set, way)) {
+        r.evicted.emplace(addrOf(f.set, way), data_[dataIndex(r.line)],
+                          tags_.dirty(f.set, way), tags_.state(f.set, way));
         if (evictionsStat_)
             evictionsStat_->inc();
     }
 
-    line.tag = f.tag;
-    line.state = state;
-    line.dirty = false;
-    line.pinned = false;
-    tags_.touch(f.set, *victim_way);
+    tags_.install(f.set, way, f.tag, state);
+    tags_.touch(f.set, way);
     data_[dataIndex(r.line)] = data;
     chargeWrite();
     if (fillsStat_)
@@ -125,11 +124,8 @@ Cache::invalidate(Addr addr)
     LineRef ref = find(addr);
     if (!ref)
         return ev;
-    Line &line = lineAt(ref);
-    ev.emplace(addr, data_[dataIndex(ref)], line.dirty, line.state);
-    line.state = Mesi::Invalid;
-    line.dirty = false;
-    line.pinned = false;
+    ev.emplace(addr, data_[dataIndex(ref)], isDirty(ref), state(ref));
+    tags_.invalidate(ref.set(), ref.way());
     if (invalidationsStat_)
         invalidationsStat_->inc();
     return ev;
@@ -147,8 +143,7 @@ Cache::dirtyPeek(Addr addr) const
 Addr
 Cache::addrOf(std::size_t set, std::size_t way) const
 {
-    const Line &l = tags_.line(set, way);
-    return ((l.tag << geom_.setIndexBits()) | set)
+    return ((tags_.tag(set, way) << geom_.setIndexBits()) | set)
         << geom_.blockOffsetBits();
 }
 
@@ -158,11 +153,10 @@ Cache::forEachLine(
 {
     for (std::size_t set = 0; set < geom_.numSets(); ++set) {
         for (std::size_t way = 0; way < params_.geometry.ways; ++way) {
-            const Line &l = tags_.line(set, way);
-            if (!l.valid())
+            if (!tags_.valid(set, way))
                 continue;
-            fn(addrOf(set, way), l.state, l.dirty,
-               data_[dataIndex(set, way)]);
+            fn(addrOf(set, way), tags_.state(set, way),
+               tags_.dirty(set, way), data_[dataIndex(set, way)]);
         }
     }
 }

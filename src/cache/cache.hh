@@ -121,11 +121,9 @@ class Cache
     find(Addr addr, LineRef hint) const
     {
         auto f = geom_.decode(addr);
-        if (hint && hint.set() == f.set) {
-            const Line &l = lineAt(hint);
-            if (l.valid() && l.tag == f.tag)
-                return hint;
-        }
+        if (hint && hint.set() == f.set &&
+            tags_.holds(f.set, hint.way(), f.tag))
+            return hint;
         return probe(f.set, f.tag);
     }
 
@@ -134,10 +132,19 @@ class Cache
 
     /** State of @p addr, Invalid if absent. */
     Mesi state(Addr addr) const;
-    Mesi state(LineRef line) const { return lineAt(line).state; }
+    Mesi
+    state(LineRef line) const
+    {
+        return tags_.state(line.set(), line.way());
+    }
 
-    /** Set the MESI state of a resident line. */
-    void setState(LineRef line, Mesi state) { lineAt(line).state = state; }
+    /** Set the MESI state of a resident line (not to Invalid: that is
+     *  invalidate()). */
+    void
+    setState(LineRef line, Mesi state)
+    {
+        tags_.setState(line.set(), line.way(), state);
+    }
 
     /** Read a resident block. Charges read energy, updates LRU. */
     void read(LineRef line, Block &out);
@@ -163,9 +170,17 @@ class Cache
     std::optional<Eviction> invalidate(Addr addr);
 
     /** Operand pinning for the CC controller (Section IV-E). @{ */
-    void pin(LineRef line) { lineAt(line).pinned = true; }
-    void unpin(LineRef line) { lineAt(line).pinned = false; }
-    bool isPinned(LineRef line) const { return lineAt(line).pinned; }
+    void pin(LineRef line) { tags_.setPinned(line.set(), line.way(), true); }
+    void
+    unpin(LineRef line)
+    {
+        tags_.setPinned(line.set(), line.way(), false);
+    }
+    bool
+    isPinned(LineRef line) const
+    {
+        return tags_.pinned(line.set(), line.way());
+    }
     /** Promote a line to MRU so it survives until its operation issues. */
     void promoteMRU(LineRef line) { tags_.touch(line.set(), line.way()); }
     /** @} */
@@ -174,16 +189,23 @@ class Cache
     void
     markDirty(LineRef line)
     {
-        Line &l = lineAt(line);
-        l.dirty = true;
-        l.state = Mesi::Modified;
+        tags_.setDirty(line.set(), line.way(), true);
+        tags_.setState(line.set(), line.way(), Mesi::Modified);
     }
 
     /** True iff the resident line holds dirty data. */
-    bool isDirty(LineRef line) const { return lineAt(line).dirty; }
+    bool
+    isDirty(LineRef line) const
+    {
+        return tags_.dirty(line.set(), line.way());
+    }
 
     /** Clear the dirty flag after the data has been written back. */
-    void clearDirty(LineRef line) { lineAt(line).dirty = false; }
+    void
+    clearDirty(LineRef line)
+    {
+        tags_.setDirty(line.set(), line.way(), false);
+    }
 
     /**
      * Data access for in-place compute: read/write the resident block
@@ -234,12 +256,6 @@ class Cache
     {
         Lookup l = tags_.lookup(set, tag);
         return l.hit ? LineRef(set, l.way) : LineRef();
-    }
-
-    Line &lineAt(LineRef line) { return tags_.line(line.set(), line.way()); }
-    const Line &lineAt(LineRef line) const
-    {
-        return tags_.line(line.set(), line.way());
     }
 
     void chargeRead();

@@ -87,6 +87,10 @@ Directory::grow()
 DirEntry
 Directory::entry(Addr addr) const
 {
+    // CC staging probes every L3-staged row, usually of a slice whose
+    // blocks no private cache holds.
+    if (live_ == 0)
+        return DirEntry{};
     std::size_t i = findSlot(addr);
     return i == slots_.size() || !slots_[i].used ? DirEntry{}
                                                  : slots_[i].val;

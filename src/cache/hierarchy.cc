@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -422,17 +423,17 @@ Hierarchy::write(CoreId core, Addr addr, const Block *data,
     return res;
 }
 
-Cycles
+StageResult
 Hierarchy::fetchToLevel(CoreId core, Addr addr, CacheLevel level,
                         bool exclusive, bool for_overwrite)
 {
     if (watchdog_)
         watchdog_->beginTransaction("fetch", addr);
-    Cycles latency =
+    StageResult staged =
         fetchToLevelImpl(core, addr, level, exclusive, for_overwrite);
     if (checker_)
         checker_->onTransaction(addr);
-    return latency;
+    return staged;
 }
 
 AccessResult
@@ -685,7 +686,7 @@ Hierarchy::storeBytes(CoreId core, Addr addr, const void *data,
     return total;
 }
 
-Cycles
+StageResult
 Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
                             bool exclusive, bool for_overwrite)
 {
@@ -700,39 +701,36 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         LineRef line = target.find(addr);
         if (line && (!exclusive || writable(target.state(line)))) {
             target.promoteMRU(line);
-            return 0;
+            return {0, line, core};
         }
 
-        // Otherwise the staging reuses the normal transaction machinery.
+        // Otherwise the staging reuses the normal transaction machinery,
+        // whose fill a set full of pinned lines can refuse.
         AccessResult res = exclusive
             ? write(core, addr, nullptr, level)
             : read(core, addr, nullptr, level);
-        return res.latency;
+        return {res.latency, target.find(addr), core};
     }
 
     // L3 staging (Figure 6): higher-level dirty copies are written back
     // using the existing writeback mechanism; exclusivity for CC writes
     // invalidates all private copies.
     unsigned slice = sliceFor(core, addr);
-    bool resident = l3Slice(slice).contains(addr);
+    LineRef line = l3Slice(slice).find(addr);
     DirEntry e = directory(slice).entry(addr);
 
     // Fast path: already resident with nothing to recall or invalidate.
     // The per-block residence check is part of the CC command issue the
     // controller models, so it costs no separate hierarchy transaction.
-    if (resident) {
+    if (line) {
         bool needs_action = false;
-        for (unsigned c = 0; c < params_.cores && !needs_action; ++c) {
-            if (!(e.sharers & (1u << c)))
-                continue;
-            if (exclusive) {
-                needs_action = true;
-            } else {
-                needs_action = l1(c).dirtyPeek(addr) || l2(c).dirtyPeek(addr);
-            }
+        for (std::uint32_t s = e.sharers; s && !needs_action; s &= s - 1) {
+            const unsigned c = static_cast<unsigned>(std::countr_zero(s));
+            needs_action = exclusive || l1(c).dirtyPeek(addr) ||
+                l2(c).dirtyPeek(addr);
         }
         if (!needs_action)
-            return 0;
+            return {0, line, slice};
     }
 
     Cycles latency =
@@ -750,25 +748,12 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         }
     }
 
-    // Recalls write the home line in place; they never allocate it.
-    if (!resident)
-        allocateInL3(slice, addr, for_overwrite, latency);
+    // Recalls write the home line in place; they never allocate or
+    // move it.
+    if (!line)
+        line = allocateInL3(slice, addr, for_overwrite, latency);
     latency += accessLatency(CacheLevel::L3) + kL3QueueDelay;
-    return latency;
-}
-
-Cache &
-Hierarchy::cacheInstance(CacheLevel level, unsigned index)
-{
-    switch (level) {
-      case CacheLevel::L1:
-        return l1(index);
-      case CacheLevel::L2:
-        return l2(index);
-      case CacheLevel::L3:
-        return l3Slice(index);
-    }
-    CC_PANIC("bad level");
+    return {latency, line, slice};
 }
 
 CacheLevel

@@ -64,6 +64,18 @@ struct AccessResult
     ServedBy servedBy = ServedBy::L1;
 };
 
+/** Outcome of staging one block with Hierarchy::fetchToLevel. */
+struct StageResult
+{
+    Cycles latency = 0;
+    /** The block's slot in cacheInstance(level, cacheIndex); empty when
+     *  an L1/L2 set full of pinned lines refused the fill. */
+    LineRef line;
+    /** The cache instance (Hierarchy::cacheInstance): the staging
+     *  core at L1 and L2, the page's home slice at L3. */
+    unsigned cacheIndex = 0;
+};
+
 /** The full memory system. */
 class Hierarchy
 {
@@ -147,20 +159,23 @@ class Hierarchy
      * without reading memory — the Figure 6 optimization for operands
      * that will be overwritten entirely.
      *
-     * @return total latency of the staging.
+     * @return total latency of the staging, and the slot and cache
+     *         instance the block was staged in, so the caller can pin
+     *         it without a second lookup.
      */
-    Cycles fetchToLevel(CoreId core, Addr addr, CacheLevel level,
-                        bool exclusive, bool for_overwrite = false);
+    StageResult fetchToLevel(CoreId core, Addr addr, CacheLevel level,
+                             bool exclusive, bool for_overwrite = false);
 
-    /** Index of the cache instance that holds @p addr at @p level for
-     *  @p core: the core at L1 and L2, the page's home slice at L3. */
-    unsigned cacheIndex(CacheLevel level, CoreId core, Addr addr)
+    /** The cache instance @p index at @p level: core @p index's L1 or
+     *  L2, or L3 slice @p index. Inline: the CC controller resolves
+     *  every staged row through it. */
+    Cache &
+    cacheInstance(CacheLevel level, unsigned index)
     {
-        return level == CacheLevel::L3 ? sliceFor(core, addr) : core;
+        return level == CacheLevel::L1 ? *l1_[index]
+            : level == CacheLevel::L2  ? *l2_[index]
+                                       : *l3_[index];
     }
-
-    /** The cache instance @p index (a cacheIndex() result) at @p level. */
-    Cache &cacheInstance(CacheLevel level, unsigned index);
 
     /** Highest (fastest) level at which ALL operands are present for
      *  @p core; L3 if any operand is uncached (Section IV-E policy). */
@@ -203,8 +218,8 @@ class Hierarchy
                           CacheLevel fill_to);
     AccessResult writeImpl(CoreId core, Addr addr, const Block *data,
                            CacheLevel fill_to);
-    Cycles fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
-                            bool exclusive, bool for_overwrite);
+    StageResult fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
+                                 bool exclusive, bool for_overwrite);
     /** @} */
 
     /** Ring stop of a core (cores and slices share stops). */

@@ -1,15 +1,17 @@
 #include "cache/tag_array.hh"
 
+#include "common/bit_util.hh"
 #include "common/logging.hh"
 
 namespace ccache::cache {
 
 TagArray::TagArray(std::size_t sets, std::size_t ways)
-    : sets_(sets), ways_(ways),
-      lines_(static_cast<Line *>(std::calloc(sets * ways, sizeof(Line))))
+    : sets_(sets), ways_(ways), setWords_(2 * ways + divCeil(ways, 8)),
+      words_(static_cast<std::uint64_t *>(
+          std::calloc(sets * setWords_, sizeof(std::uint64_t))))
 {
     CC_ASSERT(sets > 0 && ways > 0, "degenerate tag array");
-    if (!lines_)
+    if (!words_)
         CC_FATAL("tag array allocation failed (", sets, "x", ways, ")");
 }
 
@@ -17,14 +19,15 @@ std::optional<std::size_t>
 TagArray::victim(std::size_t set) const
 {
     CC_ASSERT(set < sets_, "set ", set, " out of range");
+    for (std::size_t w = 0; w < ways_; ++w) {
+        if (tagWord(set, w) == 0)
+            return w;
+    }
     std::optional<std::size_t> best;
     std::uint64_t best_use = ~std::uint64_t{0};
     for (std::size_t w = 0; w < ways_; ++w) {
-        const Line &l = lines_[index(set, w)];
-        if (!l.valid())
-            return w;
-        if (!l.pinned && l.lastUse < best_use) {
-            best_use = l.lastUse;
+        if (!(flags(set, w) & kPinned) && stamp(set, w) < best_use) {
+            best_use = stamp(set, w);
             best = w;
         }
     }

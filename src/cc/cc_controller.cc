@@ -71,7 +71,7 @@ CcController::PartitionClock::grow()
 }
 
 void
-CcController::ScheduleState::reset(unsigned power_cap)
+CcController::ScheduleState::reset()
 {
     streaming = false;
     issueClock = 0;
@@ -79,10 +79,6 @@ CcController::ScheduleState::reset(unsigned power_cap)
     partitionFree.clear();
     nearFree.clear();
     powerSlots.clear();
-    // An ascending-index run of equal keys is already a valid min-heap,
-    // so no make_heap is needed after this fill.
-    for (unsigned i = 0; i < power_cap; ++i)
-        powerSlots.emplace_back(0, i);
     fetchLats.clear();
 }
 
@@ -357,7 +353,7 @@ CcController::executeStream(CoreId core,
                             const std::vector<CcInstruction> &instrs,
                             Cycles *total_latency)
 {
-    sched_.reset(params_.maxActiveSubarrays);
+    sched_.reset();
     sched_.streaming = true;
     std::vector<CcExecResult> results;
     results.reserve(instrs.size());
@@ -397,20 +393,22 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
 {
     Cycles latency = 0;
     for (unsigned attempt = 0; attempt <= kMaxLockRetries; ++attempt) {
-        latency += hier_.fetchToLevel(core, addr, level, exclusive,
-                                      for_overwrite);
-        unsigned index = hier_.cacheIndex(level, core, addr);
-        Cache &cache = hier_.cacheInstance(level, index);
-        if (LineRef line = cache.find(addr)) {
+        cache::StageResult s = hier_.fetchToLevel(core, addr, level,
+                                                  exclusive, for_overwrite);
+        latency += s.latency;
+        if (LineRef line = s.line) {
             // Pin + promote to MRU so the operand survives until issue
             // (Section IV-E).
+            Cache &cache = hier_.cacheInstance(level, s.cacheIndex);
             cache.pin(line);
             cache.promoteMRU(line);
             faults_.noteResident(addr);
             scratchStaged_.push_back(
                 {static_cast<std::uint32_t>(line.set()),
                  static_cast<std::uint16_t>(line.way()),
-                 static_cast<std::uint16_t>(index)});
+                 static_cast<std::uint16_t>(s.cacheIndex),
+                 static_cast<std::uint32_t>(
+                     cache.geom().partitionOf(line.set()))});
             return latency;
         }
         if (stats_)
@@ -421,12 +419,13 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
     return std::nullopt;
 }
 
-CcController::ResolvedRow
-CcController::resolveRow(CacheLevel level, std::size_t rec, Addr addr)
+std::size_t
+CcController::rowPartition(std::size_t rec, const ResolvedRow &row) const
 {
     const StagedRow &r = scratchStaged_[rec];
-    Cache &cache = hier_.cacheInstance(level, r.cacheIndex);
-    return {cache, cache.find(addr, LineRef(r.set, r.way))};
+    return row.line == LineRef(r.set, r.way)
+        ? r.partition
+        : row.cache.placeOf(row.line).globalPartition;
 }
 
 CcController::OpPlan::OpPlan(const CcInstruction &instr)
@@ -1010,7 +1009,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
 {
     CcExecResult res;
     if (!sched_.streaming)
-        sched_.reset(params_.maxActiveSubarrays);
+        sched_.reset();
     else
         sched_.issueClock += kIssueLatency;  // dispatch serializes
     res.latency = kIssueLatency;
@@ -1103,9 +1102,8 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
         Addr anchor = op.src1 ? op.src1 : op.dest;
         std::size_t anchor_rec = op.src1 ? plan.src1Record(i, 0)
                                          : plan.destRecord(i, 0);
-        auto [anchor_cache, anchor_line] =
-            resolveRow(level, anchor_rec, anchor);
-        if (!anchor_line) {
+        ResolvedRow anchor_row = resolveRow(level, anchor_rec, anchor);
+        if (!anchor_row.line) {
             // Lost to an invalidation race between staging and issue
             // (Section IV-E's lock window): release and degrade.
             if (stats_)
@@ -1113,7 +1111,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             return abandon();
         }
         op.cacheIndex = staged[anchor_rec].cacheIndex;
-        op.partition = anchor_cache.placeOf(anchor_line).globalPartition;
+        op.partition = rowPartition(anchor_rec, anchor_row);
 
         // Locality: every row of the op must sit in the same cache
         // instance and block partition (the page-stride slice layout
@@ -1124,9 +1122,9 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
         op.inPlace = !params_.forceNearPlace;
         std::size_t rec = i * plan.stepRows();
         plan.forEachStepRow(op, [&](Addr m, bool) {
-            const StagedRow &row = staged[rec];
-            auto [c, line] = resolveRow(level, rec++, m);
-            if (!line) {
+            const std::size_t row_rec = rec++;
+            ResolvedRow row = resolveRow(level, row_rec, m);
+            if (!row.line) {
                 // Same race as the anchor, but survivable: the near-
                 // place path re-reads through the hierarchy.
                 if (stats_)
@@ -1134,8 +1132,8 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
                 op.inPlace = false;
                 return;
             }
-            if (row.cacheIndex != op.cacheIndex ||
-                c.placeOf(line).globalPartition != op.partition)
+            if (staged[row_rec].cacheIndex != op.cacheIndex ||
+                rowPartition(row_rec, row) != op.partition)
                 op.inPlace = false;
         });
 
@@ -1166,6 +1164,7 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     auto &partition_free = sched_.partitionFree;
     auto &near_free = sched_.nearFree;
     auto &power_slots = sched_.powerSlots;
+    const unsigned power_cap = params_.maxActiveSubarrays;
 
     const Cycles op_latency = inPlaceLatency(level);
     const Cycles interval = std::max<Cycles>(
@@ -1224,20 +1223,20 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
             Cycles busy = op_latency +
                 static_cast<Cycles>(plan.bitlineSteps - 1) * interval +
                 outcome.extraLatency;
-            if (!power_slots.empty()) {
-                // Lexicographic (free-at, index) min-heap: the popped
-                // slot is the first minimum a linear scan would find,
-                // so schedules are bit-identical to the scan version.
+            if (power_cap != 0 && power_slots.size() == power_cap) {
+                // Every slot used: wait for the earliest-free one.
                 std::pop_heap(power_slots.begin(), power_slots.end(),
                               std::greater<>{});
-                auto &slot = power_slots.back();
-                start = std::max(start, slot.first);
-                end = start + busy;
-                slot.first = end;
+                start = std::max(start, power_slots.back());
+                power_slots.pop_back();
+            }
+            end = start + busy;
+            if (power_cap != 0) {
+                // An unused slot is free at cycle 0, so only used slots
+                // are kept.
+                power_slots.push_back(end);
                 std::push_heap(power_slots.begin(), power_slots.end(),
                                std::greater<>{});
-            } else {
-                end = start + busy;
             }
             // A carry latch holds live state, so its partition stays
             // busy for the whole sequence; otherwise the next op may

@@ -384,16 +384,17 @@ class CcController
 
     /**
      * One staged row, kept in OpPlan::forEachRow order: the slot
-     * stageOperand found it in and the cache instance holding it
-     * (Hierarchy::cacheIndex). The row's address is not stored: every
-     * user walks the plan in the same order. 8 bytes, as the pinned
-     * address it replaced.
+     * fetchToLevel staged it in, the cache instance holding it
+     * (StageResult::cacheIndex) and the slot's block partition. The
+     * row's address is not stored: every user walks the plan in the
+     * same order. 12 bytes.
      */
     struct StagedRow
     {
         std::uint32_t set;
         std::uint16_t way;
         std::uint16_t cacheIndex;
+        std::uint32_t partition;   ///< BlockPlace::globalPartition
     };
 
     /** A staged row's cache and line: the recorded slot if it still
@@ -405,8 +406,20 @@ class CcController
         cache::LineRef line;
     };
 
-    /** Resolve staging record @p rec, whose row is @p addr. */
-    ResolvedRow resolveRow(CacheLevel level, std::size_t rec, Addr addr);
+    /** Resolve staging record @p rec, whose row is @p addr. Inline:
+     *  every staged row is resolved three times (locality, the block
+     *  op, the unpin). */
+    ResolvedRow
+    resolveRow(CacheLevel level, std::size_t rec, Addr addr)
+    {
+        const StagedRow &r = scratchStaged_[rec];
+        cache::Cache &cache = hier_.cacheInstance(level, r.cacheIndex);
+        return {cache, cache.find(addr, cache::LineRef(r.set, r.way))};
+    }
+
+    /** Block partition of @p row, resolved from record @p rec: the
+     *  recorded one, unless the row moved since staging. */
+    std::size_t rowPartition(std::size_t rec, const ResolvedRow &row) const;
 
     /** Outcome of one block op, including fault-ladder effects. */
     struct BlockOpOutcome
@@ -518,15 +531,15 @@ class CcController
         /** Next-free cycle of each controller's near-place logic unit,
          *  indexed by cache index (flat: at most one per core/slice). */
         std::vector<Cycles> nearFree;
-        /** Active-sub-array power slots as a binary min-heap of
-         *  (free-at cycle, slot index), ordered lexicographically so the
-         *  pop matches what a first-minimum linear scan would pick —
-         *  smallest free time, then smallest slot index. Replaces an
-         *  O(cap) std::min_element per in-place op with O(log cap). */
-        std::vector<std::pair<Cycles, std::uint32_t>> powerSlots;
+        /** Free-at cycles of the active-sub-array power slots used
+         *  since the last reset, as a binary min-heap. An unused slot
+         *  is free at cycle 0, so while fewer than the cap are used an
+         *  op takes a fresh slot; after that it takes the earliest-free
+         *  one. Which slot is never observable, only when it frees. */
+        std::vector<Cycles> powerSlots;
         std::vector<Cycles> fetchLats;
 
-        void reset(unsigned power_cap);
+        void reset();
     };
 
     NearPlaceUnit nearPlace_;

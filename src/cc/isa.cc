@@ -306,14 +306,6 @@ CcInstruction::sliceCount(Addr base) const
     return laneBits;                 // full bit-slice stack
 }
 
-std::vector<Addr>
-CcInstruction::writtenAddrs() const
-{
-    if (isCcR(op))
-        return {};
-    return {dest};
-}
-
 void
 CcInstruction::validate() const
 {

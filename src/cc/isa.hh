@@ -185,9 +185,6 @@ struct CcInstruction
     /** All memory operand base addresses in use. */
     OperandAddrs operandAddrs() const;
 
-    /** Addresses the instruction writes. */
-    std::vector<Addr> writtenAddrs() const;
-
     /**
      * Validate against the ISA limits; throws FatalError with a
      * diagnostic on malformed encodings (zero/oversized vectors, bad

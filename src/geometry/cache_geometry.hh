@@ -149,9 +149,19 @@ class CacheGeometry
             bits(addr >> blockBits_, 0, static_cast<unsigned>(setBits_)));
     }
 
+    /** Global block partition of every way of @p set: its low
+     *  set-index bits select the bank, then the block partition
+     *  (Figure 5(b)). Inline: CC staging records one per operand row. */
+    std::size_t partitionOf(std::size_t set) const
+    {
+        std::size_t bank = set & ((std::size_t{1} << bankBits_) - 1);
+        std::size_t bp = (set >> bankBits_) &
+            ((std::size_t{1} << bpBits_) - 1);
+        return bank * params_.blockPartitionsPerBank + bp;
+    }
+
     /** Physical placement of (set, way): all ways of a set land in the
-     *  same block partition, at consecutive rows. Inline: the CC
-     *  scheduler derives a placement per block-op operand. */
+     *  same block partition, at consecutive rows. */
     BlockPlace place(std::size_t set, std::size_t way) const
     {
         CC_ASSERT(set < numSets_, "set ", set, " out of range");
@@ -172,7 +182,7 @@ class CacheGeometry
         CC_ASSERT(p.row < rowsPerSubarray_, "derived row ", p.row,
                   " exceeds sub-array rows ", rowsPerSubarray_);
 
-        p.globalPartition = p.bank * params_.blockPartitionsPerBank + bp;
+        p.globalPartition = partitionOf(set);
         return p;
     }
 

@@ -261,8 +261,7 @@ TEST(TagArray, VictimPrefersInvalid)
     TagArray tags(4, 2);
     auto v = tags.victim(0);
     ASSERT_TRUE(v);
-    tags.line(0, *v).state = Mesi::Shared;
-    tags.line(0, *v).tag = 1;
+    tags.install(0, *v, 1, Mesi::Shared);
     tags.touch(0, *v);
     auto v2 = tags.victim(0);
     ASSERT_TRUE(v2);
@@ -273,8 +272,8 @@ TEST(TagArray, AllPinnedNoVictim)
 {
     TagArray tags(1, 2);
     for (std::size_t w = 0; w < 2; ++w) {
-        tags.line(0, w).state = Mesi::Shared;
-        tags.line(0, w).pinned = true;
+        tags.install(0, w, w, Mesi::Shared);
+        tags.setPinned(0, w, true);
     }
     EXPECT_FALSE(tags.victim(0).has_value());
 }

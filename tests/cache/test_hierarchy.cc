@@ -174,7 +174,7 @@ TEST_F(HierarchyTest, FetchToL3WritesBackDirtyPrivateCopies)
     unsigned slice = hier.sliceFor(0, 0xb0000);
 
     Cycles lat = hier.fetchToLevel(0, 0xb0000, CacheLevel::L3,
-                                   /*exclusive=*/false);
+                                   /*exclusive=*/false).latency;
     EXPECT_GT(lat, 0u);
     LineRef line = hier.l3Slice(slice).find(0xb0000);
     ASSERT_TRUE(line);
@@ -215,6 +215,80 @@ TEST_F(HierarchyTest, FetchToL2StagesWithoutL1Fill)
     hier.fetchToLevel(0, 0xe0000, CacheLevel::L2, /*exclusive=*/false);
     EXPECT_TRUE(hier.l2(0).contains(0xe0000));
     EXPECT_FALSE(hier.l1(0).contains(0xe0000));
+}
+
+TEST_F(HierarchyTest, FetchToLevelReturnsTheStagedSlot)
+{
+    // Every level, shared and exclusive, through each path: a cold
+    // stage, a repeat on the fast path, and (L3) a stage that recalls a
+    // dirty private copy and one of a page homed on another slice.
+    Block d = patternBlock(0x77);
+    hier.write(1, 0x316000, &d);
+    hier.write(1, 0x317000, &d);
+    hier.mapPage(0x318000, 5);
+    const struct
+    {
+        CacheLevel level;
+        Addr addr;
+        bool exclusive;
+    } cases[] = {
+        {CacheLevel::L1, 0x310000, false}, {CacheLevel::L1, 0x311000, true},
+        {CacheLevel::L2, 0x312000, false}, {CacheLevel::L2, 0x313000, true},
+        {CacheLevel::L3, 0x314000, false}, {CacheLevel::L3, 0x315000, true},
+        {CacheLevel::L3, 0x316000, false}, {CacheLevel::L3, 0x317000, true},
+        {CacheLevel::L3, 0x318000, false},
+    };
+    for (const auto &c : cases) {
+        for (int pass = 0; pass < 2; ++pass) {
+            StageResult s = hier.fetchToLevel(2, c.addr, c.level, c.exclusive);
+            EXPECT_EQ(s.cacheIndex, c.level == CacheLevel::L3
+                                        ? hier.sliceFor(2, c.addr)
+                                        : 2u)
+                << toString(c.level) << " 0x" << std::hex << c.addr;
+            ASSERT_TRUE(s.line)
+                << toString(c.level) << " 0x" << std::hex << c.addr;
+            EXPECT_EQ(s.line,
+                      hier.cacheInstance(c.level, s.cacheIndex).find(c.addr))
+                << toString(c.level) << " 0x" << std::hex << c.addr;
+            if (pass == 1) {
+                EXPECT_EQ(s.latency, 0u) << toString(c.level);
+            }
+        }
+    }
+    EXPECT_EQ(hier.fetchToLevel(2, 0x318000, CacheLevel::L3, false)
+                  .cacheIndex,
+              5u);
+}
+
+TEST_F(HierarchyTest, FetchToLevelIntoFullyPinnedSetReturnsNoSlot)
+{
+    // A set full of pinned CC operands refuses the L1/L2 fill; the stage
+    // then hands back no slot, so the controller retries or falls back.
+    const struct
+    {
+        CacheLevel level;
+        Addr base;
+    } cases[] = {{CacheLevel::L1, 0x400000}, {CacheLevel::L2, 0x800000}};
+    for (const auto &c : cases) {
+        Cache &target = hier.cacheInstance(c.level, 0);
+        const std::size_t ways = target.params().geometry.ways;
+        const Addr stride = target.geom().numSets() * kBlockSize;
+        for (std::size_t w = 0; w < ways; ++w) {
+            StageResult s =
+                hier.fetchToLevel(0, c.base + w * stride, c.level, false);
+            ASSERT_TRUE(s.line) << toString(c.level) << " way " << w;
+            target.pin(s.line);
+        }
+        for (bool exclusive : {false, true}) {
+            const Addr extra = c.base + (ways + exclusive) * stride;
+            StageResult s = hier.fetchToLevel(0, extra, c.level, exclusive);
+            EXPECT_FALSE(s.line) << toString(c.level) << " exclusive "
+                                 << exclusive;
+            EXPECT_GT(s.latency, 0u);
+            EXPECT_EQ(s.cacheIndex, 0u);
+            EXPECT_FALSE(target.contains(extra));
+        }
+    }
 }
 
 TEST_F(HierarchyTest, ChooseLevelPolicy)

@@ -166,11 +166,14 @@ TEST_F(HierarchyEdge, ForOverwriteAllocatesZeroFilledLine)
 TEST_F(HierarchyEdge, RepeatedFetchToLevelIsIdempotentAndCheap)
 {
     hier.fetchToLevel(0, 0xc00000, CacheLevel::L3, false);
-    Cycles second = hier.fetchToLevel(0, 0xc00000, CacheLevel::L3, false);
+    Cycles second =
+        hier.fetchToLevel(0, 0xc00000, CacheLevel::L3, false).latency;
     // Fast path: already resident, nothing to recall.
     EXPECT_EQ(second, 0u);
-    Cycles third = hier.fetchToLevel(0, 0xc00000, CacheLevel::L2, false);
-    Cycles fourth = hier.fetchToLevel(0, 0xc00000, CacheLevel::L2, false);
+    Cycles third =
+        hier.fetchToLevel(0, 0xc00000, CacheLevel::L2, false).latency;
+    Cycles fourth =
+        hier.fetchToLevel(0, 0xc00000, CacheLevel::L2, false).latency;
     EXPECT_GT(third, 0u);
     EXPECT_EQ(fourth, 0u);
 }

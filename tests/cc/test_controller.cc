@@ -151,7 +151,8 @@ TEST_F(ControllerTest, SearchFindsKeyAndReplicatesOncePerPartition)
     auto data_partitions = [&](CacheLevel level) {
         std::set<std::pair<unsigned, std::size_t>> parts;
         for (Addr a = base; a < base + 512; a += kBlockSize) {
-            unsigned index = hier.cacheIndex(level, 0, a);
+            unsigned index =
+                level == CacheLevel::L3 ? hier.sliceFor(0, a) : 0u;
             cache::Cache &c = hier.cacheInstance(level, index);
             cache::LineRef line = c.find(a);
             EXPECT_TRUE(line) << std::hex << a;
@@ -377,6 +378,73 @@ TEST_F(ControllerTest, PowerCapThrottlesParallelism)
     auto narrow = capped_ctrl.execute(
         0, CcInstruction::copy(0x190000, 0x198000, 4096));
     EXPECT_GT(narrow.computeLatency, wide.computeLatency);
+}
+
+/** A controller forced to L3 under peak-power cap @p cap, with every
+ *  block of each copy's source warmed and of its dest staged for
+ *  overwrite there, so only the compute schedule varies with the cap. */
+struct WarmedL3
+{
+    WarmedL3(unsigned cap, const std::vector<CcInstruction> &copies)
+        : hier(cache::HierarchyParams{}, &em, &stats),
+          ctrl(hier, &em, &stats, params(cap))
+    {
+        for (const CcInstruction &c : copies) {
+            for (Addr off = 0; off < c.size; off += kBlockSize) {
+                hier.fetchToLevel(0, c.src1 + off, CacheLevel::L3, false);
+                hier.fetchToLevel(0, c.dest + off, CacheLevel::L3, true,
+                                  true);
+            }
+        }
+    }
+
+    static CcControllerParams
+    params(unsigned cap)
+    {
+        CcControllerParams p;
+        p.maxActiveSubarrays = cap;
+        p.forceLevel = CacheLevel::L3;
+        return p;
+    }
+
+    energy::EnergyModel em;
+    StatRegistry stats;
+    cache::Hierarchy hier;
+    CcController ctrl;
+};
+
+// Exact cycle counts under the power cap, pinned so that a tie-break or
+// cap-boundary slip in the power-slot schedule fails here; the
+// PowerCapSweep monotonicity check would pass it. The values are the
+// schedule's at the time the test was written; change them only with a
+// deliberate change to the schedule.
+TEST(ControllerPowerCap, WarmedL3CopyComputeLatencyPerCap)
+{
+    const CcInstruction copy = CcInstruction::copy(0x100000, 0x110000, 8192);
+    const std::pair<unsigned, Cycles> expected[] = {
+        {1, 1794}, {2, 900}, {4, 456}, {8, 240}, {128, 156}, {0, 156}};
+    for (const auto &[cap, want] : expected) {
+        WarmedL3 sys(cap, {copy});
+        CcExecResult res = sys.ctrl.execute(0, copy);
+        EXPECT_EQ(res.inPlaceOps, 128u) << "cap " << cap;
+        EXPECT_EQ(res.computeLatency, want) << "cap " << cap;
+    }
+}
+
+TEST(ControllerPowerCap, StreamOfThreeCopiesTotalPerCap)
+{
+    const std::vector<CcInstruction> copies = {
+        CcInstruction::copy(0x100000, 0x110000, 4096),
+        CcInstruction::copy(0x120000, 0x130000, 4096),
+        CcInstruction::copy(0x140000, 0x150000, 4096)};
+    // 192 ops: at cap 128 the last 64 each reuse the earliest-free slot.
+    const std::pair<unsigned, Cycles> expected[] = {{4, 684}, {128, 222}};
+    for (const auto &[cap, want] : expected) {
+        WarmedL3 sys(cap, copies);
+        Cycles total = 0;
+        sys.ctrl.executeStream(0, copies, &total);
+        EXPECT_EQ(total, want) << "cap " << cap;
+    }
 }
 
 TEST_F(ControllerTest, PageSpanningRaisesSplitException)

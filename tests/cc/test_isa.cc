@@ -34,16 +34,12 @@ TEST(CcIsa, BuildersEncodeOperands)
     auto c = CcInstruction::copy(0x1000, 0x2000, 256);
     EXPECT_EQ(c.op, CcOpcode::Copy);
     expectOperands(c, {0x1000, 0x2000});
-    EXPECT_EQ(c.writtenAddrs(), (std::vector<Addr>{0x2000}));
 
     auto z = CcInstruction::buz(0x3000, 128);
     expectOperands(z, {0x3000});
 
     auto a = CcInstruction::logicalAnd(0x1000, 0x2000, 0x3000, 512);
     expectOperands(a, {0x1000, 0x2000, 0x3000});
-
-    auto s = CcInstruction::search(0x1000, 0x2000, 512);
-    EXPECT_TRUE(s.writtenAddrs().empty());
 }
 
 TEST(CcIsa, CcRClassification)
