@@ -25,7 +25,7 @@ main(int argc, char **argv)
     const auto &h = cfg.hierarchy;
 
     bench::ResultsWriter results("table4_simulator_params");
-    results.config("cores", h.cores);
+    results.config("cores", cache::Hierarchy::kCores);
     results.config("core_freq_ghz", kCoreFreqHz / 1e9);
 
     // A single sweep point: this bench only snapshots the live default
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     });
     sweep.run();
 
-    std::printf("Configuration   %u-core CMP\n", h.cores);
+    std::printf("Configuration   %u-core CMP\n", cache::Hierarchy::kCores);
     std::printf("Processor       %.2f GHz out-of-order core, issue %u, "
                 "%u-deep MLP\n",
                 kCoreFreqHz / 1e9, CoreCostModel::kIssueWidth,
@@ -71,7 +71,7 @@ main(int argc, char **argv)
               ", inclusive, private");
     std::printf("L3 Cache        inclusive, shared, %u NUCA slices, "
                 "%zu MB each, %zu-way, %llu cycle + %llu queuing\n",
-                h.ring.nodes, h.l3.geometry.sizeBytes / (1024 * 1024),
+                noc::Ring::kNodes, h.l3.geometry.sizeBytes / (1024 * 1024),
                 h.l3.geometry.ways,
                 static_cast<unsigned long long>(
                     accessLatency(CacheLevel::L3)),

@@ -24,7 +24,7 @@ main()
                 "%zu intervals of %llu instructions\n\n",
                 cfg.intervals,
                 static_cast<unsigned long long>(
-                    cfg.intervalInstructions));
+                    Checkpoint::kIntervalInstructions));
 
     std::printf("%-9s %14s %16s %12s %10s\n", "engine", "app cycles",
                 "chkpt cycles", "pages", "overhead");

@@ -9,6 +9,17 @@
 
 namespace ccache::apps {
 
+namespace {
+
+/** Simulated-memory layout. @{ */
+constexpr Addr kABase = 0x0400'0000;
+constexpr Addr kBtBase = 0x0500'0000;
+constexpr Addr kCBase = 0x0600'0000;
+constexpr Addr kScratchBase = 0x0700'0000;
+/** @} */
+
+} // namespace
+
 BitMatrix
 BitMatrix::transposed() const
 {
@@ -68,8 +79,8 @@ Bmm::runBaseline(sim::System &sys, Engine engine)
     for (std::size_t i = 0; i < n; ++i) {
         auto arow = a_.row(i).toBytes();
         auto btrow = bt_.row(i).toBytes();
-        sys.load(config_.aBase + i * rb, arow.data(), rb);
-        sys.load(config_.btBase + i * rb, btrow.data(), rb);
+        sys.load(kABase + i * rb, arow.data(), rb);
+        sys.load(kBtBase + i * rb, btrow.data(), rb);
     }
 
     std::size_t vec = engine == Engine::Base32 ? 32 : 8;
@@ -80,14 +91,13 @@ Bmm::runBaseline(sim::System &sys, Engine engine)
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t off = 0; off < rb; off += vec) {
             Cycles lat =
-                hier.loadBytes(0, config_.aBase + i * rb + off, nullptr,
-                               vec);
+                hier.loadBytes(0, kABase + i * rb + off, nullptr, vec);
             cost.addMemAccess(lat);
         }
         for (std::size_t j = 0; j < n; ++j) {
             for (std::size_t off = 0; off < rb; off += vec) {
-                Cycles lat = hier.loadBytes(
-                    0, config_.btBase + j * rb + off, nullptr, vec);
+                Cycles lat =
+                    hier.loadBytes(0, kBtBase + j * rb + off, nullptr, vec);
                 cost.addMemAccess(lat);
             }
             // AND + POPCNT per 64-bit word, then parity combine + store
@@ -101,7 +111,7 @@ Bmm::runBaseline(sim::System &sys, Engine engine)
         }
         // Write the finished output row.
         auto crow = computed_.row(i).toBytes();
-        Cycles lat = hier.storeBytes(0, config_.cBase + i * rb,
+        Cycles lat = hier.storeBytes(0, kCBase + i * rb,
                                      crow.data(), rb);
         cost.addMemAccess(lat);
     }
@@ -142,11 +152,11 @@ Bmm::runCc(sim::System &sys)
     for (std::size_t i = 0; i < n; ++i) {
         auto arow = a_.row(i).toBytes();
         auto btrow = bt_.row(i).toBytes();
-        sys.load(config_.aBase + i * rb, arow.data(), rb);
-        sys.load(config_.btBase + i * rb, btrow.data(), rb);
+        sys.load(kABase + i * rb, arow.data(), rb);
+        sys.load(kBtBase + i * rb, btrow.data(), rb);
     }
 
-    sys.cc().mutableParams().forceLevel = config_.ccLevel;
+    sys.cc().mutableParams().forceLevel = kCcLevel;
     computed_ = BitMatrix(n);
 
     // Issue one replicated clmul per (BT block, lane rotation, A page):
@@ -176,10 +186,10 @@ Bmm::runCc(sim::System &sys)
                 auto bytes = bt_.row(src_row).toBytes();
                 std::memcpy(rotated.data() + lane * rb, bytes.data(), rb);
             }
-            Addr rot_addr = config_.scratchBase + 0x8000 +
+            Addr rot_addr = kScratchBase + 0x8000 +
                 ((cb * rpb + rot) % 64) * kBlockSize;
-            Cycles lat = hier.loadBytes(
-                0, config_.btBase + cb * kBlockSize, nullptr, kBlockSize);
+            Cycles lat = hier.loadBytes(0, kBtBase + cb * kBlockSize,
+                                        nullptr, kBlockSize);
             cost.addMemAccess(lat);
             lat = hier.storeBytes(0, rot_addr, rotated.data(),
                                   kBlockSize);
@@ -188,12 +198,10 @@ Bmm::runCc(sim::System &sys)
             extra_instrs += 8;
 
             for (Addr chunk = 0; chunk < a_bytes; chunk += page_chunk) {
-                Addr dest = config_.scratchBase +
-                    (scratch_idx++ % 64) * kBlockSize;
+                Addr dest = kScratchBase + (scratch_idx++ % 64) * kBlockSize;
                 issues.push_back({cb, rot, chunk, dest});
                 instrs.push_back(cc::CcInstruction::clmulReplicated(
-                    config_.aBase + chunk, rot_addr, dest, page_chunk,
-                    n));
+                    kABase + chunk, rot_addr, dest, page_chunk, n));
 
                 // Streams hold at most eight instructions, the
                 // paper's instruction-table depth (Section IV-D).
@@ -237,7 +245,7 @@ Bmm::runCc(sim::System &sys)
     // Write the product back as the application's output.
     for (std::size_t i = 0; i < n; ++i) {
         auto crow = computed_.row(i).toBytes();
-        Cycles lat = hier.storeBytes(0, config_.cBase + i * rb,
+        Cycles lat = hier.storeBytes(0, kCBase + i * rb,
                                      crow.data(), rb);
         cost.addMemAccess(lat);
     }

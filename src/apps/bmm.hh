@@ -32,15 +32,6 @@ struct BmmConfig
     std::size_t n = 256;
 
     std::uint64_t seed = 0xb1731;
-
-    Addr aBase = 0x0400'0000;
-    Addr btBase = 0x0500'0000;
-    Addr cBase = 0x0600'0000;
-    Addr scratchBase = 0x0700'0000;
-
-    /** Cache level for the CC version (L1 per Section VI-B: the matrix
-     *  reuse makes BMM L1-resident). */
-    CacheLevel ccLevel = CacheLevel::L1;
 };
 
 /** A dense square bit matrix. */
@@ -76,6 +67,10 @@ class BitMatrix
 class Bmm
 {
   public:
+    /** Cache level of the CC version (L1 per Section VI-B: the matrix
+     *  reuse makes BMM L1-resident). */
+    static constexpr CacheLevel kCcLevel = CacheLevel::L1;
+
     explicit Bmm(const BmmConfig &config = BmmConfig{});
 
     AppRunResult run(sim::System &sys, Engine engine);

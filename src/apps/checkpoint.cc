@@ -5,6 +5,20 @@
 
 namespace ccache::apps {
 
+namespace {
+
+/** Application IPC for the compute phase of each interval. */
+constexpr double kAppIpc = 2.0;
+
+/** Simulated-memory layout: the application heap and its shadow. @{ */
+constexpr Addr kHeapBase = 0x1000'0000;
+constexpr Addr kShadowBase = 0x5000'0000;
+/** @} */
+static_assert((kShadowBase - kHeapBase) % kPageSize == 0,
+              "a shadow page must keep its source's page offset");
+
+} // namespace
+
 Checkpoint::Checkpoint(workload::SplashApp app,
                        const CheckpointConfig &config)
     : app_(app), config_(config)
@@ -16,21 +30,20 @@ Checkpoint::run(sim::System &sys, Engine engine, bool checkpointing)
 {
     auto &hier = sys.hierarchy();
     auto &em = sys.energy();
-    workload::SplashTrace trace(app_, config_.heapBase, config_.seed);
+    workload::SplashTrace trace(app_, kHeapBase, config_.seed);
 
     CheckpointResult result;
     Rng content_rng(config_.seed ^ 0xfeed);
 
     for (std::size_t interval = 0; interval < config_.intervals;
          ++interval) {
-        auto activity = trace.nextInterval(config_.intervalInstructions);
+        auto activity = trace.nextInterval(kIntervalInstructions);
 
         // ---- Application compute phase ------------------------------
         Cycles compute = static_cast<Cycles>(
-            static_cast<double>(config_.intervalInstructions) /
-            config_.appIpc);
+            static_cast<double>(kIntervalInstructions) / kAppIpc);
         result.baseCycles += compute;
-        em.chargeInstructions(config_.intervalInstructions);
+        em.chargeInstructions(kIntervalInstructions);
         // The application's own cache traffic (mostly L1 hits).
         em.chargeCacheOp(CacheLevel::L1, energy::CacheOp::Read,
                          activity.memAccesses);
@@ -49,10 +62,7 @@ Checkpoint::run(sim::System &sys, Engine engine, bool checkpointing)
 
         // ---- Copy-on-write checkpoint phase -------------------------
         for (Addr page : activity.dirtiedPages) {
-            Addr shadow = config_.shadowBase + (page - config_.heapBase);
-            CC_ASSERT((page & (kPageSize - 1)) ==
-                          (shadow & (kPageSize - 1)),
-                      "shadow must preserve the page offset");
+            Addr shadow = kShadowBase + (page - kHeapBase);
             sim::KernelResult copy;
             switch (engine) {
               case Engine::Base:
@@ -77,8 +87,7 @@ Checkpoint::run(sim::System &sys, Engine engine, bool checkpointing)
     }
 
     result.app.cycles = result.baseCycles + result.checkpointCycles;
-    result.app.instructions =
-        config_.intervals * config_.intervalInstructions;
+    result.app.instructions = config_.intervals * kIntervalInstructions;
     sys.advance(0, result.app.cycles);
     result.app.dynamic = em.dynamic();
     result.app.totals = sys.totals();

@@ -20,15 +20,7 @@ namespace ccache::apps {
 /** Checkpointing configuration. */
 struct CheckpointConfig
 {
-    std::uint64_t intervalInstructions = 100000;  ///< Section VI-B
     std::size_t intervals = 40;
-
-    /** Application IPC for the compute phase of each interval. */
-    double appIpc = 2.0;
-
-    Addr heapBase = 0x1000'0000;
-    Addr shadowBase = 0x5000'0000;
-
     std::uint64_t seed = 0x5b1a5b;
 };
 
@@ -60,6 +52,10 @@ struct CheckpointResult
 class Checkpoint
 {
   public:
+    /** Application instructions per checkpoint interval (Section
+     *  VI-B). */
+    static constexpr std::uint64_t kIntervalInstructions = 100000;
+
     Checkpoint(workload::SplashApp app,
                const CheckpointConfig &config = CheckpointConfig{});
 

@@ -8,6 +8,19 @@
 
 namespace ccache::apps {
 
+namespace {
+
+/** Bins one range query ORs at most. */
+constexpr std::size_t kMaxRangeBins = 6;
+
+/** Simulated-memory layout: the index bins, then per-core result
+ *  buffers. @{ */
+constexpr Addr kBinsBase = 0x2000'0000;
+constexpr Addr kResultBase = 0x3000'0000;
+/** @} */
+
+} // namespace
+
 DbBitmap::DbBitmap(const DbBitmapConfig &config)
     : config_(config), index_(config.index)
 {
@@ -16,7 +29,7 @@ DbBitmap::DbBitmap(const DbBitmapConfig &config)
         BitmapQuery query;
         if (rng.chance(0.7)) {
             query.kind = BitmapQuery::Kind::RangeOr;
-            std::size_t span = 2 + rng.below(config.maxRangeBins - 1);
+            std::size_t span = 2 + rng.below(kMaxRangeBins - 1);
             span = std::min(span, index_.bins());
             query.loBin = rng.below(index_.bins() - span + 1);
             query.hiBin = query.loBin + span - 1;
@@ -35,7 +48,7 @@ DbBitmap::binAddr(std::size_t b) const
     // Bins are page-aligned so any two bins (and the result buffer)
     // trivially satisfy operand locality (Section IV-C).
     std::size_t padded = alignUp(index_.binBytes(), kPageSize);
-    return config_.binsBase + b * padded;
+    return kBinsBase + b * padded;
 }
 
 AppRunResult
@@ -48,7 +61,7 @@ AppRunResult
 DbBitmap::runParallel(sim::System &sys, Engine engine, unsigned cores)
 {
     auto &em = sys.energy();
-    CC_ASSERT(cores >= 1 && cores <= sys.hierarchy().cores(),
+    CC_ASSERT(cores >= 1 && cores <= cache::Hierarchy::kCores,
               "bad core count ", cores);
 
     // Load the index into simulated memory.
@@ -68,7 +81,7 @@ DbBitmap::runParallel(sim::System &sys, Engine engine, unsigned cores)
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
         const auto &query = queries_[qi];
         CoreId core = static_cast<CoreId>(qi % cores);
-        Addr result_base = config_.resultBase + core * result_stride;
+        Addr result_base = kResultBase + core * result_stride;
         Cycles query_cycles = 0;
 
         // Result accumulates into the result buffer: first a copy of the
@@ -85,9 +98,8 @@ DbBitmap::runParallel(sim::System &sys, Engine engine, unsigned cores)
                 // 2 KB chunks, all independent: one stream per bin.
                 std::vector<cc::CcInstruction> chunk_ops;
                 for (std::size_t off = 0; off < bin_bytes;
-                     off += config_.chunkBytes) {
-                    std::size_t len = std::min(config_.chunkBytes,
-                                               bin_bytes - off);
+                     off += kChunkBytes) {
+                    std::size_t len = std::min(kChunkBytes, bin_bytes - off);
                     Addr a = result_base + off;
                     Addr src = binAddr(b) + off;
                     chunk_ops.push_back(

@@ -33,20 +33,16 @@ struct DbBitmapConfig
 {
     workload::BitmapGenParams index;
     std::size_t numQueries = 12;
-    std::size_t maxRangeBins = 6;
     std::uint64_t querySeed = 0xdb01;
-
-    Addr binsBase = 0x2000'0000;
-    Addr resultBase = 0x3000'0000;
-
-    /** CC chunk size per operation (2 KB per Section VI-B). */
-    std::size_t chunkBytes = 2048;
 };
 
 /** The application. */
 class DbBitmap
 {
   public:
+    /** Bytes per CC operation: 2 KB chunks (Section VI-B). */
+    static constexpr std::size_t kChunkBytes = 2048;
+
     explicit DbBitmap(const DbBitmapConfig &config = DbBitmapConfig{});
 
     AppRunResult run(sim::System &sys, Engine engine);

@@ -10,6 +10,35 @@
 
 namespace ccache::apps {
 
+namespace {
+
+/** Cache level of the CC version. */
+constexpr CacheLevel kCcLevel = CacheLevel::L3;
+
+/** Simulated-memory layout. Packed (normal-form) storage: @{ */
+constexpr Addr kABase = 0x0400'0000;    ///< int8 A, row-major m x k
+constexpr Addr kBBase = 0x0410'0000;    ///< int8 B, row-major k x n
+constexpr Addr kCBase = 0x0420'0000;    ///< int32 C, row-major m x n
+constexpr Addr kB32Base = 0x0430'0000;  ///< int32 staging row
+/** @} */
+
+/** Transposed slice stacks (page-aligned; each stack spans
+ *  laneBits * kSliceStride of address space). @{ */
+constexpr Addr kBSlicesBase = 0x0500'0000;  ///< k stacks of B rows
+constexpr Addr kABcastBase = 0x0700'0000;   ///< broadcast scalar stack
+constexpr Addr kTmpBase = 0x0740'0000;      ///< cc_mul partial products
+constexpr Addr kAccBase = 0x0780'0000;      ///< accumulator stack
+/** @} */
+
+/** Address of B row @p kk's slice stack. */
+Addr
+bStack(std::size_t kk)
+{
+    return kBSlicesBase + kk * QuantGemmConfig::kAccBits * cc::kSliceStride;
+}
+
+} // namespace
+
 QuantGemm::QuantGemm(const QuantGemmConfig &config)
     : config_(config), a_(config.m * config.k), b_(config.k * config.n),
       expected_(config.m * config.n), computed_(config.m * config.n)
@@ -58,8 +87,8 @@ QuantGemm::runBaseline(sim::System &sys, Engine engine)
 
     std::size_t m = config_.m, k = config_.k, n = config_.n;
 
-    sys.load(config_.aBase, a_.data(), a_.size());
-    sys.load(config_.bBase, b_.data(), b_.size());
+    sys.load(kABase, a_.data(), a_.size());
+    sys.load(kBBase, b_.data(), b_.size());
 
     std::size_t vec = engine == Engine::Base32 ? 32 : 8;
     std::fill(computed_.begin(), computed_.end(), 0);
@@ -67,13 +96,13 @@ QuantGemm::runBaseline(sim::System &sys, Engine engine)
     // Row-of-A-stationary loop: A[i][kk] stays in a register while the
     // inner loop streams B row kk and accumulates the int32 output row.
     for (std::size_t i = 0; i < m; ++i) {
-        Cycles lat = hier.loadBytes(0, config_.aBase + i * k, nullptr, k);
+        Cycles lat = hier.loadBytes(0, kABase + i * k, nullptr, k);
         cost.addMemAccess(lat);
         for (std::size_t kk = 0; kk < k; ++kk) {
             std::int32_t av = a_[i * k + kk];
             for (std::size_t off = 0; off < n; off += vec) {
                 lat = hier.loadBytes(
-                    0, config_.bBase + kk * n + off, nullptr, vec);
+                    0, kBBase + kk * n + off, nullptr, vec);
                 cost.addMemAccess(lat);
                 // Widening multiply + accumulate per vec int8 lanes:
                 // two ops per lane scalar, two per 8-lane group SIMD.
@@ -86,7 +115,7 @@ QuantGemm::runBaseline(sim::System &sys, Engine engine)
                 computed_[i * n + j] += av * std::int32_t{b_[kk * n + j]};
         }
         Cycles slat =
-            hier.storeBytes(0, config_.cBase + i * 4 * n,
+            hier.storeBytes(0, kCBase + i * 4 * n,
                             computed_.data() + i * n, 4 * n);
         cost.addMemAccess(slat);
     }
@@ -120,10 +149,10 @@ QuantGemm::runCc(sim::System &sys)
     constexpr std::size_t w = QuantGemmConfig::kAccBits;
     std::size_t sb = cc::sliceBytes(n);
 
-    sys.load(config_.aBase, a_.data(), a_.size());
-    sys.load(config_.bBase, b_.data(), b_.size());
+    sys.load(kABase, a_.data(), a_.size());
+    sys.load(kBBase, b_.data(), b_.size());
 
-    sys.cc().mutableParams().forceLevel = config_.ccLevel;
+    sys.cc().mutableParams().forceLevel = kCcLevel;
     cc::TransposeManager trans(hier, &em, &sys.stats());
     std::fill(computed_.begin(), computed_.end(), 0);
 
@@ -133,17 +162,16 @@ QuantGemm::runCc(sim::System &sys)
     // A, which is where the transposition cost amortizes.
     std::vector<std::int32_t> row32(n);
     for (std::size_t kk = 0; kk < k; ++kk) {
-        Cycles lat =
-            hier.loadBytes(0, config_.bBase + kk * n, nullptr, n);
+        Cycles lat = hier.loadBytes(0, kBBase + kk * n, nullptr, n);
         cost.addMemAccess(lat);
         for (std::size_t j = 0; j < n; ++j)
             row32[j] = std::int32_t{b_[kk * n + j]};
         cost.addInstrs(n / 4);  // vectorized sign extension
         extra_instrs += n / 4;
-        lat = hier.storeBytes(0, config_.b32Base, row32.data(), 4 * n);
+        lat = hier.storeBytes(0, kB32Base, row32.data(), 4 * n);
         cost.addMemAccess(lat);
         cost.addMemAccess(
-            trans.transpose(0, config_.b32Base, bStack(kk), n, w));
+            trans.transpose(0, kB32Base, bStack(kk), n, w));
     }
 
     std::vector<cc::CcInstruction> instrs;
@@ -158,7 +186,7 @@ QuantGemm::runCc(sim::System &sys)
 
     std::vector<std::int32_t> out(n);
     for (std::size_t i = 0; i < m; ++i) {
-        Cycles lat = hier.loadBytes(0, config_.aBase + i * k, nullptr, k);
+        Cycles lat = hier.loadBytes(0, kABase + i * k, nullptr, k);
         cost.addMemAccess(lat);
         for (std::size_t kk = 0; kk < k; ++kk) {
             // The broadcast rewrites the scalar stack, so the stream
@@ -166,19 +194,15 @@ QuantGemm::runCc(sim::System &sys)
             flush();
             std::uint32_t av = static_cast<std::uint32_t>(
                 std::int32_t{a_[i * k + kk]});
-            cost.addMemAccess(
-                trans.broadcast(0, av, config_.aBcastBase, n, w));
+            cost.addMemAccess(trans.broadcast(0, av, kABcastBase, n, w));
             if (kk == 0) {
                 instrs.push_back(cc::CcInstruction::mul(
-                    config_.aBcastBase, bStack(kk), config_.accBase, sb,
-                    w));
+                    kABcastBase, bStack(kk), kAccBase, sb, w));
             } else {
                 instrs.push_back(cc::CcInstruction::mul(
-                    config_.aBcastBase, bStack(kk), config_.tmpBase, sb,
-                    w));
+                    kABcastBase, bStack(kk), kTmpBase, sb, w));
                 instrs.push_back(cc::CcInstruction::add(
-                    config_.accBase, config_.tmpBase, config_.accBase,
-                    sb, w));
+                    kAccBase, kTmpBase, kAccBase, sb, w));
             }
             if (instrs.size() >= 8)
                 flush();
@@ -186,9 +210,9 @@ QuantGemm::runCc(sim::System &sys)
         flush();
 
         // Gather the accumulator back to packed form and emit row i.
-        cost.addMemAccess(trans.untranspose(
-            0, config_.accBase, config_.cBase + i * 4 * n, n, w));
-        Cycles l2 = hier.loadBytes(0, config_.cBase + i * 4 * n,
+        cost.addMemAccess(
+            trans.untranspose(0, kAccBase, kCBase + i * 4 * n, n, w));
+        Cycles l2 = hier.loadBytes(0, kCBase + i * 4 * n,
                                    out.data(), 4 * n);
         cost.addMemAccess(l2);
         std::memcpy(computed_.data() + i * n, out.data(), 4 * n);

@@ -35,26 +35,9 @@ struct QuantGemmConfig
 
     std::uint64_t seed = 0x9e3779b9;
 
-    /** Packed (normal-form) storage. @{ */
-    Addr aBase = 0x0400'0000;    ///< int8 A, row-major m x k
-    Addr bBase = 0x0410'0000;    ///< int8 B, row-major k x n
-    Addr cBase = 0x0420'0000;    ///< int32 C, row-major m x n
-    Addr b32Base = 0x0430'0000;  ///< int32 staging row for transposition
-    /** @} */
-
-    /** Transposed slice stacks (page-aligned; each stack spans
-     *  laneBits * kSliceStride of address space). @{ */
-    Addr bSlicesBase = 0x0500'0000;  ///< k stacks of B rows
-    Addr aBcastBase = 0x0700'0000;   ///< broadcast scalar stack
-    Addr tmpBase = 0x0740'0000;      ///< cc_mul partial products
-    Addr accBase = 0x0780'0000;      ///< accumulator stack
-    /** @} */
-
     /** Accumulator lane width (fixed by the int8 x int8 -> int32
      *  quantization scheme). */
     static constexpr std::size_t kAccBits = 32;
-
-    CacheLevel ccLevel = CacheLevel::L3;
 };
 
 /** The application. */
@@ -75,13 +58,6 @@ class QuantGemm
   private:
     AppRunResult runBaseline(sim::System &sys, Engine engine);
     AppRunResult runCc(sim::System &sys);
-
-    /** Address of B row @p kk's slice stack. */
-    Addr bStack(std::size_t kk) const
-    {
-        return config_.bSlicesBase +
-            kk * QuantGemmConfig::kAccBits * cc::kSliceStride;
-    }
 
     std::uint64_t checksum() const;
 

@@ -7,6 +7,24 @@
 
 namespace ccache::apps {
 
+namespace {
+
+/** Encrypted keys to match against (drawn from the vocabulary so
+ *  matches actually occur). */
+constexpr std::size_t kNumKeys = 8;
+
+/** Words per encrypted batch: 512 bytes, one cc_search. */
+constexpr std::size_t kBatchWords = 8;
+constexpr std::size_t kBatchBytes = kBatchWords * kBlockSize;
+static_assert(kBatchBytes <= cc::kMaxCmpBytes, "a batch is one cc_search");
+
+/** Simulated-memory layout. @{ */
+constexpr Addr kBatchBase = 0x0040'0000;
+constexpr Addr kKeysBase = 0x0042'0000;
+/** @} */
+
+} // namespace
+
 Block
 StringMatch::encrypt(const std::string &word)
 {
@@ -23,7 +41,7 @@ StringMatch::encrypt(const std::string &word)
     return out;
 }
 
-StringMatch::StringMatch(const StringMatchConfig &config) : config_(config)
+StringMatch::StringMatch(const StringMatchConfig &config)
 {
     workload::TextGen gen(config.text);
     std::string corpus = gen.corpus(config.textBytes);
@@ -39,10 +57,10 @@ StringMatch::StringMatch(const StringMatchConfig &config) : config_(config)
     }
 
     // Keys: frequent vocabulary words, so matches occur.
-    for (std::size_t k = 0; k < config.numKeys; ++k)
+    for (std::size_t k = 0; k < kNumKeys; ++k)
         keyWords_.push_back(gen.word(k * 3));
 
-    refMatches_.assign(config.numKeys, 0);
+    refMatches_.assign(kNumKeys, 0);
     for (const auto &w : words_) {
         for (std::size_t k = 0; k < keyWords_.size(); ++k)
             refMatches_[k] += w == keyWords_[k] ? 1 : 0;
@@ -58,15 +76,11 @@ StringMatch::run(sim::System &sys, Engine engine)
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 
-    const std::size_t batch_bytes = config_.batchWords * kBlockSize;
-    CC_ASSERT(batch_bytes <= cc::kMaxCmpBytes,
-              "batch exceeds one cc_search");
-
     // Encrypted keys are staged once and stay hot.
     std::vector<Block> keys;
     for (std::size_t k = 0; k < keyWords_.size(); ++k) {
         keys.push_back(encrypt(keyWords_[k]));
-        Cycles lat = hier.storeBytes(0, config_.keysBase + k * kBlockSize,
+        Cycles lat = hier.storeBytes(0, kKeysBase + k * kBlockSize,
                                      keys.back().data(), kBlockSize);
         cost.addMemAccess(lat);
         cost.addInstrs(2 * kBlockSize);  // encrypting the key
@@ -88,8 +102,7 @@ StringMatch::run(sim::System &sys, Engine engine)
             std::vector<cc::CcInstruction> searches;
             for (std::size_t k = 0; k < keys.size(); ++k) {
                 searches.push_back(cc::CcInstruction::search(
-                    config_.batchBase, config_.keysBase + k * kBlockSize,
-                    batch_bytes));
+                    kBatchBase, kKeysBase + k * kBlockSize, kBatchBytes));
             }
             Cycles lat = 0;
             auto rs = sys.cc().executeStream(0, searches, &lat);
@@ -112,11 +125,11 @@ StringMatch::run(sim::System &sys, Engine engine)
                          off += vec) {
                         std::vector<std::uint8_t> wbuf(vec), kbuf(vec);
                         Cycles lat = hier.loadBytes(
-                            0, config_.batchBase + blk * kBlockSize + off,
+                            0, kBatchBase + blk * kBlockSize + off,
                             wbuf.data(), vec);
                         cost.addMemAccess(lat);
                         lat = hier.loadBytes(
-                            0, config_.keysBase + k * kBlockSize + off,
+                            0, kKeysBase + k * kBlockSize + off,
                             kbuf.data(), vec);
                         cost.addMemAccess(lat);
                         cost.addInstrs(2);
@@ -134,12 +147,11 @@ StringMatch::run(sim::System &sys, Engine engine)
         Block enc = encrypt(words_[w]);
         cost.addInstrs(2 * kBlockSize);
         extra_instrs += 2 * kBlockSize;
-        Cycles lat = hier.storeBytes(
-            0, config_.batchBase + batch_fill * kBlockSize, enc.data(),
-            kBlockSize);
+        Cycles lat = hier.storeBytes(0, kBatchBase + batch_fill * kBlockSize,
+                                     enc.data(), kBlockSize);
         cost.addMemAccess(lat);
 
-        if (++batch_fill == config_.batchWords) {
+        if (++batch_fill == kBatchWords) {
             flush_batch(batch_fill);
             batch_fill = 0;
         }

@@ -26,16 +26,6 @@ struct StringMatchConfig
 {
     std::size_t textBytes = 64 * 1024;
     workload::TextGenParams text;
-
-    /** Encrypted keys to match against (drawn from the vocabulary so
-     *  matches actually occur). */
-    std::size_t numKeys = 8;
-
-    /** Words per encrypted batch (512 bytes = one cc_search). */
-    std::size_t batchWords = 8;
-
-    Addr batchBase = 0x0040'0000;
-    Addr keysBase = 0x0042'0000;
 };
 
 /** The application. */
@@ -57,7 +47,6 @@ class StringMatch
     static Block encrypt(const std::string &word);
 
   private:
-    StringMatchConfig config_;
     std::vector<std::string> words_;
     std::vector<std::string> keyWords_;
     std::vector<std::uint64_t> refMatches_;

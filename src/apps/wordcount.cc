@@ -10,6 +10,13 @@ namespace ccache::apps {
 
 namespace {
 
+/** Simulated-memory layout. @{ */
+constexpr Addr kCorpusBase = 0x0100'0000;
+constexpr Addr kDictBase = 0x0800'0000;
+constexpr Addr kCountsBase = 0x0c00'0000;
+constexpr Addr kKeyBase = 0x0080'0000;
+/** @} */
+
 /** FNV-1a, for layout-independent checksums. */
 std::uint64_t
 hashString(const std::string &s)
@@ -54,7 +61,7 @@ bucketOf(const std::string &word)
 
 } // namespace
 
-WordCount::WordCount(const WordCountConfig &config) : config_(config)
+WordCount::WordCount(const WordCountConfig &config)
 {
     workload::TextGen gen(config.text);
     corpus_ = gen.corpus(config.corpusBytes);
@@ -90,7 +97,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
     sim::CoreCostModel cost;
     std::uint64_t extra_instrs = 0;
 
-    sys.load(config_.corpusBase, corpus_.data(), corpus_.size());
+    sys.load(kCorpusBase, corpus_.data(), corpus_.size());
 
     // Sorted dictionary of 64-byte entries. Counts live in a stable
     // side array indexed by insertion id (real implementations reach the
@@ -103,7 +110,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
     count_slot.reserve(4096);
 
     std::size_t vec = engine == Engine::Base32 ? 32 : 8;
-    Addr corpus_pos = config_.corpusBase;
+    Addr corpus_pos = kCorpusBase;
 
     for (const auto &word : words_) {
         // Stream the text through the core (one load per vector chunk).
@@ -119,7 +126,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
         std::size_t lo = 0, hi = dict.size();
         while (lo < hi) {
             std::size_t mid = (lo + hi) / 2;
-            Addr entry = config_.dictBase + mid * kBlockSize;
+            Addr entry = kDictBase + mid * kBlockSize;
             // Load the candidate entry and compare. Successive probes
             // form a dependent chain: no memory-level parallelism.
             for (std::size_t off = 0; off < kBlockSize; off += vec) {
@@ -151,10 +158,9 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
             // point shift by one (bounded model: one bucket-sized move).
             dict.insert(dict.begin() + lo, word);
             count_slot.insert(count_slot.begin() + lo, next_slot++);
-            std::size_t move = std::min<std::size_t>(
-                config_.bucketEntries, dict.size() - lo);
+            std::size_t move = std::min(kBucketEntries, dict.size() - lo);
             for (std::size_t m = 0; m < move; ++m) {
-                Addr from = config_.dictBase + (lo + m) * kBlockSize;
+                Addr from = kDictBase + (lo + m) * kBlockSize;
                 Block entry = entryOf(dict[lo + m]);
                 Cycles lat = hier.storeBytes(0, from, entry.data(),
                                              kBlockSize);
@@ -165,7 +171,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
         }
 
         // Count update through the entry's stable slot.
-        Addr count_addr = config_.countsBase + count_slot[lo] * 8;
+        Addr count_addr = kCountsBase + count_slot[lo] * 8;
         std::uint64_t count = coherentWord(hier, count_addr);
         Cycles lat = hier.loadBytes(0, count_addr, nullptr, 8);
         cost.addMemAccess(lat);
@@ -183,7 +189,7 @@ WordCount::runBaseline(sim::System &sys, Engine engine)
     sys.hierarchy().flushAll();
     for (std::size_t i = 0; i < dict.size(); ++i) {
         counts[dict[i]] = hier.memory().readWord(
-            config_.countsBase + count_slot[i] * 8);
+            kCountsBase + count_slot[i] * 8);
     }
 
     AppRunResult res;
@@ -205,14 +211,14 @@ WordCount::runCc(sim::System &sys)
     std::uint64_t extra_instrs = 0;
     Cycles cc_cycles = 0;
 
-    sys.load(config_.corpusBase, corpus_.data(), corpus_.size());
+    sys.load(kCorpusBase, corpus_.data(), corpus_.size());
 
     // The dictionary is large, so searches run in L3 (Section VI-B).
     sys.cc().mutableParams().forceLevel = CacheLevel::L3;
 
-    // Alphabet-indexed CAM: 26x26 buckets of bucketEntries 64-byte slots.
+    // Alphabet-indexed CAM: 26x26 buckets of kBucketEntries 64-byte slots.
     const std::size_t buckets = 26 * 26;
-    const std::size_t bucket_bytes = config_.bucketEntries * kBlockSize;
+    const std::size_t bucket_bytes = kBucketEntries * kBlockSize;
     std::vector<std::vector<std::string>> bucket_words(buckets);
     // Overflow chains append whole buckets at the end of the region.
     std::vector<std::vector<std::size_t>> chains(buckets);
@@ -221,11 +227,10 @@ WordCount::runCc(sim::System &sys)
         chains[b].push_back(b);
 
     auto slot_addr = [&](std::size_t chain_bucket, std::size_t slot) {
-        return config_.dictBase + chain_bucket * bucket_bytes +
-            slot * kBlockSize;
+        return kDictBase + chain_bucket * bucket_bytes + slot * kBlockSize;
     };
 
-    Addr corpus_pos = config_.corpusBase;
+    Addr corpus_pos = kCorpusBase;
     for (const auto &word : words_) {
         for (std::size_t off = 0; off < word.size() + 1; off += 32) {
             Cycles lat = hier.loadBytes(0, corpus_pos + off, nullptr, 32);
@@ -241,8 +246,7 @@ WordCount::runCc(sim::System &sys)
         // Write the search key once (64 bytes) with a non-temporal
         // store straight to L3, where the searches will run — avoiding a
         // dirty-key recall on every instruction.
-        Cycles lat = hier.write(0, config_.keyBase, &key,
-                                CacheLevel::L3).latency;
+        Cycles lat = hier.write(0, kKeyBase, &key, CacheLevel::L3).latency;
         cost.addMemAccess(lat);
 
         // CAM-search the bucket chain with cc_search; each 1 KB bucket
@@ -258,17 +262,15 @@ WordCount::runCc(sim::System &sys)
         for (std::size_t ci = 0; ci < chain.size() && occupied > 0;
              ++ci) {
             std::size_t cb = chain[ci];
-            std::size_t in_bucket =
-                std::min(occupied, config_.bucketEntries);
+            std::size_t in_bucket = std::min(occupied, kBucketEntries);
             occupied -= in_bucket;
             for (std::size_t first = 0; first < in_bucket;
                  first += cc::kMaxCmpBytes / kBlockSize) {
                 std::size_t nblocks = std::min<std::size_t>(
                     cc::kMaxCmpBytes / kBlockSize, in_bucket - first);
                 searches.push_back(cc::CcInstruction::search(
-                    slot_addr(cb, first), config_.keyBase,
-                    nblocks * kBlockSize));
-                base_slots.push_back(ci * config_.bucketEntries + first);
+                    slot_addr(cb, first), kKeyBase, nblocks * kBlockSize));
+                base_slots.push_back(ci * kBucketEntries + first);
             }
         }
         Cycles search_lat = 0;
@@ -307,14 +309,13 @@ WordCount::runCc(sim::System &sys)
             slot = static_cast<std::size_t>(found_at);
         } else {
             // Append; grow the chain with an overflow bucket when full.
-            if (entries.size() ==
-                chain.size() * config_.bucketEntries) {
+            if (entries.size() == chain.size() * kBucketEntries) {
                 chain.push_back(next_overflow++);
             }
             slot = entries.size();
             entries.push_back(word);
-            std::size_t cb = chain[slot / config_.bucketEntries];
-            Addr dst = slot_addr(cb, slot % config_.bucketEntries);
+            std::size_t cb = chain[slot / kBucketEntries];
+            Addr dst = slot_addr(cb, slot % kBucketEntries);
             lat = hier.storeBytes(0, dst, key.data(), kBlockSize);
             cost.addMemAccess(lat);
             cost.addInstrs(4);
@@ -322,7 +323,7 @@ WordCount::runCc(sim::System &sys)
         }
 
         // Count update (counts array indexed by (bucket, slot)).
-        Addr count_addr = config_.countsBase +
+        Addr count_addr = kCountsBase +
             (b * 4096 + slot) * 8;
         std::uint64_t count = coherentWord(hier, count_addr);
         lat = hier.loadBytes(0, count_addr, nullptr, 8);
@@ -341,7 +342,7 @@ WordCount::runCc(sim::System &sys)
     for (std::size_t b = 0; b < buckets; ++b) {
         for (std::size_t w = 0; w < bucket_words[b].size(); ++w) {
             counts[bucket_words[b][w]] = hier.memory().readWord(
-                config_.countsBase + (b * 4096 + w) * 8);
+                kCountsBase + (b * 4096 + w) * 8);
         }
     }
 

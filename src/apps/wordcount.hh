@@ -27,22 +27,16 @@ struct WordCountConfig
 {
     std::size_t corpusBytes = 64 * 1024;
     workload::TextGenParams text;
-
-    /** CAM bucket size in 64-byte entries (1 KB buckets per the paper). */
-    std::size_t bucketEntries = 16;
-
-    /** Simulated-memory layout bases. @{ */
-    Addr corpusBase = 0x0100'0000;
-    Addr dictBase = 0x0800'0000;
-    Addr countsBase = 0x0c00'0000;
-    Addr keyBase = 0x0080'0000;
-    /** @} */
 };
 
 /** The application. */
 class WordCount
 {
   public:
+    /** CAM bucket size in 64-byte entries: 1 KB buckets (Section
+     *  VI-B). */
+    static constexpr std::size_t kBucketEntries = 16;
+
     explicit WordCount(const WordCountConfig &config = WordCountConfig{});
 
     /** Run on @p sys with @p engine; returns metrics + checksum. */
@@ -62,7 +56,6 @@ class WordCount
     AppRunResult runBaseline(sim::System &sys, Engine engine);
     AppRunResult runCc(sim::System &sys);
 
-    WordCountConfig config_;
     std::string corpus_;
     std::vector<std::string> words_;
     std::map<std::string, std::uint64_t> reference_;

@@ -1,16 +1,13 @@
 #include "cache/directory.hh"
 
+#include "cache/hierarchy.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "verify/watchdog.hh"
 
 namespace ccache::cache {
 
-Directory::Directory(unsigned cores) : cores_(cores)
-{
-    if (cores == 0 || cores > 32)
-        CC_FATAL("directory supports 1-32 cores, got ", cores);
-}
+static_assert(Hierarchy::kCores <= 8 * sizeof(DirEntry::sharers),
+              "a directory entry holds one sharer bit per core");
 
 std::size_t
 Directory::findSlot(Addr addr) const
@@ -99,9 +96,7 @@ Directory::entry(Addr addr) const
 void
 Directory::addSharer(Addr addr, CoreId core)
 {
-    CC_ASSERT(core < cores_, "core ", core, " out of range");
-    if (watchdog_)
-        watchdog_->noteDirectoryOp("addSharer", addr);
+    CC_ASSERT(core < Hierarchy::kCores, "core ", core, " out of range");
     DirEntry &e = findOrInsert(addr);
     e.sharers |= (1u << core);
     if (e.owner && *e.owner != core)
@@ -111,9 +106,7 @@ Directory::addSharer(Addr addr, CoreId core)
 void
 Directory::setOwner(Addr addr, CoreId core)
 {
-    CC_ASSERT(core < cores_, "core ", core, " out of range");
-    if (watchdog_)
-        watchdog_->noteDirectoryOp("setOwner", addr);
+    CC_ASSERT(core < Hierarchy::kCores, "core ", core, " out of range");
     DirEntry &e = findOrInsert(addr);
     e.sharers = (1u << core);
     e.owner = core;
@@ -122,8 +115,6 @@ Directory::setOwner(Addr addr, CoreId core)
 void
 Directory::downgradeOwner(Addr addr)
 {
-    if (watchdog_)
-        watchdog_->noteDirectoryOp("downgradeOwner", addr);
     std::size_t i = findSlot(addr);
     if (i != slots_.size() && slots_[i].used)
         slots_[i].val.owner.reset();
@@ -132,8 +123,6 @@ Directory::downgradeOwner(Addr addr)
 void
 Directory::removeSharer(Addr addr, CoreId core)
 {
-    if (watchdog_)
-        watchdog_->noteDirectoryOp("removeSharer", addr);
     std::size_t i = findSlot(addr);
     if (i == slots_.size() || !slots_[i].used)
         return;
@@ -148,8 +137,6 @@ Directory::removeSharer(Addr addr, CoreId core)
 void
 Directory::clear(Addr addr)
 {
-    if (watchdog_)
-        watchdog_->noteDirectoryOp("clear", addr);
     std::size_t i = findSlot(addr);
     if (i != slots_.size() && slots_[i].used)
         eraseSlot(i);

@@ -17,10 +17,6 @@
 
 #include "common/types.hh"
 
-namespace ccache::verify {
-class ProgressWatchdog;
-} // namespace ccache::verify
-
 namespace ccache::cache {
 
 /** Directory entry: presence vector plus exclusive owner. */
@@ -36,10 +32,6 @@ struct DirEntry
 class Directory
 {
   public:
-    explicit Directory(unsigned cores);
-
-    unsigned cores() const { return cores_; }
-
     /** Entry for @p addr (empty if untracked). */
     DirEntry entry(Addr addr) const;
 
@@ -75,13 +67,6 @@ class Directory
         }
     }
 
-    /** Count every mutation against @p watchdog's per-transaction
-     *  directory-op ceiling (nullptr detaches). */
-    void setWatchdog(verify::ProgressWatchdog *watchdog)
-    {
-        watchdog_ = watchdog;
-    }
-
   private:
     /** The directory is on the hit path of every L3-level coherence
      *  action, so entries live in a linear-probing open-addressing
@@ -106,10 +91,8 @@ class Directory
 
     void grow();
 
-    unsigned cores_;
     std::vector<Slot> slots_;
     std::size_t live_ = 0;
-    verify::ProgressWatchdog *watchdog_ = nullptr;
 };
 
 } // namespace ccache::cache

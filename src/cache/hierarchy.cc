@@ -8,7 +8,6 @@
 #include "common/bit_util.hh"
 #include "common/logging.hh"
 #include "verify/coherence_checker.hh"
-#include "verify/watchdog.hh"
 
 namespace ccache::cache {
 
@@ -27,24 +26,18 @@ toString(ServedBy s)
 Hierarchy::Hierarchy(const HierarchyParams &params,
                      energy::EnergyModel *energy, StatRegistry *stats)
     : params_(params), energy_(energy), stats_(stats),
-      ring_(params.ring, energy, stats)
+      ring_(energy, stats)
 {
-    if (params_.cores == 0)
-        CC_FATAL("hierarchy needs at least one core");
-    if (params_.cores > params_.ring.nodes)
-        CC_FATAL("more cores (", params_.cores, ") than ring stops (",
-                 params_.ring.nodes, ")");
-
-    for (unsigned c = 0; c < params_.cores; ++c) {
+    for (unsigned c = 0; c < kCores; ++c) {
         l1_.push_back(std::make_unique<Cache>(
             params_.l1, energy, stats, "l1." + std::to_string(c)));
         l2_.push_back(std::make_unique<Cache>(
             params_.l2, energy, stats, "l2." + std::to_string(c)));
     }
-    for (unsigned s = 0; s < params_.ring.nodes; ++s) {
+    for (unsigned s = 0; s < noc::Ring::kNodes; ++s) {
         l3_.push_back(std::make_unique<Cache>(
             params_.l3, energy, stats, "l3." + std::to_string(s)));
-        dir_.push_back(std::make_unique<Directory>(params_.cores));
+        dir_.push_back(std::make_unique<Directory>());
     }
 
     if (stats_) {
@@ -128,15 +121,6 @@ Hierarchy::homeSliceIfMapped(Addr addr) const
     return it->second;
 }
 
-void
-Hierarchy::setWatchdog(verify::ProgressWatchdog *watchdog)
-{
-    watchdog_ = watchdog;
-    ring_.setWatchdog(watchdog);
-    for (auto &dir : dir_)
-        dir->setWatchdog(watchdog);
-}
-
 unsigned
 Hierarchy::sliceFor(CoreId core, Addr addr)
 {
@@ -202,7 +186,7 @@ Hierarchy::l3Eviction(unsigned slice, const Eviction &victim)
 
     // Inclusive LLC: every private copy must be recalled.
     DirEntry e = directory(slice).entry(victim.addr);
-    for (unsigned c = 0; c < params_.cores; ++c) {
+    for (unsigned c = 0; c < kCores; ++c) {
         if (!(e.sharers & (1u << c)))
             continue;
         if (auto ev1 = l1(c).invalidate(victim.addr)) {
@@ -311,7 +295,7 @@ Hierarchy::invalidateSharers(Addr addr, unsigned slice, CoreId keeper)
 {
     Cycles latency = 0;
     std::uint32_t sharers = directory(slice).sharersExcept(addr, keeper);
-    for (unsigned c = 0; c < params_.cores; ++c) {
+    for (unsigned c = 0; c < kCores; ++c) {
         if (!(sharers & (1u << c)))
             continue;
         latency = std::max(
@@ -403,8 +387,6 @@ Hierarchy::allocateInL3(unsigned slice, Addr addr, bool for_overwrite,
 AccessResult
 Hierarchy::read(CoreId core, Addr addr, Block *out, CacheLevel fill_to)
 {
-    if (watchdog_)
-        watchdog_->beginTransaction("read", addr);
     AccessResult res = readImpl(core, addr, out, fill_to);
     if (checker_)
         checker_->onTransaction(addr);
@@ -415,8 +397,6 @@ AccessResult
 Hierarchy::write(CoreId core, Addr addr, const Block *data,
                  CacheLevel fill_to)
 {
-    if (watchdog_)
-        watchdog_->beginTransaction("write", addr);
     AccessResult res = writeImpl(core, addr, data, fill_to);
     if (checker_)
         checker_->onTransaction(addr);
@@ -427,8 +407,6 @@ StageResult
 Hierarchy::fetchToLevel(CoreId core, Addr addr, CacheLevel level,
                         bool exclusive, bool for_overwrite)
 {
-    if (watchdog_)
-        watchdog_->beginTransaction("fetch", addr);
     StageResult staged =
         fetchToLevelImpl(core, addr, level, exclusive, for_overwrite);
     if (checker_)
@@ -736,7 +714,7 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
     Cycles latency =
         ring_.send(stopOf(core), slice, noc::MsgClass::Control);
 
-    for (unsigned c = 0; c < params_.cores; ++c) {
+    for (unsigned c = 0; c < kCores; ++c) {
         if (!(e.sharers & (1u << c)))
             continue;
         if (exclusive) {
@@ -754,35 +732,6 @@ Hierarchy::fetchToLevelImpl(CoreId core, Addr addr, CacheLevel level,
         line = allocateInL3(slice, addr, for_overwrite, latency);
     latency += accessLatency(CacheLevel::L3) + kL3QueueDelay;
     return {latency, line, slice};
-}
-
-CacheLevel
-Hierarchy::chooseLevel(CoreId core, const std::vector<Addr> &operands)
-{
-    // Section IV-E: compute at the highest level where ALL operands are
-    // present; if any operand is uncached, compute at L3. No L3 probe is
-    // needed: L3 is the unconditional fallback, and the probe's only
-    // side effect — sliceFor's first-touch page pinning — is reproduced
-    // exactly by the L3 staging with the same core whenever the op
-    // actually computes at L3 (an operand resident in L1/L2 had its
-    // page pinned by the fill that brought it there). This runs once
-    // per block operand per instruction, so it early-exits as soon as
-    // both candidate levels are ruled out.
-    bool all_l1 = true, all_l2 = true;
-    for (Addr a : operands) {
-        Addr blk = alignDown(a, kBlockSize);
-        if (all_l1)
-            all_l1 = l1(core).contains(blk);
-        if (all_l2)
-            all_l2 = l2(core).contains(blk);
-        if (!all_l1 && !all_l2)
-            return CacheLevel::L3;
-    }
-    if (all_l1)
-        return CacheLevel::L1;
-    if (all_l2)
-        return CacheLevel::L2;
-    return CacheLevel::L3;
 }
 
 void
@@ -817,7 +766,7 @@ Hierarchy::debugRead(Addr addr, void *out, std::size_t len)
             // same copy as an exhaustive scan.
             const Block *src = nullptr;
             const DirEntry e = dir.entry(blk);
-            for (unsigned c = 0; c < params_.cores && e.sharers && !src;
+            for (unsigned c = 0; c < kCores && e.sharers && !src;
                  ++c) {
                 if (!(e.sharers & (1u << c)))
                     continue;
@@ -879,7 +828,7 @@ Hierarchy::debugWrite(Addr addr, const void *data, std::size_t len)
                 }
             };
             const DirEntry e = dir_[*home]->entry(blk);
-            for (unsigned c = 0; c < params_.cores && e.sharers != 0; ++c) {
+            for (unsigned c = 0; c < kCores && e.sharers != 0; ++c) {
                 if (!(e.sharers & (1u << c)))
                     continue;
                 poke(l1(c));
@@ -905,9 +854,9 @@ Hierarchy::flushAll()
     };
     for (auto &slice : l3_)
         gather(*slice);
-    for (unsigned c = 0; c < params_.cores; ++c)
+    for (unsigned c = 0; c < kCores; ++c)
         gather(l2(c));
-    for (unsigned c = 0; c < params_.cores; ++c)
+    for (unsigned c = 0; c < kCores; ++c)
         gather(l1(c));
 
     for (const auto &[addr, data] : newest)
@@ -921,7 +870,7 @@ Hierarchy::flushAll()
         for (Addr addr : all)
             cache.invalidate(addr);
     };
-    for (unsigned c = 0; c < params_.cores; ++c) {
+    for (unsigned c = 0; c < kCores; ++c) {
         clear(l1(c));
         clear(l2(c));
     }

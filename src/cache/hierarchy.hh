@@ -35,21 +35,16 @@
 
 namespace ccache::verify {
 class CoherenceChecker;
-class ProgressWatchdog;
 } // namespace ccache::verify
 
 namespace ccache::cache {
 
-/** Configuration of the full hierarchy. */
+/** Cache geometries of the full hierarchy (Table IV by default). */
 struct HierarchyParams
 {
-    unsigned cores = 8;
-
     CacheParams l1{geometry::CacheGeometryParams::l1d(), CacheLevel::L1};
     CacheParams l2{geometry::CacheGeometryParams::l2(), CacheLevel::L2};
     CacheParams l3{geometry::CacheGeometryParams::l3Slice(), CacheLevel::L3};
-
-    noc::RingParams ring;
 };
 
 /** Where an access was served from. */
@@ -83,11 +78,16 @@ class Hierarchy
     /** Queuing delay added to every L3 slice access (Table IV). */
     static constexpr Cycles kL3QueueDelay = 4;
 
+    /** Table IV: an 8-core CMP, one core and one L3 slice per ring
+     *  stop. */
+    static constexpr unsigned kCores = 8;
+    static_assert(kCores >= 1 && kCores <= noc::Ring::kNodes,
+                  "every core needs its own ring stop");
+
     Hierarchy(const HierarchyParams &params, energy::EnergyModel *energy,
               StatRegistry *stats);
 
     const HierarchyParams &params() const { return params_; }
-    unsigned cores() const { return params_.cores; }
 
     Cache &l1(CoreId core) { return *l1_[core]; }
     Cache &l2(CoreId core) { return *l2_[core]; }
@@ -107,19 +107,15 @@ class Hierarchy
     std::optional<unsigned> homeSliceIfMapped(Addr addr) const;
 
     /**
-     * Runtime verification hooks (DESIGN.md §9), both detachable with
-     * nullptr. The checker audits coherence invariants after every
-     * read/write/fetch transaction and after flushAll; the watchdog is
-     * notified at each transaction start and forwarded to the ring and
-     * the directories so their progress counts against its ceilings.
-     * Disabled (the default), each hook costs one branch. @{
+     * Runtime verification hook (DESIGN.md §9), detachable with
+     * nullptr: the checker audits coherence invariants after every
+     * read/write/fetch transaction and after flushAll. Disabled (the
+     * default), it costs one branch per transaction.
      */
     void setChecker(verify::CoherenceChecker *checker)
     {
         checker_ = checker;
     }
-    void setWatchdog(verify::ProgressWatchdog *watchdog);
-    /** @} */
 
     /** Attach (or detach with nullptr) a timeline event sink. Reads
      *  served beyond L1 become cache-category events; the sink is also
@@ -177,10 +173,6 @@ class Hierarchy
                                        : *l3_[index];
     }
 
-    /** Highest (fastest) level at which ALL operands are present for
-     *  @p core; L3 if any operand is uncached (Section IV-E policy). */
-    CacheLevel chooseLevel(CoreId core, const std::vector<Addr> &operands);
-
     /**
      * Functional back door for workload setup and checking, without
      * timing or energy side effects. The range forms take any byte
@@ -223,7 +215,7 @@ class Hierarchy
     /** @} */
 
     /** Ring stop of a core (cores and slices share stops). */
-    unsigned stopOf(CoreId core) const { return core % params_.ring.nodes; }
+    static unsigned stopOf(CoreId core) { return core % noc::Ring::kNodes; }
 
     /** Write @p victim back from L1 into L2 (inclusion guarantees a
      *  resident line). */
@@ -269,7 +261,6 @@ class Hierarchy
     StatRegistry *stats_;
     EventTrace *trace_ = nullptr;
     verify::CoherenceChecker *checker_ = nullptr;
-    verify::ProgressWatchdog *watchdog_ = nullptr;
 
     std::vector<std::unique_ptr<Cache>> l1_;
     std::vector<std::unique_ptr<Cache>> l2_;

@@ -9,7 +9,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "verify/coherence_checker.hh"
-#include "verify/watchdog.hh"
 
 namespace ccache::cc {
 
@@ -200,14 +199,15 @@ CcController::CcController(cache::Hierarchy &hier,
       nearPlace_(energy, stats), faults_(params.faults)
 {
     // A StagedRow packs a way and a cache index into 16 bits each.
+    static_assert(cache::Hierarchy::kCores <= 0xffff &&
+                      noc::Ring::kNodes <= 0xffff,
+                  "a StagedRow's cache index is 16 bits");
     const cache::HierarchyParams &hp = hier.params();
     for (const cache::CacheParams *cp : {&hp.l1, &hp.l2, &hp.l3}) {
         if (cp->geometry.ways > 0xffff)
             CC_FATAL(cp->geometry.name, ": ", cp->geometry.ways,
                      " ways exceed the controller's 65535");
     }
-    if (hp.cores > 0xffff || hp.ring.nodes > 0xffff)
-        CC_FATAL("more than 65535 cores or L3 slices");
 
     if (params_.verifyCircuit) {
         sram::SubArrayParams sp;
@@ -262,9 +262,6 @@ CcController::CcController(cache::Hierarchy &hier,
 CcExecResult
 CcController::execute(CoreId core, const CcInstruction &instr)
 {
-    if (watchdog_)
-        watchdog_->beginInstruction(toString(instr.op));
-
     CcExecResult res = executeInstr(core, instr);
 
     if (checker_) {
@@ -365,7 +362,7 @@ CcController::executeStream(CoreId core,
         Cycles fetch = foldFetchLatencies(sched_.fetchLats, kFetchMlp);
         // One completion notification covers the drained stream.
         *total_latency = sched_.horizon + fetch +
-            hier_.ring().send(0, core % hier_.cores(),
+            hier_.ring().send(0, core % cache::Hierarchy::kCores,
                               noc::MsgClass::Control);
     }
     return results;
@@ -413,8 +410,6 @@ CcController::stageOperand(CoreId core, Addr addr, CacheLevel level,
         }
         if (stats_)
             lockRetriesStat_->inc();
-        if (watchdog_)
-            watchdog_->noteRetry("lock", addr);
     }
     return std::nullopt;
 }
@@ -743,8 +738,6 @@ CcController::senseOperands(const BlockOp &op, std::size_t row,
                 energy_->chargeCacheOp(level, retry_op);
             if (stats_)
                 faultRetriesStat_->inc();
-            if (watchdog_)
-                watchdog_->noteRetry("sense", src1);
             traceFault("fault.retry", src1, level);
         }
         if (dual_row && faults_.drawMarginFailure(sid)) {
@@ -1022,15 +1015,32 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     scratchKeyPartitions_.clear();
 
     // ------------------------------------------------------------------
-    // Level selection (Section IV-E): highest level where all operands
-    // hit; L3 when anything is uncached.
+    // Level selection (Section IV-E): the highest level where every row
+    // is present; L3 when any row is uncached. L3 needs no probe: it is
+    // the unconditional fallback, and the probe's only side effect,
+    // sliceFor's first-touch page binding, is made the same way by the
+    // L3 staging below (a row resident in L1 or L2 had its page bound
+    // by the fill that brought it there). Probing stops once L1 and L2
+    // are both ruled out.
     // ------------------------------------------------------------------
-    std::vector<Addr> &all_blocks = scratchBlocks_;
-    all_blocks.clear();
-    plan.forEachRow([&](Addr addr, bool) { all_blocks.push_back(addr); });
-    const CacheLevel level = params_.forceLevel
-        ? *params_.forceLevel
-        : hier_.chooseLevel(core, all_blocks);
+    CacheLevel level = CacheLevel::L3;
+    if (params_.forceLevel) {
+        level = *params_.forceLevel;
+    } else {
+        const Cache &l1 = hier_.l1(core);
+        const Cache &l2 = hier_.l2(core);
+        bool all_l1 = true, all_l2 = true;
+        plan.forEachRow([&](Addr addr, bool) {
+            if (all_l1)
+                all_l1 = l1.contains(addr);
+            if (all_l2)
+                all_l2 = l2.contains(addr);
+        });
+        if (all_l1)
+            level = CacheLevel::L1;
+        else if (all_l2)
+            level = CacheLevel::L2;
+    }
     res.level = level;
 
     // ------------------------------------------------------------------
@@ -1278,8 +1288,8 @@ CcController::executeBlockOps(CoreId core, const CcInstruction &instr)
     // controller, which notifies the core (Figure 6 steps 6-7).
     if (level == CacheLevel::L3 && plan.steps > 0) {
         unsigned slice = ops.front().cacheIndex;
-        Cycles notify = hier_.ring().send(slice, core % hier_.cores(),
-                                          noc::MsgClass::Control);
+        Cycles notify = hier_.ring().send(
+            slice, core % cache::Hierarchy::kCores, noc::MsgClass::Control);
         if (!sched_.streaming)
             res.latency += notify;
     }

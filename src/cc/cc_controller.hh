@@ -174,21 +174,15 @@ class CcController
     void setTraceSink(EventTrace *trace) { trace_ = trace; }
 
     /**
-     * Runtime verification hooks (DESIGN.md §9). The controller pokes
+     * Runtime verification hook (DESIGN.md §9). The controller pokes
      * cache arrays directly (bypassing Hierarchy's transaction hooks),
-     * so it re-audits every operand block after each instruction; the
-     * watchdog bounds the operand-lock and fault-retry ladders. Both
-     * detach with nullptr and cost one branch when absent. @{
+     * so it re-audits every operand block after each instruction. It
+     * detaches with nullptr and costs one branch when absent.
      */
     void setChecker(verify::CoherenceChecker *checker)
     {
         checker_ = checker;
     }
-    void setWatchdog(verify::ProgressWatchdog *watchdog)
-    {
-        watchdog_ = watchdog;
-    }
-    /** @} */
 
     /** Execute one CC instruction issued by @p core to its L1 CC
      *  controller; blocks until completion (atomic-transaction model). */
@@ -484,7 +478,6 @@ class CcController
     StatRegistry *stats_;
     EventTrace *trace_ = nullptr;
     verify::CoherenceChecker *checker_ = nullptr;
-    verify::ProgressWatchdog *watchdog_ = nullptr;
     CcControllerParams params_;
 
     /**
@@ -583,7 +576,6 @@ class CcController
      *  across executeBlockOps() calls so the block-op hot path performs
      *  no heap allocation in steady state (DESIGN.md §13 arena rules:
      *  contents are dead outside one executeBlockOps activation). @{ */
-    std::vector<Addr> scratchBlocks_;
     std::vector<StagedRow> scratchStaged_;
     std::vector<Cycles> scratchFetchLats_;
     std::vector<BlockOp> scratchOps_;

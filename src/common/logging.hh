@@ -48,7 +48,7 @@ class FatalError : public std::runtime_error
  * Exception thrown by panic()/CC_ASSERT: a simulator invariant broke.
  * Catchable so the sweep engine and ccbench can contain the failing
  * point/bench; carries an optional structured diagnostic (JSON text,
- * e.g. a ProgressWatchdog stall report) alongside the message.
+ * e.g. a CoherenceChecker violation report) alongside the message.
  */
 class SimError : public std::runtime_error
 {

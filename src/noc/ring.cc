@@ -4,26 +4,18 @@
 
 #include "common/bit_util.hh"
 #include "common/logging.hh"
-#include "verify/watchdog.hh"
 
 namespace ccache::noc {
 
 std::size_t
 messageBytes(MsgClass cls)
 {
-    switch (cls) {
-      case MsgClass::Control: return 8;
-      case MsgClass::Data: return 8 + kBlockSize;
-    }
-    return 8;
+    return cls == MsgClass::Data ? 8 + kBlockSize : 8;
 }
 
-Ring::Ring(const RingParams &params, energy::EnergyModel *energy,
-           StatRegistry *stats)
-    : params_(params), energy_(energy), stats_(stats)
+Ring::Ring(energy::EnergyModel *energy, StatRegistry *stats)
+    : energy_(energy), stats_(stats)
 {
-    if (params_.nodes == 0)
-        CC_FATAL("ring needs at least one node");
     if (stats_) {
         messagesStat_ = &stats_->counter("noc.messages");
         flitHopsStat_ = &stats_->counter("noc.flit_hops");
@@ -33,11 +25,11 @@ Ring::Ring(const RingParams &params, energy::EnergyModel *energy,
 unsigned
 Ring::distance(unsigned src, unsigned dst) const
 {
-    CC_ASSERT(src < params_.nodes && dst < params_.nodes,
+    CC_ASSERT(src < kNodes && dst < kNodes,
               "ring stop out of range: ", src, " -> ", dst);
-    unsigned fwd = (dst + params_.nodes - src) % params_.nodes;
-    unsigned bwd = params_.nodes - fwd;
-    return std::min(fwd, bwd == params_.nodes ? 0 : bwd);
+    unsigned fwd = (dst + kNodes - src) % kNodes;
+    unsigned bwd = kNodes - fwd;
+    return std::min(fwd, bwd == kNodes ? 0 : bwd);
 }
 
 Cycles
@@ -45,9 +37,6 @@ Ring::send(unsigned src, unsigned dst, MsgClass cls)
 {
     unsigned hops = std::max(distance(src, dst), 1u);
     std::size_t bytes = messageBytes(cls);
-    ++messages_;
-    if (watchdog_)
-        watchdog_->noteRingMessage(src, dst);
 
     std::uint64_t flits = divCeil(bytes, 8);
     flitHops_ += flits * hops;

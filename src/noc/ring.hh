@@ -20,10 +20,6 @@
 #include "common/types.hh"
 #include "energy/energy_model.hh"
 
-namespace ccache::verify {
-class ProgressWatchdog;
-} // namespace ccache::verify
-
 namespace ccache::noc {
 
 /** Message classes carried on the ring. */
@@ -35,12 +31,6 @@ enum class MsgClass {
 /** Size in bytes of a message of class @p cls. */
 std::size_t messageBytes(MsgClass cls);
 
-/** Ring configuration. */
-struct RingParams
-{
-    unsigned nodes = 8;        ///< ring stops (core + L3 slice per stop)
-};
-
 /** Bidirectional ring: traffic takes the shorter direction. */
 class Ring
 {
@@ -51,21 +41,15 @@ class Ring
     /** @} */
     static_assert(kLinkBytes > 0, "serialization divides by the width");
 
-    Ring(const RingParams &params, energy::EnergyModel *energy,
-         StatRegistry *stats);
+    /** Table IV: eight ring stops, each a core and its L3 slice. */
+    static constexpr unsigned kNodes = 8;
+    static_assert(kNodes > 0, "distance() takes stops modulo kNodes");
 
-    const RingParams &params() const { return params_; }
+    Ring(energy::EnergyModel *energy, StatRegistry *stats);
 
     /** Attach (or detach with nullptr) a timeline event sink; each
      *  message becomes one event on its source stop's NoC track. */
     void setTraceSink(EventTrace *trace) { trace_ = trace; }
-
-    /** Count every message against @p watchdog's per-transaction ring
-     *  ceiling (nullptr detaches). */
-    void setWatchdog(verify::ProgressWatchdog *watchdog)
-    {
-        watchdog_ = watchdog;
-    }
 
     /** Hops between two stops using the shorter direction. */
     unsigned distance(unsigned src, unsigned dst) const;
@@ -78,13 +62,10 @@ class Ring
      */
     Cycles send(unsigned src, unsigned dst, MsgClass cls);
 
-    /** Total messages and flit-hops moved, for stats. @{ */
-    std::uint64_t messages() const { return messages_; }
+    /** Flit-hops moved so far, with or without a stats registry. */
     std::uint64_t flitHops() const { return flitHops_; }
-    /** @} */
 
   private:
-    RingParams params_;
     energy::EnergyModel *energy_;
     StatRegistry *stats_;
     /** Pre-registered counters: send() is called once per coherence hop,
@@ -93,8 +74,6 @@ class Ring
     StatCounter *flitHopsStat_ = nullptr;
     /** @} */
     EventTrace *trace_ = nullptr;
-    verify::ProgressWatchdog *watchdog_ = nullptr;
-    std::uint64_t messages_ = 0;
     std::uint64_t flitHops_ = 0;
 };
 

@@ -41,10 +41,7 @@ struct RunState
 class Converter
 {
   public:
-    Converter(const ConvertParams &params, ConvertResult &out)
-        : params_(params), out_(out)
-    {
-    }
+    explicit Converter(ConvertResult &out) : out_(out) {}
 
     void feed(const TraceRecord &rec)
     {
@@ -189,7 +186,7 @@ class Converter
             return;
 
         bool converted = false;
-        if (st.blocks >= params_.minRunBlocks) {
+        if (st.blocks >= kMinRunBlocks) {
             switch (st.mode) {
               case RunState::Mode::Copy:
                 converted = emitChunked(
@@ -273,7 +270,6 @@ class Converter
         return true;
     }
 
-    ConvertParams params_;
     ConvertResult &out_;
     std::unordered_map<CoreId, RunState> states_;
 };
@@ -281,12 +277,11 @@ class Converter
 } // namespace
 
 ConvertResult
-convertIdioms(const std::vector<sim::TraceRecord> &records,
-              const ConvertParams &params)
+convertIdioms(const std::vector<sim::TraceRecord> &records)
 {
     ConvertResult out;
     out.records.reserve(records.size());
-    Converter conv(params, out);
+    Converter conv(out);
     for (const TraceRecord &rec : records)
         conv.feed(rec);
     conv.finish();

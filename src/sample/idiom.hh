@@ -13,11 +13,10 @@
  *   W a, W a+64, W a+128, ...       ->  cc_buz  a n       (memset)
  *
  * Detection is a per-core run automaton (interleaved cores do not
- * break each other's runs); a run must cover at least
- * ConvertParams::minRunBlocks consecutive 64 B blocks to convert, and
- * emitted instructions honor the ISA caps (cc_copy/cc_buz 16 KB,
- * cc_cmp 512 B) by splitting long runs. Records that fit no idiom
- * pass through unchanged, in order.
+ * break each other's runs); a run must cover at least kMinRunBlocks
+ * consecutive 64 B blocks to convert, and emitted instructions honor
+ * the ISA caps (cc_copy/cc_buz 16 KB, cc_cmp 512 B) by splitting long
+ * runs. Records that fit no idiom pass through unchanged, in order.
  *
  * Approximations, documented: traces carry no data values, so bulk
  * store runs convert to cc_buz (zeroing) and interleaved-read runs to
@@ -36,13 +35,10 @@
 
 namespace ccache::sample {
 
-struct ConvertParams
-{
-    /** Minimum run length (in 64 B blocks) for a rewrite; shorter runs
-     *  pass through raw. 4 blocks = 256 B, the break-even point below
-     *  which CC setup cost beats nothing. */
-    std::size_t minRunBlocks = 4;
-};
+/** Minimum run length (in 64 B blocks) for a rewrite; shorter runs
+ *  pass through raw. 4 blocks = 256 B, the break-even point below
+ *  which CC setup cost beats nothing. */
+inline constexpr std::size_t kMinRunBlocks = 4;
 
 struct ConvertStats
 {
@@ -69,8 +65,7 @@ struct ConvertResult
 };
 
 /** Run the converter pass over @p records. */
-ConvertResult convertIdioms(const std::vector<sim::TraceRecord> &records,
-                            const ConvertParams &params = ConvertParams{});
+ConvertResult convertIdioms(const std::vector<sim::TraceRecord> &records);
 
 } // namespace ccache::sample
 

@@ -11,6 +11,9 @@ namespace ccache::sample {
 
 namespace {
 
+/** Lloyd iteration cap. */
+constexpr std::size_t kMaxIterations = 32;
+
 double
 sqDistance(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -88,7 +91,7 @@ clusterIntervals(const std::vector<IntervalFeatures> &intervals,
     k = centroids.size();
 
     std::vector<std::size_t> assign(points.size(), 0);
-    for (std::size_t iter = 0; iter < params.maxIterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
         ++out.iterations;
 
         // Assignment step, in interval order; equidistant centroids

@@ -30,8 +30,7 @@ namespace ccache::sample {
 
 struct ClusterParams
 {
-    std::size_t clusters = 8;        ///< k (clamped to interval count)
-    std::size_t maxIterations = 32;  ///< Lloyd iteration cap
+    std::size_t clusters = 8;            ///< k (clamped to interval count)
     std::uint64_t seed = 0x5a4d9eedULL;  ///< k-means++ seeding stream
 };
 

@@ -80,9 +80,8 @@ runSampled(const std::vector<sim::TraceRecord> &records,
         for (std::size_t i = start; i < start + iv.records; ++i)
             sim::replayRecord(sys, records[i], rep.metrics);
         rep.metrics.cycles = sys.elapsed();
-        unsigned cores = sys.hierarchy().cores();
-        rep.coreCycles.reserve(cores);
-        for (unsigned c = 0; c < cores; ++c)
+        rep.coreCycles.reserve(cache::Hierarchy::kCores);
+        for (unsigned c = 0; c < cache::Hierarchy::kCores; ++c)
             rep.coreCycles.push_back(
                 sys.coreCycles(static_cast<CoreId>(c)));
     });

@@ -46,10 +46,8 @@ BatchScheduler::BatchScheduler(sim::System &sys, RequestQueue &queue,
       deficit_(tenants.size(), 0)
 {
     CC_ASSERT(params_.waveSize >= 1, "wave size must be at least 1");
-    for (const TenantQos &t : tenants) {
-        names_.push_back(t.name);
+    for (const TenantQos &t : tenants)
         weight_.push_back(std::max(1u, t.weight));
-    }
     waves_ = &stats.counter("waves", "scheduling rounds dispatched");
     chunkedRequests_ = &stats.counter(
         "chunked_requests", "multi-chunk requests batched into waves");
@@ -169,33 +167,6 @@ BatchScheduler::dispatch(Cycles now)
 
     cc::CcController &ctrl = sys_.cc();
     constexpr CoreId kServeCore = 0;
-
-    // Tag the watchdog with the wave's provenance: a stall thrown from
-    // inside this wave's instruction stream then names the requests and
-    // tenants it was executing, not just the raw transaction (§12).
-    struct ServeContextGuard
-    {
-        verify::ProgressWatchdog *dog;
-        ~ServeContextGuard()
-        {
-            if (dog)
-                dog->clearServeContext();
-        }
-    } guard{sys_.watchdog()};
-    if (guard.dog) {
-        Json ctx = Json::object();
-        ctx["wave_at_cycle"] = now;
-        Json reqs = Json::array();
-        for (const Request &r : wave.requests) {
-            Json e = Json::object();
-            e["request"] = r.id;
-            e["tenant"] = r.tenant < names_.size()
-                ? names_[r.tenant] : std::to_string(r.tenant);
-            reqs.push(std::move(e));
-        }
-        ctx["requests"] = std::move(reqs);
-        guard.dog->setServeContext(std::move(ctx));
-    }
 
     if (params_.policy == ServePolicy::Batch) {
         // One overlapped stream for the whole wave: each request

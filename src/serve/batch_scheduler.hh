@@ -92,7 +92,6 @@ class BatchScheduler
     RequestQueue &queue_;
     SchedulerParams params_;
 
-    std::vector<std::string> names_;
     std::vector<unsigned> weight_;
     std::vector<std::size_t> deficit_;
     TenantId rrCursor_ = 0;

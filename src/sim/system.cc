@@ -34,7 +34,7 @@ System::System(const SystemConfig &config)
                                              &stats_, 32)),
       ccEngine_(std::make_unique<CcEngine>(*hier_, *cc_, energy_.get(),
                                            &stats_)),
-      clocks_(config.hierarchy.cores, 0)
+      clocks_(cache::Hierarchy::kCores, 0)
 {
     trace_.setClock([this](int core) {
         if (core < 0 || static_cast<std::size_t>(core) >= clocks_.size())
@@ -49,23 +49,6 @@ System::System(const SystemConfig &config)
             *hier_, config.verify.checker);
         hier_->setChecker(checker_.get());
         cc_->setChecker(checker_.get());
-    }
-    if (config.verify.watchdog) {
-        watchdog_ = std::make_unique<verify::ProgressWatchdog>(
-            config.verify.watchdogParams);
-        watchdog_->setContextProvider([this]() {
-            Json ctx = Json::object();
-            Json dirs = Json::array();
-            for (unsigned s = 0; s < config_.hierarchy.ring.nodes; ++s)
-                dirs.push(static_cast<std::uint64_t>(
-                    hier_->directory(s).trackedBlocks()));
-            ctx["directory_tracked_blocks"] = std::move(dirs);
-            ctx["noc_messages"] = hier_->ring().messages();
-            ctx["elapsed_cycles"] = elapsed();
-            return ctx;
-        });
-        hier_->setWatchdog(watchdog_.get());
-        cc_->setWatchdog(watchdog_.get());
     }
 }
 

@@ -17,7 +17,6 @@
 #include "common/event_trace.hh"
 #include "sim/engines.hh"
 #include "verify/coherence_checker.hh"
-#include "verify/watchdog.hh"
 
 namespace ccache::sim {
 
@@ -30,11 +29,6 @@ struct VerifyConfig
      *  it on for any System (how CI runs the whole suite checked). */
     bool coherenceChecker = false;
     verify::CoherenceCheckerParams checker;
-
-    /** Install the ProgressWatchdog (bounded-progress ceilings on ring
-     *  traffic, directory ops and CC retry ladders). */
-    bool watchdog = false;
-    verify::WatchdogParams watchdogParams;
 };
 
 /** Aggregate configuration (defaults reproduce Table IV). Timing and
@@ -69,10 +63,8 @@ class System
     cache::Hierarchy &hierarchy() { return *hier_; }
     cc::CcController &cc() { return *cc_; }
 
-    /** Installed verification hooks, null when disabled. @{ */
+    /** The installed CoherenceChecker, null when disabled. */
     verify::CoherenceChecker *coherenceChecker() { return checker_.get(); }
-    verify::ProgressWatchdog *watchdog() { return watchdog_.get(); }
-    /** @} */
 
     BaselineEngine &scalar() { return *scalar_; }
     BaselineEngine &simd32() { return *simd_; }
@@ -116,7 +108,6 @@ class System
     std::unique_ptr<cache::Hierarchy> hier_;
     std::unique_ptr<cc::CcController> cc_;
     std::unique_ptr<verify::CoherenceChecker> checker_;
-    std::unique_ptr<verify::ProgressWatchdog> watchdog_;
     std::unique_ptr<BaselineEngine> scalar_;
     std::unique_ptr<BaselineEngine> simd_;
     std::unique_ptr<CcEngine> ccEngine_;

@@ -156,9 +156,6 @@ parseTrace(std::istream &in)
     std::string line;
     std::size_t lineno = 0;
     bool oversized = false;
-    // Records replay on the default machine, whose hierarchy indexes
-    // its private caches by core unchecked.
-    const unsigned cores = cache::HierarchyParams{}.cores;
 
     while (getlineBounded(in, line, oversized)) {
         ++lineno;
@@ -177,12 +174,14 @@ parseTrace(std::istream &in)
         auto fail = [&](const std::string &msg) {
             parsed.errors.push_back({lineno, line, msg});
         };
+        // Records replay on a hierarchy that indexes its private caches
+        // by core unchecked.
         auto badCore = [&](std::uint64_t core) {
-            if (core < cores)
+            if (core < cache::Hierarchy::kCores)
                 return false;
             fail("core " + std::to_string(core) +
                  " out of range: the machine has " +
-                 std::to_string(cores) + " cores");
+                 std::to_string(cache::Hierarchy::kCores) + " cores");
             return true;
         };
 

@@ -1,16 +1,18 @@
 #include "verify/coherence_checker.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/bit_util.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace ccache::verify {
 
 namespace {
+
+/** Violations detailed in one SimError diagnostic. */
+constexpr std::size_t kMaxViolationsReported = 8;
 
 std::string
 hexAddr(Addr addr)
@@ -34,15 +36,26 @@ CoherenceChecker::auditAddrInto(Addr addr,
                                 std::vector<CoherenceViolation> &out)
 {
     addr = alignDown(addr, kBlockSize);
-    const unsigned cores = hier_.cores();
+    PrivateStates priv;
+    for (unsigned c = 0; c < cache::Hierarchy::kCores; ++c) {
+        priv.l1[c] = hier_.l1(c).state(addr);
+        priv.l2[c] = hier_.l2(c).state(addr);
+    }
+    checkBlock(addr, priv, out);
+}
 
+void
+CoherenceChecker::checkBlock(Addr addr, const PrivateStates &priv,
+                             std::vector<CoherenceViolation> &out)
+{
+    constexpr unsigned kCores = cache::Hierarchy::kCores;
     unsigned writable_cores = 0;
     unsigned valid_cores = 0;
     CoreId writer = 0;
 
-    for (unsigned c = 0; c < cores; ++c) {
-        cache::Mesi s1 = hier_.l1(c).state(addr);
-        cache::Mesi s2 = hier_.l2(c).state(addr);
+    for (unsigned c = 0; c < kCores; ++c) {
+        cache::Mesi s1 = priv.l1[c];
+        cache::Mesi s2 = priv.l2[c];
 
         if (cache::valid(s1) || cache::valid(s2))
             ++valid_cores;
@@ -51,7 +64,7 @@ CoherenceChecker::auditAddrInto(Addr addr,
             writer = c;
         }
 
-        if (cache::valid(s1) && !hier_.l2(c).contains(addr))
+        if (cache::valid(s1) && !cache::valid(s2))
             out.push_back({"inclusion.l1_l2", addr,
                            "core " + std::to_string(c) + " holds " +
                                toString(s1) + " in L1 but L2 lost the line"});
@@ -82,9 +95,9 @@ CoherenceChecker::auditAddrInto(Addr addr,
     bool resident = hier_.l3Slice(slice).contains(addr);
 
     cache::DirEntry e = hier_.directory(slice).entry(addr);
-    for (unsigned c = 0; c < cores; ++c) {
-        cache::Mesi s1 = hier_.l1(c).state(addr);
-        cache::Mesi s2 = hier_.l2(c).state(addr);
+    for (unsigned c = 0; c < kCores; ++c) {
+        cache::Mesi s1 = priv.l1[c];
+        cache::Mesi s2 = priv.l2[c];
         if (!cache::valid(s1) && !cache::valid(s2))
             continue;
         if (cache::valid(s2) && !resident)
@@ -126,36 +139,63 @@ std::vector<CoherenceViolation>
 CoherenceChecker::auditAll()
 {
     // The reachable state is the union of all private lines and all
-    // directory entries; an L3 line with neither is unconstrained.
-    std::unordered_set<Addr> addrs;
-    for (unsigned c = 0; c < hier_.cores(); ++c) {
+    // directory entries; an L3 line with neither is unconstrained. One
+    // walk over each private cache records its lines' states, and each
+    // directory entry records its address with no copy. Sorted by
+    // address, a block's records are its private states, so blocks are
+    // checked without probing a private cache, in address order for
+    // reproducible diagnostics.
+    struct Copy
+    {
+        Addr addr;
+        unsigned core;
+        bool inL2;
+        cache::Mesi state;   ///< Invalid: a directory entry
+    };
+    std::vector<Copy> copies;
+    for (unsigned c = 0; c < cache::Hierarchy::kCores; ++c) {
         hier_.l1(c).forEachLine(
-            [&](Addr a, cache::Mesi, bool, const Block &) {
-                addrs.insert(a);
+            [&](Addr a, cache::Mesi s, bool, const Block &) {
+                copies.push_back({a, c, false, s});
             });
         hier_.l2(c).forEachLine(
-            [&](Addr a, cache::Mesi, bool, const Block &) {
-                addrs.insert(a);
+            [&](Addr a, cache::Mesi s, bool, const Block &) {
+                copies.push_back({a, c, true, s});
             });
     }
-    for (unsigned s = 0; s < hier_.params().ring.nodes; ++s)
+    for (unsigned s = 0; s < noc::Ring::kNodes; ++s)
         hier_.directory(s).forEachEntry(
-            [&](Addr a, const cache::DirEntry &) { addrs.insert(a); });
-
-    // Deterministic violation order for reproducible diagnostics.
-    std::vector<Addr> sorted(addrs.begin(), addrs.end());
-    std::sort(sorted.begin(), sorted.end());
+            [&](Addr a, const cache::DirEntry &) {
+                copies.push_back({a, 0, false, cache::Mesi::Invalid});
+            });
+    std::sort(copies.begin(), copies.end(),
+              [](const Copy &x, const Copy &y) { return x.addr < y.addr; });
 
     std::vector<CoherenceViolation> out;
-    for (Addr a : sorted)
-        auditAddrInto(a, out);
+    PrivateStates priv;
+    for (std::size_t i = 0; i < copies.size();) {
+        const Addr addr = copies[i].addr;
+        priv.l1.fill(cache::Mesi::Invalid);
+        priv.l2.fill(cache::Mesi::Invalid);
+        for (; i < copies.size() && copies[i].addr == addr; ++i) {
+            const Copy &cp = copies[i];
+            if (!cache::valid(cp.state))
+                continue;
+            // Two stores, not one through a selected array: GCC 12 with
+            // -fsanitize=undefined miscompiles the latter.
+            if (cp.inL2)
+                priv.l2[cp.core] = cp.state;
+            else
+                priv.l1[cp.core] = cp.state;
+        }
+        checkBlock(addr, priv, out);
+    }
     return out;
 }
 
 void
 CoherenceChecker::onTransaction(Addr addr)
 {
-    auto start = std::chrono::steady_clock::now();
     ++checks_;
 
     std::vector<CoherenceViolation> v;
@@ -165,10 +205,6 @@ CoherenceChecker::onTransaction(Addr addr)
         ++fullAudits_;
         v = auditAll();
     }
-
-    wallSeconds_ += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
     if (!v.empty())
         raise(v);
 }
@@ -176,13 +212,9 @@ CoherenceChecker::onTransaction(Addr addr)
 void
 CoherenceChecker::checkNow()
 {
-    auto start = std::chrono::steady_clock::now();
     ++checks_;
     ++fullAudits_;
     std::vector<CoherenceViolation> v = auditAll();
-    wallSeconds_ += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
     if (!v.empty())
         raise(v);
 }
@@ -194,7 +226,7 @@ CoherenceChecker::raise(const std::vector<CoherenceViolation> &v)
     d["coherence_violations"] = static_cast<std::uint64_t>(v.size());
     Json list = Json::array();
     std::size_t reported =
-        std::min(v.size(), params_.maxViolationsReported);
+        std::min(v.size(), kMaxViolationsReported);
     for (std::size_t i = 0; i < reported; ++i) {
         Json one = Json::object();
         one["invariant"] = v[i].invariant;
@@ -211,18 +243,6 @@ CoherenceChecker::raise(const std::vector<CoherenceViolation> &v)
                             " more"
                                      : ""),
                    d.dump(2));
-}
-
-Json
-CoherenceChecker::overheadReport() const
-{
-    Json r = Json::object();
-    r["checks"] = checks_;
-    r["full_audits"] = fullAudits_;
-    r["wall_seconds"] = wallSeconds_;
-    r["mean_us_per_check"] =
-        checks_ ? 1e6 * wallSeconds_ / static_cast<double>(checks_) : 0.0;
-    return r;
 }
 
 } // namespace ccache::verify

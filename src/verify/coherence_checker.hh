@@ -27,21 +27,20 @@
  * failed invariant at that address. The per-transaction hook audits
  * the touched block plus, every auditInterval transactions, the entire
  * reachable state (all private lines + all directory entries), keeping
- * overhead bounded; overheadReport() quantifies the cost. Wall-clock
- * time is accumulated only inside the checker object — never in a
- * StatRegistry — so enabling it cannot perturb the determinism
- * contract (DESIGN.md §8).
+ * overhead bounded. The checker only reads the machine and counts its
+ * work in its own object, never in a StatRegistry, so enabling it
+ * cannot perturb the determinism contract (DESIGN.md §8).
  */
 
 #ifndef CCACHE_VERIFY_COHERENCE_CHECKER_HH
 #define CCACHE_VERIFY_COHERENCE_CHECKER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "common/json.hh"
 #include "common/types.hh"
 
 namespace ccache::verify {
@@ -53,9 +52,6 @@ struct CoherenceCheckerParams
      *  transaction, as the unit tests use; 0 disables sampling and
      *  leaves only the per-address checks). */
     std::uint64_t auditInterval = 64;
-
-    /** Violations detailed in one SimError diagnostic. */
-    std::size_t maxViolationsReported = 8;
 };
 
 /** One failed invariant at one block address. */
@@ -97,16 +93,22 @@ class CoherenceChecker
     std::uint64_t fullAudits() const { return fullAudits_; }
     /** @} */
 
-    /**
-     * Measured cost of the enabled checker: wall-clock seconds spent
-     * auditing, check counts, and mean microseconds per check. Kept out
-     * of the stats registry so results stay byte-identical (§8).
-     */
-    Json overheadReport() const;
-
   private:
-    /** Audit one address into @p out (no throw, no accounting). */
+    /** Every core's L1 and L2 state of one block (Invalid: absent). */
+    struct PrivateStates
+    {
+        std::array<cache::Mesi, cache::Hierarchy::kCores> l1;
+        std::array<cache::Mesi, cache::Hierarchy::kCores> l2;
+    };
+
+    /** Audit one address into @p out (no throw, no accounting): probe
+     *  each core's L1 and L2, then checkBlock. */
     void auditAddrInto(Addr addr, std::vector<CoherenceViolation> &out);
+
+    /** Check every invariant of block @p addr, whose private copies are
+     *  @p priv, into @p out; probes only its home slice and directory. */
+    void checkBlock(Addr addr, const PrivateStates &priv,
+                    std::vector<CoherenceViolation> &out);
 
     [[noreturn]] void raise(const std::vector<CoherenceViolation> &v);
 
@@ -114,7 +116,6 @@ class CoherenceChecker
     CoherenceCheckerParams params_;
     std::uint64_t checks_ = 0;
     std::uint64_t fullAudits_ = 0;
-    double wallSeconds_ = 0.0;
 };
 
 } // namespace ccache::verify

@@ -6,9 +6,16 @@
 
 namespace ccache::workload {
 
+namespace {
+
+/** English word frequency is roughly Zipf(1.0). */
+constexpr double kZipfExponent = 1.0;
+
+} // namespace
+
 TextGen::TextGen(const TextGenParams &params)
     : params_(params), rng_(params.seed),
-      zipf_(params.vocabulary, params.zipfExponent)
+      zipf_(params.vocabulary, kZipfExponent)
 {
     // An empty vocabulary never gets here: zipf_ rejects zero ranks.
     if (params.minWordLen < 1 || params.minWordLen > params.maxWordLen)

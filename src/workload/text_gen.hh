@@ -26,7 +26,6 @@ namespace ccache::workload {
 struct TextGenParams
 {
     std::size_t vocabulary = 8000;  ///< distinct words
-    double zipfExponent = 1.0;
     std::size_t minWordLen = 3;
     std::size_t maxWordLen = 12;
     std::uint64_t seed = 0x7e87c0ffee;

@@ -85,11 +85,11 @@ class HierarchyBackDoor : public ::testing::Test
                     << what << i << " copy of 0x" << std::hex << blk;
             }
         };
-        for (unsigned c = 0; c < hier.cores(); ++c) {
+        for (unsigned c = 0; c < Hierarchy::kCores; ++c) {
             check(hier.l1(c), "L1 of core ", c);
             check(hier.l2(c), "L2 of core ", c);
         }
-        for (unsigned s = 0; s < hier.params().ring.nodes; ++s)
+        for (unsigned s = 0; s < noc::Ring::kNodes; ++s)
             check(hier.l3Slice(s), "L3 slice ", s);
     }
 

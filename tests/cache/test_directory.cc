@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "cache/directory.hh"
-#include "common/logging.hh"
 
 namespace ccache::cache {
 namespace {
 
 TEST(DirectoryTest, EmptyEntryForUntracked)
 {
-    Directory dir(8);
+    Directory dir;
     DirEntry e = dir.entry(0x1000);
     EXPECT_EQ(e.sharers, 0u);
     EXPECT_FALSE(e.owner.has_value());
@@ -23,7 +22,7 @@ TEST(DirectoryTest, EmptyEntryForUntracked)
 
 TEST(DirectoryTest, AddSharers)
 {
-    Directory dir(8);
+    Directory dir;
     dir.addSharer(0x1000, 2);
     dir.addSharer(0x1000, 5);
     DirEntry e = dir.entry(0x1000);
@@ -33,7 +32,7 @@ TEST(DirectoryTest, AddSharers)
 
 TEST(DirectoryTest, SetOwnerClearsOtherSharers)
 {
-    Directory dir(8);
+    Directory dir;
     dir.addSharer(0x1000, 1);
     dir.addSharer(0x1000, 2);
     dir.setOwner(0x1000, 3);
@@ -45,7 +44,7 @@ TEST(DirectoryTest, SetOwnerClearsOtherSharers)
 
 TEST(DirectoryTest, AddSharerDowngradesForeignOwner)
 {
-    Directory dir(8);
+    Directory dir;
     dir.setOwner(0x2000, 4);
     dir.addSharer(0x2000, 6);
     DirEntry e = dir.entry(0x2000);
@@ -56,7 +55,7 @@ TEST(DirectoryTest, AddSharerDowngradesForeignOwner)
 
 TEST(DirectoryTest, DowngradeOwnerKeepsSharerBit)
 {
-    Directory dir(8);
+    Directory dir;
     dir.setOwner(0x3000, 2);
     dir.downgradeOwner(0x3000);
     DirEntry e = dir.entry(0x3000);
@@ -66,7 +65,7 @@ TEST(DirectoryTest, DowngradeOwnerKeepsSharerBit)
 
 TEST(DirectoryTest, RemoveSharerDropsEntryWhenEmpty)
 {
-    Directory dir(8);
+    Directory dir;
     dir.addSharer(0x4000, 0);
     dir.addSharer(0x4000, 1);
     dir.removeSharer(0x4000, 0);
@@ -77,7 +76,7 @@ TEST(DirectoryTest, RemoveSharerDropsEntryWhenEmpty)
 
 TEST(DirectoryTest, RemoveOwnerClearsOwnership)
 {
-    Directory dir(8);
+    Directory dir;
     dir.setOwner(0x5000, 7);
     dir.removeSharer(0x5000, 7);
     EXPECT_FALSE(dir.entry(0x5000).owner.has_value());
@@ -85,7 +84,7 @@ TEST(DirectoryTest, RemoveOwnerClearsOwnership)
 
 TEST(DirectoryTest, SharersExcept)
 {
-    Directory dir(8);
+    Directory dir;
     dir.addSharer(0x6000, 0);
     dir.addSharer(0x6000, 3);
     dir.addSharer(0x6000, 7);
@@ -97,18 +96,11 @@ TEST(DirectoryTest, SharersExcept)
 
 TEST(DirectoryTest, ClearDropsAllState)
 {
-    Directory dir(8);
+    Directory dir;
     dir.setOwner(0x7000, 1);
     dir.clear(0x7000);
     EXPECT_EQ(dir.entry(0x7000).sharers, 0u);
     EXPECT_EQ(dir.trackedBlocks(), 0u);
-}
-
-TEST(DirectoryTest, RejectsTooManyCores)
-{
-    EXPECT_THROW((void)Directory(0), FatalError);
-    EXPECT_THROW((void)Directory(33), FatalError);
-    EXPECT_NO_THROW((void)Directory(32));
 }
 
 } // namespace

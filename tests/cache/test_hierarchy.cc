@@ -10,6 +10,7 @@
 #include <map>
 
 #include "cache/hierarchy.hh"
+#include "cc/cc_controller.hh"
 #include "common/rng.hh"
 
 namespace ccache::cache {
@@ -293,14 +294,36 @@ TEST_F(HierarchyTest, FetchToLevelIntoFullyPinnedSetReturnsNoSlot)
 
 TEST_F(HierarchyTest, ChooseLevelPolicy)
 {
-    // Operand A in L1, operand B uncached -> L3 (Section IV-E).
-    hier.read(0, 0xf0000);
-    EXPECT_EQ(hier.chooseLevel(0, {0xf0000, 0xf8000}), CacheLevel::L3);
-    hier.read(0, 0xf8000);
-    EXPECT_EQ(hier.chooseLevel(0, {0xf0000, 0xf8000}), CacheLevel::L1);
-    // Present only in L2 + L3 after L2 staging.
-    hier.fetchToLevel(0, 0x101000, CacheLevel::L2, false);
-    EXPECT_EQ(hier.chooseLevel(0, {0xf0000, 0x101000}), CacheLevel::L2);
+    // Section IV-E, as the CC controller applies it to what this hierarchy
+    // holds: compute at the highest level that holds every operand row,
+    // at L3 when any row is uncached. Each case compares two 8-row
+    // operands at the same page offset whose last row of B is the odd one.
+    cc::CcController ctrl(hier, &em, &stats, cc::CcControllerParams{});
+    constexpr std::size_t kLen = 8 * kBlockSize;
+    constexpr Addr kLastRow = kLen - kBlockSize;
+    auto warmAllButLastOfB = [&](Addr a, Addr b) {
+        for (Addr off = 0; off < kLen; off += kBlockSize) {
+            hier.read(0, a + off);
+            if (off != kLastRow)
+                hier.read(0, b + off);
+        }
+    };
+    auto levelFor = [&](Addr a, Addr b) {
+        return ctrl.execute(0, cc::CcInstruction::cmp(a, b, kLen)).level;
+    };
+
+    // Operand A in L1, B's last row uncached -> L3.
+    warmAllButLastOfB(0xf0000, 0xf8000);
+    EXPECT_EQ(levelFor(0xf0000, 0xf8000), CacheLevel::L3);
+    // Every row in L1 -> L1.
+    warmAllButLastOfB(0x100000, 0x108000);
+    hier.read(0, 0x108000 + kLastRow);
+    EXPECT_EQ(levelFor(0x100000, 0x108000), CacheLevel::L1);
+    // B's last row present only in L2 + L3 after L2 staging -> L2.
+    warmAllButLastOfB(0x110000, 0x118000);
+    hier.fetchToLevel(0, 0x118000 + kLastRow, CacheLevel::L2, false);
+    ASSERT_FALSE(hier.l1(0).contains(0x118000 + kLastRow));
+    EXPECT_EQ(levelFor(0x110000, 0x118000), CacheLevel::L2);
 }
 
 TEST_F(HierarchyTest, ByteGranularAccess)
@@ -356,7 +379,7 @@ TEST(HierarchySoak, MatchesFlatReferenceModel)
 
     std::map<Addr, Block> ref;
     for (int iter = 0; iter < 20000; ++iter) {
-        CoreId core = static_cast<CoreId>(rng.below(params.cores));
+        CoreId core = static_cast<CoreId>(rng.below(Hierarchy::kCores));
         Addr addr = pool[rng.below(pool.size())];
         if (rng.chance(0.45)) {
             Block data;
@@ -395,7 +418,7 @@ TEST(HierarchySoak, CoherenceWithCcStagingInterleaved)
 
     std::map<Addr, Block> ref;
     for (int iter = 0; iter < 5000; ++iter) {
-        CoreId core = static_cast<CoreId>(rng.below(params.cores));
+        CoreId core = static_cast<CoreId>(rng.below(Hierarchy::kCores));
         Addr addr = pool[rng.below(pool.size())];
         double dice = rng.uniform();
         if (dice < 0.3) {

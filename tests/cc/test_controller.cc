@@ -344,7 +344,7 @@ TEST_F(ControllerTest, LatencyIsIssuePlusFetchPlusComputePlusNotify)
 
         Cycles notify = 0;
         if (level == CacheLevel::L3) {
-            noc::Ring ring(noc::RingParams{}, nullptr, nullptr);
+            noc::Ring ring(nullptr, nullptr);
             notify = ring.send(slice, core, noc::MsgClass::Control);
             EXPECT_EQ(notify, 4 * noc::Ring::kHopLatency + 1);
         }

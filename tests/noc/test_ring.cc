@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "noc/ring.hh"
 
 namespace ccache::noc {
@@ -13,7 +12,7 @@ namespace {
 
 TEST(Ring, ShortestPathDistance)
 {
-    Ring ring(RingParams{}, nullptr, nullptr);
+    Ring ring(nullptr, nullptr);
     EXPECT_EQ(ring.distance(0, 0), 0u);
     EXPECT_EQ(ring.distance(0, 1), 1u);
     EXPECT_EQ(ring.distance(0, 4), 4u);   // antipodal on 8 nodes
@@ -27,14 +26,14 @@ TEST(Ring, LocalSliceStillCrossesRingInterface)
     // Even the core's local slice sits behind its ring stop, so local
     // L3 traffic pays one hop: 72 bytes are 9 flits, serialized in
     // ceil(72/32) = 3 cycles.
-    Ring ring(RingParams{}, nullptr, nullptr);
+    Ring ring(nullptr, nullptr);
     EXPECT_EQ(ring.send(2, 2, MsgClass::Data), 3u + 3u);
     EXPECT_EQ(ring.flitHops(), 9u);
 }
 
 TEST(Ring, LatencyIsHopsTimesLatencyPlusSerialization)
 {
-    Ring ring(RingParams{}, nullptr, nullptr);  // 3-cycle hops, 32-byte links
+    Ring ring(nullptr, nullptr);  // 3-cycle hops, 32-byte links
     // Control: 8 bytes -> 1 cycle serialization.
     EXPECT_EQ(ring.send(0, 2, MsgClass::Control), 2u * 3u + 1u);
     // Data: 72 bytes -> ceil(72/32)=3 cycles serialization.
@@ -45,7 +44,7 @@ TEST(Ring, ChargesEnergyPerFlitHop)
 {
     energy::EnergyModel em;
     StatRegistry stats;
-    Ring ring(RingParams{}, &em, &stats);
+    Ring ring(&em, &stats);
     ring.send(0, 2, MsgClass::Data);  // 72B = 9 flits, 2 hops
     double expected = energy::kNocPerFlitHop * 9 * 2;
     EXPECT_DOUBLE_EQ(em.dynamic().noc, expected);
@@ -57,13 +56,6 @@ TEST(Ring, MessageBytes)
 {
     EXPECT_EQ(messageBytes(MsgClass::Control), 8u);
     EXPECT_EQ(messageBytes(MsgClass::Data), 72u);
-}
-
-TEST(Ring, RejectsEmptyRing)
-{
-    RingParams p;
-    p.nodes = 0;
-    EXPECT_THROW((void)Ring(p, nullptr, nullptr), FatalError);
 }
 
 } // namespace

@@ -74,7 +74,7 @@ TEST(IdiomConverter, RewritesZeroAndCmpRuns)
 TEST(IdiomConverter, ShortRunsPassThroughRaw)
 {
     std::vector<sim::TraceRecord> in;
-    appendCopyRun(in, 0x10000, 0x20000, 3);   // below minRunBlocks = 4
+    appendCopyRun(in, 0x10000, 0x20000, 3);   // below kMinRunBlocks = 4
     in.push_back(rec(Kind::Read, 0x90000));
     auto out = convertIdioms(in);
     EXPECT_EQ(out.records.size(), in.size());

@@ -45,9 +45,8 @@ expectGraceful(const std::string &text)
 {
     ParsedTrace parsed;
     ASSERT_NO_THROW(parsed = parseTrace(text)) << text;
-    const unsigned cores = cache::HierarchyParams{}.cores;
     for (const TraceRecord &rec : parsed.records) {
-        EXPECT_LT(rec.core, cores);
+        EXPECT_LT(rec.core, cache::Hierarchy::kCores);
         if (rec.kind == TraceRecord::Kind::CcOp) {
             EXPECT_NO_THROW(rec.instr.validate());
         }

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 
 #include "cache/hierarchy.hh"
 #include "cc/cc_controller.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "sim/system.hh"
 #include "verify/coherence_checker.hh"
 
@@ -57,10 +59,10 @@ TEST(CoherenceChecker, CleanSharingTrafficAuditsGreen)
     // invalidations on upgrade, evictions. Every transaction is audited
     // through the hierarchy hook (auditInterval = 1) and must not throw.
     for (unsigned round = 0; round < 4; ++round) {
-        for (CoreId c = 0; c < p.hier.cores(); ++c) {
+        for (CoreId c = 0; c < cache::Hierarchy::kCores; ++c) {
             p.hier.write(c, kA + 64 * round, &data);
-            p.hier.read((c + 1) % p.hier.cores(), kA + 64 * round);
-            p.hier.read((c + 3) % p.hier.cores(), kB + 64 * c);
+            p.hier.read((c + 1) % cache::Hierarchy::kCores, kA + 64 * round);
+            p.hier.read((c + 3) % cache::Hierarchy::kCores, kB + 64 * c);
         }
     }
     EXPECT_TRUE(p.checker->auditAll().empty());
@@ -190,11 +192,109 @@ TEST(CoherenceChecker, SystemWiringAuditsCcOpsAndFlush)
     EXPECT_NO_THROW(sys.hierarchy().flushAll());
 
     EXPECT_GT(sys.coherenceChecker()->checksRun(), 0u);
+}
 
-    Json report = sys.coherenceChecker()->overheadReport();
-    EXPECT_GT(report["checks"].asNumber(), 0.0);
-    EXPECT_GE(report["wall_seconds"].asNumber(), 0.0);
-    EXPECT_GE(report["mean_us_per_check"].asNumber(), 0.0);
+TEST(CoherenceChecker, FullAuditEqualsPerAddressAuditsInAddressOrder)
+{
+    // auditAll reads each private line's state from one walk over the
+    // caches; auditAddr probes every core's L1 and L2 for one address.
+    // On seeded sharing traffic with planted violations of every kind,
+    // the full audit must equal auditAddr over the sorted union of
+    // private lines and directory entries, violation for violation.
+    std::set<std::string> seen;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        energy::EnergyModel em;
+        StatRegistry stats;
+        cache::Hierarchy hier(cache::HierarchyParams{}, &em, &stats);
+        CoherenceChecker checker(hier);
+        Rng rng(seed);
+
+        // Same-L1-set pages force evictions; a dense run shares pages.
+        std::vector<Addr> pool;
+        for (Addr i = 0; i < 48; ++i)
+            pool.push_back(0x400000 + i * 4096);
+        for (Addr i = 0; i < 48; ++i)
+            pool.push_back(0x800000 + i * 64);
+        Block data{};
+        for (int i = 0; i < 3000; ++i) {
+            CoreId core = static_cast<CoreId>(
+                rng.below(cache::Hierarchy::kCores));
+            Addr addr = pool[rng.below(pool.size())];
+            if (rng.chance(0.4))
+                hier.write(core, addr, &data);
+            else
+                hier.read(core, addr);
+        }
+
+        // One planted violation per page, on pages the traffic never
+        // touched, by a random core c against another core o.
+        CoreId c = static_cast<CoreId>(rng.below(cache::Hierarchy::kCores));
+        CoreId o = static_cast<CoreId>((c + 1 + rng.below(7)) %
+                                       cache::Hierarchy::kCores);
+        auto plant = [&](unsigned k) {
+            return 0x2000000 + k * 0x10000 + 64 * rng.below(64);
+        };
+        auto home = [&](Addr x) { return *hier.homeSliceIfMapped(x); };
+        // A forged second writable copy.
+        Addr a = plant(0);
+        hier.write(c, a, &data);
+        hier.l2(o).fill(a, data, cache::Mesi::Modified);
+        // A stale shared copy beside a writable one.
+        Addr b = plant(1);
+        hier.write(c, b, &data);
+        hier.l2(o).fill(b, data, cache::Mesi::Shared);
+        // A writable copy the directory records no owner for.
+        Addr d = plant(2);
+        hier.read(c, d);
+        hier.directory(home(d)).downgradeOwner(d);
+        // A sharer bit the directory forgot.
+        Addr e = plant(3);
+        hier.read(c, e);
+        hier.directory(home(e)).removeSharer(e, c);
+        // An L1 line whose L2 copy is gone.
+        Addr f = plant(4);
+        hier.read(c, f);
+        hier.l2(c).invalidate(f);
+        // A home slice that lost a line a core and the directory hold.
+        Addr g = plant(5);
+        hier.read(c, g);
+        hier.l3Slice(home(g)).invalidate(g);
+        // A private copy of a page no access mapped.
+        Addr h = plant(6);
+        hier.l2(c).fill(h, data, cache::Mesi::Shared);
+        hier.l1(c).fill(h, data, cache::Mesi::Shared);
+
+        std::set<Addr> addrs;
+        for (unsigned core = 0; core < cache::Hierarchy::kCores; ++core) {
+            for (cache::Cache *cache : {&hier.l1(core), &hier.l2(core)})
+                cache->forEachLine(
+                    [&](Addr x, cache::Mesi, bool, const Block &) {
+                        addrs.insert(x);
+                    });
+        }
+        for (unsigned s = 0; s < noc::Ring::kNodes; ++s)
+            hier.directory(s).forEachEntry(
+                [&](Addr x, const cache::DirEntry &) { addrs.insert(x); });
+
+        std::vector<CoherenceViolation> want;
+        for (Addr x : addrs)
+            for (CoherenceViolation &v : checker.auditAddr(x))
+                want.push_back(std::move(v));
+        std::vector<CoherenceViolation> got = checker.auditAll();
+
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].invariant, want[i].invariant) << i;
+            EXPECT_EQ(got[i].addr, want[i].addr) << i;
+            EXPECT_EQ(got[i].detail, want[i].detail) << i;
+            seen.insert(got[i].invariant);
+        }
+    }
+    for (const char *inv :
+         {"swmr", "swmr.m_plus_s", "dir.owner_mismatch",
+          "dir.missing_sharer", "inclusion.l1_l2", "inclusion.l2_l3",
+          "dir.not_resident", "inclusion.unmapped_page"})
+        EXPECT_TRUE(seen.count(inv)) << inv << " never planted";
 }
 
 TEST(CoherenceChecker, EnvVarForcesCheckerOn)

@@ -109,7 +109,6 @@ main(int argc, char **argv)
     sample::SampledRunParams params;
     params.warmupRecords = 0;
     bool warmupSet = false;
-    sample::ConvertParams convertParams;
     bool convert = false;
     bool golden = false;
     bool quiet = false;
@@ -186,8 +185,7 @@ main(int argc, char **argv)
     std::vector<sim::TraceRecord> records = std::move(parsed.records);
     sample::ConvertStats convStats;
     if (convert) {
-        sample::ConvertResult conv =
-            sample::convertIdioms(records, convertParams);
+        sample::ConvertResult conv = sample::convertIdioms(records);
         convStats = conv.stats;
         records = std::move(conv.records);
         std::printf("convert: %llu -> %llu records (copy %llu blocks in "
