@@ -1,8 +1,12 @@
 #include "serve/chaos.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.hh"
 
@@ -36,15 +40,26 @@ fail(std::string *err, const std::string &what)
     return false;
 }
 
-/** Strict uint64 parse of a full token. */
+/** Strict parse of a full token: decimal digits only (no space, no
+ *  sign) that fit 64 bits. */
 bool
 parseU64(const std::string &text, std::uint64_t *out)
 {
-    if (text.empty())
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && stop == end;
+}
+
+/** Strict parse of a full token as a finite double: no leading space,
+ *  no trailing text, no NaN or infinity. */
+bool
+parseFinite(const std::string &text, double *out)
+{
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
         return false;
     char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
+    double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size() || !std::isfinite(v))
         return false;
     *out = v;
     return true;
@@ -122,7 +137,10 @@ ChaosSchedule::parse(const std::string &spec, unsigned shards,
             return fail(err, "unknown chaos kind in '" + tok + "'");
         if (!parseU64(tok.substr(at + 1, plus - at - 1), &ev.start))
             return fail(err, "bad start time in '" + tok + "'");
-        if (!parseU64(tok.substr(plus + 1, colon - plus - 1), &ev.duration))
+        // end() = start + duration must not wrap past 2^64.
+        if (!parseU64(tok.substr(plus + 1, colon - plus - 1),
+                      &ev.duration) ||
+            ev.duration > std::numeric_limits<Cycles>::max() - ev.start)
             return fail(err, "bad duration in '" + tok + "'");
         if (ev.duration == 0)
             return fail(err, "zero duration in '" + tok + "'");
@@ -137,13 +155,9 @@ ChaosSchedule::parse(const std::string &spec, unsigned shards,
                                  " out of range in '" + tok + "'");
         ev.shard = static_cast<unsigned>(shard);
         if (star != std::string::npos) {
-            const std::string mag = rest.substr(star + 1);
-            char *end = nullptr;
-            ev.magnitude = std::strtod(mag.c_str(), &end);
-            if (mag.empty() || end != mag.c_str() + mag.size() ||
-                ev.magnitude <= 0.0) {
+            if (!parseFinite(rest.substr(star + 1), &ev.magnitude) ||
+                ev.magnitude <= 0.0)
                 return fail(err, "bad magnitude in '" + tok + "'");
-            }
         }
         sched.events.push_back(ev);
     }

@@ -1,9 +1,11 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -11,45 +13,76 @@ namespace ccache::sim {
 
 namespace {
 
-/** Parse a hex (0x...) or decimal integer; false on garbage. */
+/** The bytes `std::istream >> std::string` skips in the C locale:
+ *  space, \t, \n, \v, \f and \r. */
 bool
-parseNumber(const std::string &token, std::uint64_t &out)
+isSpace(char c)
 {
-    if (token.empty())
-        return false;
-    try {
-        std::size_t consumed = 0;
-        out = std::stoull(token, &consumed, 0);
-        return consumed == token.size();
-    } catch (const std::exception &) {
-        return false;
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Cursor over a line's whitespace-separated tokens; a '#' ends the
+ *  line. Views into the line, so reading a token allocates nothing. */
+class Tokens
+{
+  public:
+    explicit Tokens(std::string_view line)
+        : rest_(line.substr(0, line.find('#')))
+    {}
+
+    /** The next token, or an empty view once the line is used up. */
+    std::string_view
+    next()
+    {
+        std::size_t begin = 0;
+        while (begin < rest_.size() && isSpace(rest_[begin]))
+            ++begin;
+        std::size_t end = begin;
+        while (end < rest_.size() && !isSpace(rest_[end]))
+            ++end;
+        std::string_view token = rest_.substr(begin, end - begin);
+        rest_.remove_prefix(end);
+        return token;
     }
-}
 
-/** Split a line into whitespace-separated tokens, dropping comments. */
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream is(line.substr(0, line.find('#')));
-    std::string tok;
-    while (is >> tok)
-        tokens.push_back(tok);
-    return tokens;
-}
+  private:
+    std::string_view rest_;
+};
 
-/** Build a CC instruction from mnemonic + numeric operands. */
+/** Parse a whole token as 0x/0X plus hex digits, or as decimal digits
+ *  (a leading zero stays decimal), into 64 bits. False on anything
+ *  else: a sign, a bare "0x", trailing text or overflow. */
 bool
-buildCcInstruction(const std::string &mnemonic,
-                   const std::vector<std::uint64_t> &args,
-                   cc::CcInstruction &out, std::string &error)
+parseNumber(std::string_view token, std::uint64_t &out)
+{
+    int base = 10;
+    if (token.size() > 2 && token[0] == '0' &&
+        (token[1] == 'x' || token[1] == 'X')) {
+        token.remove_prefix(2);
+        base = 16;
+    }
+    const char *end = token.data() + token.size();
+    auto [stop, ec] = std::from_chars(token.data(), end, out, base);
+    return ec == std::errc() && stop == end;
+}
+
+/** Most numeric operands a CC record takes: three addresses plus the
+ *  size. Operands past these are still read and checked, not kept. */
+constexpr std::size_t kMaxCcArgs = 4;
+
+/** Build a CC instruction from mnemonic + @p count numeric operands,
+ *  the first min(count, kMaxCcArgs) of them in @p args. */
+bool
+buildCcInstruction(std::string_view mnemonic, const std::uint64_t *args,
+                   std::size_t count, cc::CcInstruction &out,
+                   std::string &error)
 {
     using cc::CcInstruction;
 
     auto need = [&](std::size_t n) {
-        if (args.size() != n) {
-            error = mnemonic + " expects " + std::to_string(n - 1) +
-                " operands plus a size";
+        if (count != n) {
+            error = std::string(mnemonic) + " expects " +
+                std::to_string(n - 1) + " operands plus a size";
             return false;
         }
         return true;
@@ -93,11 +126,13 @@ buildCcInstruction(const std::string &mnemonic,
                mnemonic == "cc_clmul256") {
         if (!need(4))
             return false;
-        std::size_t width = std::stoul(mnemonic.substr(8));
+        std::size_t width = 0;
+        std::from_chars(mnemonic.data() + 8,
+                        mnemonic.data() + mnemonic.size(), width);
         out = CcInstruction::clmul(args[0], args[1], args[2], args[3],
                                    width);
     } else {
-        error = "unknown mnemonic '" + mnemonic + "'";
+        error = "unknown mnemonic '" + std::string(mnemonic) + "'";
         return false;
     }
 
@@ -110,9 +145,101 @@ buildCcInstruction(const std::string &mnemonic,
     return true;
 }
 
-} // namespace
+/** Parse line @p lineno of a trace into @p parsed: a record, an error
+ *  naming the line, or nothing for a blank or comment-only line. */
+void
+parseLine(std::string_view line, std::size_t lineno, ParsedTrace &parsed)
+{
+    Tokens tokens(line);
+    const std::string_view kind = tokens.next();
+    if (kind.empty())
+        return;
 
-namespace {
+    auto fail = [&](std::string msg) {
+        parsed.errors.push_back({lineno, std::string(line), std::move(msg)});
+    };
+    // Records replay on a hierarchy that indexes its private caches
+    // by core unchecked.
+    auto badCore = [&](std::uint64_t core) {
+        if (core < cache::Hierarchy::kCores)
+            return false;
+        fail("core " + std::to_string(core) +
+             " out of range: the machine has " +
+             std::to_string(cache::Hierarchy::kCores) + " cores");
+        return true;
+    };
+
+    TraceRecord rec;
+    if (kind == "R" || kind == "W") {
+        const std::string_view coreText = tokens.next();
+        const std::string_view addrText = tokens.next();
+        if (addrText.empty() || !tokens.next().empty()) {
+            fail("R/W records need <core> <addr>");
+            return;
+        }
+        std::uint64_t core = 0, addr = 0;
+        if (!parseNumber(coreText, core) || !parseNumber(addrText, addr)) {
+            fail("bad core or address");
+            return;
+        }
+        if (badCore(core))
+            return;
+        rec.kind = kind == "R" ? TraceRecord::Kind::Read
+                               : TraceRecord::Kind::Write;
+        rec.core = static_cast<CoreId>(core);
+        rec.addr = addr;
+    } else if (kind == "CC") {
+        const std::string_view coreText = tokens.next();
+        const std::string_view mnemonic = tokens.next();
+        std::string_view operand = tokens.next();
+        if (operand.empty()) {
+            fail("CC records need <core> <mnemonic> <args...>");
+            return;
+        }
+        std::uint64_t core = 0;
+        if (!parseNumber(coreText, core)) {
+            fail("bad core");
+            return;
+        }
+        if (badCore(core))
+            return;
+        std::uint64_t args[kMaxCcArgs] = {};
+        std::size_t count = 0;
+        bool ok = true;
+        for (; !operand.empty(); operand = tokens.next(), ++count) {
+            std::uint64_t v = 0;
+            ok &= parseNumber(operand, v);
+            if (count < kMaxCcArgs)
+                args[count] = v;
+        }
+        if (!ok) {
+            fail("bad numeric operand");
+            return;
+        }
+        std::string error;
+        if (!buildCcInstruction(mnemonic, args, count, rec.instr, error)) {
+            fail(std::move(error));
+            return;
+        }
+        rec.kind = TraceRecord::Kind::CcOp;
+        rec.core = static_cast<CoreId>(core);
+    } else {
+        fail("unknown record kind '" + std::string(kind) + "'");
+        return;
+    }
+    parsed.records.push_back(rec);
+}
+
+/** Report line @p lineno as over kMaxTraceLineBytes, quoting its start. */
+void
+reportOversized(std::string_view line, std::size_t lineno,
+                ParsedTrace &parsed)
+{
+    parsed.errors.push_back(
+        {lineno, std::string(line.substr(0, 64)) + "...",
+         "oversized line (> " + std::to_string(kMaxTraceLineBytes) +
+             " bytes) skipped"});
+}
 
 /**
  * Bounded line read: up to kMaxTraceLineBytes land in @p line; an
@@ -156,89 +283,12 @@ parseTrace(std::istream &in)
     std::string line;
     std::size_t lineno = 0;
     bool oversized = false;
-
     while (getlineBounded(in, line, oversized)) {
         ++lineno;
-        if (oversized) {
-            parsed.errors.push_back(
-                {lineno, line.substr(0, 64) + "...",
-                 "oversized line (> " +
-                     std::to_string(kMaxTraceLineBytes) +
-                     " bytes) skipped"});
-            continue;
-        }
-        auto tokens = tokenize(line);
-        if (tokens.empty())
-            continue;
-
-        auto fail = [&](const std::string &msg) {
-            parsed.errors.push_back({lineno, line, msg});
-        };
-        // Records replay on a hierarchy that indexes its private caches
-        // by core unchecked.
-        auto badCore = [&](std::uint64_t core) {
-            if (core < cache::Hierarchy::kCores)
-                return false;
-            fail("core " + std::to_string(core) +
-                 " out of range: the machine has " +
-                 std::to_string(cache::Hierarchy::kCores) + " cores");
-            return true;
-        };
-
-        TraceRecord rec;
-        const std::string &kind = tokens[0];
-        if (kind == "R" || kind == "W") {
-            if (tokens.size() != 3) {
-                fail("R/W records need <core> <addr>");
-                continue;
-            }
-            std::uint64_t core = 0, addr = 0;
-            if (!parseNumber(tokens[1], core) ||
-                !parseNumber(tokens[2], addr)) {
-                fail("bad core or address");
-                continue;
-            }
-            if (badCore(core))
-                continue;
-            rec.kind = kind == "R" ? TraceRecord::Kind::Read
-                                   : TraceRecord::Kind::Write;
-            rec.core = static_cast<CoreId>(core);
-            rec.addr = addr;
-        } else if (kind == "CC") {
-            if (tokens.size() < 4) {
-                fail("CC records need <core> <mnemonic> <args...>");
-                continue;
-            }
-            std::uint64_t core = 0;
-            if (!parseNumber(tokens[1], core)) {
-                fail("bad core");
-                continue;
-            }
-            if (badCore(core))
-                continue;
-            std::vector<std::uint64_t> args;
-            bool ok = true;
-            for (std::size_t t = 3; t < tokens.size(); ++t) {
-                std::uint64_t v = 0;
-                ok &= parseNumber(tokens[t], v);
-                args.push_back(v);
-            }
-            if (!ok) {
-                fail("bad numeric operand");
-                continue;
-            }
-            std::string error;
-            if (!buildCcInstruction(tokens[2], args, rec.instr, error)) {
-                fail(error);
-                continue;
-            }
-            rec.kind = TraceRecord::Kind::CcOp;
-            rec.core = static_cast<CoreId>(core);
-        } else {
-            fail("unknown record kind '" + kind + "'");
-            continue;
-        }
-        parsed.records.push_back(rec);
+        if (oversized)
+            reportOversized(line, lineno, parsed);
+        else
+            parseLine(line, lineno, parsed);
     }
     return parsed;
 }
@@ -246,8 +296,21 @@ parseTrace(std::istream &in)
 ParsedTrace
 parseTrace(const std::string &text)
 {
-    std::istringstream is(text);
-    return parseTrace(is);
+    // Lines are views into @p text: split on '\n', and a last line
+    // without one counts only if it is not empty, as getline sees it.
+    ParsedTrace parsed;
+    std::size_t lineno = 0;
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t end = std::min(text.find('\n', pos), text.size());
+        std::string_view line(text.data() + pos, end - pos);
+        pos = end + 1;
+        ++lineno;
+        if (line.size() > kMaxTraceLineBytes)
+            reportOversized(line, lineno, parsed);
+        else
+            parseLine(line, lineno, parsed);
+    }
+    return parsed;
 }
 
 ParsedTrace

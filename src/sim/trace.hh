@@ -12,10 +12,13 @@
  *
  * Mnemonics follow Table II: cc_copy a b, cc_buz a, cc_cmp a b,
  * cc_search a k, cc_and/or/xor a b c, cc_not a b, cc_clmul64/128/256
- * a b c. Addresses are hex (0x...) or decimal; <n> is the vector size
- * in bytes. <core> must be below the default machine's core count
- * (`cache::HierarchyParams::cores`), the machine the trace tools replay
- * on.
+ * a b c. <n> is the vector size in bytes. <core> must be below the
+ * machine's core count, `cache::Hierarchy::kCores`.
+ *
+ * Every number (core, address, size) is 0x or 0X followed by hex
+ * digits, or decimal digits; a leading zero is still decimal ("010" is
+ * ten). It must fit 64 bits. A sign, a bare "0x" or trailing text is a
+ * parse error. Tokens are separated by space, \t, \v, \f or \r.
  */
 
 #ifndef CCACHE_SIM_TRACE_HH

@@ -27,6 +27,21 @@ BitmapIndex::BitmapIndex(const BitmapGenParams &params) : params_(params)
     for (auto &v : cdf)
         v /= sum;
 
+    // Guide table: guide[k] = #{cdf < k / kGuide}. A draw u in
+    // [k / kGuide, (k + 1) / kGuide) lies above every entry before
+    // guide[k] and below every entry from guide[k + 1] on, so its bin
+    // (the count of entries < u) is guide[k] plus the entries < u in
+    // between. kGuide is a power of two, so k = floor(u * kGuide) and
+    // the bounds k / kGuide are exact in double.
+    constexpr std::size_t kGuide = 4096;
+    std::vector<std::size_t> guide(kGuide + 1);
+    for (std::size_t k = 0, b = 0; k <= kGuide; ++k) {
+        const double bound = static_cast<double>(k) / kGuide;
+        while (b < params.bins && cdf[b] < bound)
+            ++b;
+        guide[k] = b;
+    }
+
     // Rows are processed in 64-row chunks: each chunk accumulates one
     // word per bin on the stack and stores each touched word once,
     // instead of a read-modify-write into an ~8 MB working set per row.
@@ -38,13 +53,11 @@ BitmapIndex::BitmapIndex(const BitmapGenParams &params) : params_(params)
         std::fill(chunk.begin(), chunk.end(), 0);
         for (std::size_t i = 0; i < n; ++i) {
             double u = rng.uniform();
-            // First bin with cdf >= u == count of entries < u (cdf is
-            // sorted), clamped to the last bin. The branchless count
-            // vectorizes; a binary search mispredicts every level on
-            // uniform input.
-            std::size_t b = 0;
-            for (double v : cdf)
-                b += v < u ? 1 : 0;
+            // First bin with cdf >= u, clamped to the last bin.
+            std::size_t k = static_cast<std::size_t>(u * kGuide);
+            std::size_t b = guide[k];
+            while (b < guide[k + 1] && cdf[b] < u)
+                ++b;
             if (b >= params.bins)
                 b = params.bins - 1;
             chunk[b] |= std::uint64_t{1} << i;

@@ -16,56 +16,55 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : exponent_(s)
     if (!(s >= 0.0))
         CC_FATAL("zipf exponent must be non-negative, not ", s);
 
-    // Unnormalized pmf and its sum. One pass, no RNG.
-    std::vector<double> weight(n);
+    // Unnormalized pmf and its sum, then each weight scaled in place to
+    // n * pmf: columns of average height 1. One pass each, no RNG.
+    prob_.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
-        weight[r] = 1.0 / std::pow(static_cast<double>(r + 1), s);
-        norm_ += weight[r];
+        prob_[r] = 1.0 / std::pow(static_cast<double>(r + 1), s);
+        norm_ += prob_[r];
     }
+    for (double &p : prob_)
+        p = p * static_cast<double>(n) / norm_;
 
-    // Vose's alias method: split the scaled pmf into n columns of
-    // average height 1; every column keeps its own mass up to prob_[c]
-    // and borrows the remainder from exactly one donor (alias_[c]).
-    prob_.assign(n, 1.0);
+    // Vose's alias method: every column keeps its own mass up to
+    // prob_[c] and borrows the remainder from exactly one donor
+    // (alias_[c]). prob_ holds each open column's remaining height; a
+    // column leaves the under-full list for good, so its entry is then
+    // final.
     alias_.resize(n);
     for (std::size_t r = 0; r < n; ++r)
         alias_[r] = static_cast<std::uint32_t>(r);
 
-    std::vector<double> scaled(n);
-    for (std::size_t r = 0; r < n; ++r)
-        scaled[r] = weight[r] * static_cast<double>(n) / norm_;
-
-    // Worklists of under-full and over-full columns. Zipf weights are
-    // monotonically decreasing, so filling the lists in rank order
-    // keeps construction deterministic.
-    std::vector<std::uint32_t> small, large;
-    small.reserve(n);
-    large.reserve(n);
+    // Worklists of under-full and over-full columns, as two stacks in
+    // one array: under-full grows up from the front, over-full down
+    // from the back. A column is on at most one list, so they never
+    // meet. Zipf weights are monotonically decreasing, so filling the
+    // lists in rank order keeps construction deterministic.
+    std::vector<std::uint32_t> work(n);
+    std::size_t small = 0;   ///< work[0, small): under-full
+    std::size_t large = n;   ///< work[large, n): over-full, top at large
     for (std::size_t r = 0; r < n; ++r) {
-        if (scaled[r] < 1.0)
-            small.push_back(static_cast<std::uint32_t>(r));
+        if (prob_[r] < 1.0)
+            work[small++] = static_cast<std::uint32_t>(r);
         else
-            large.push_back(static_cast<std::uint32_t>(r));
+            work[--large] = static_cast<std::uint32_t>(r);
     }
 
-    while (!small.empty() && !large.empty()) {
-        std::uint32_t s_col = small.back();
-        small.pop_back();
-        std::uint32_t l_col = large.back();
-        large.pop_back();
-        prob_[s_col] = scaled[s_col];
+    while (small > 0 && large < n) {
+        std::uint32_t s_col = work[--small];
+        std::uint32_t l_col = work[large++];
         alias_[s_col] = l_col;
-        scaled[l_col] = (scaled[l_col] + scaled[s_col]) - 1.0;
-        if (scaled[l_col] < 1.0)
-            small.push_back(l_col);
+        prob_[l_col] = (prob_[l_col] + prob_[s_col]) - 1.0;
+        if (prob_[l_col] < 1.0)
+            work[small++] = l_col;
         else
-            large.push_back(l_col);
+            work[--large] = l_col;
     }
     // Leftovers are exactly-full columns up to FP rounding.
-    for (std::uint32_t c : large)
-        prob_[c] = 1.0;
-    for (std::uint32_t c : small)
-        prob_[c] = 1.0;
+    for (std::size_t i = 0; i < small; ++i)
+        prob_[work[i]] = 1.0;
+    for (std::size_t i = large; i < n; ++i)
+        prob_[work[i]] = 1.0;
 }
 
 double

@@ -79,6 +79,44 @@ TEST(ChaosSchedule, RejectsMalformedSpecs)
     EXPECT_FALSE(ChaosSchedule::parse("slow@0+10:1*-3", 4, &sched, &err));
     EXPECT_NE(err.find("magnitude"), std::string::npos);
     EXPECT_FALSE(ChaosSchedule::parse("slow@0+10:1*", 4, &sched, &err));
+
+    // Start, duration and shard are plain decimal digits that fit 64
+    // bits: no sign, no space, no silent clamp on overflow.
+    const char *badStarts[] = {"crash@-1+100:0",
+                               "crash@99999999999999999999+100:0",
+                               "crash@ 5000+100:0", "crash@0x10+100:0"};
+    for (const char *spec : badStarts) {
+        EXPECT_FALSE(ChaosSchedule::parse(spec, 4, &sched, &err)) << spec;
+        EXPECT_NE(err.find("bad start time"), std::string::npos) << err;
+    }
+    EXPECT_FALSE(ChaosSchedule::parse("crash@0+-5:0", 4, &sched, &err));
+    EXPECT_NE(err.find("bad duration"), std::string::npos) << err;
+    const char *badShards[] = {"crash@0+5:-1", "crash@0+5: 1",
+                               "crash@0+5:+1"};
+    for (const char *spec : badShards) {
+        EXPECT_FALSE(ChaosSchedule::parse(spec, 4, &sched, &err)) << spec;
+        EXPECT_NE(err.find("bad shard index"), std::string::npos) << err;
+    }
+    // end() = start + duration may reach 2^64 - 1 but not wrap.
+    EXPECT_TRUE(ChaosSchedule::parse("crash@18446744073709551516+99:0", 4,
+                                     &sched, &err));
+    EXPECT_EQ(sched.events.at(0).end(), ~Cycles{0});
+    const char *wrapping[] = {"crash@18446744073709551516+100:0",
+                              "crash@18446744073709551615+1:0"};
+    for (const char *spec : wrapping) {
+        EXPECT_FALSE(ChaosSchedule::parse(spec, 4, &sched, &err)) << spec;
+        EXPECT_NE(err.find("bad duration"), std::string::npos) << err;
+    }
+    // A storm's magnitude is a finite number above 0.
+    const char *badMagnitudes[] = {"slow@5000+400000:1*nan",
+                                   "slow@5000+400000:1*inf",
+                                   "partial@5000+400000:1*-inf",
+                                   "slow@5000+400000:1* 3",
+                                   "slow@5000+400000:1*0"};
+    for (const char *spec : badMagnitudes) {
+        EXPECT_FALSE(ChaosSchedule::parse(spec, 4, &sched, &err)) << spec;
+        EXPECT_NE(err.find("bad magnitude"), std::string::npos) << err;
+    }
 }
 
 TEST(ChaosSchedule, RandomIsSeedDeterministic)

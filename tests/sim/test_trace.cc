@@ -83,6 +83,41 @@ W 0 0x--
     EXPECT_EQ(parsed.errors[0].lineNumber, 2u);
     EXPECT_NE(parsed.errors[0].line.find("0xZZ12"), std::string::npos);
     EXPECT_NE(parsed.errors[0].message.find("bad"), std::string::npos);
+
+    // Numbers are 0x/0X plus hex digits, or decimal digits (a leading
+    // zero stays decimal), that fit 64 bits. There is no octal, and a
+    // sign is not negated into a huge address: each is an error.
+    parsed = parseTrace(std::string("R 0 010\n"
+                                    "W 07 0XaB40\n"
+                                    "R 0 18446744073709551615\n"
+                                    "CC 0 cc_copy 0x1000 0x2000 064\n"
+                                    "R 0 -64\n"
+                                    "R +1 0x1000\n"
+                                    "W 0 0x\n"
+                                    "R 0 0X\n"
+                                    "R 0 18446744073709551616\n"
+                                    "W 0 0x10000000000000000\n"
+                                    "R 0 0x-40\n"
+                                    "CC 0 cc_copy -4096 0x2000 64\n"
+                                    "CC 0 cc_copy 0x1000 +0x2000 64\n"
+                                    "CC -0 cc_buz 0x1000 64\n"));
+    ASSERT_EQ(parsed.records.size(), 4u);
+    EXPECT_EQ(parsed.records[0].addr, 10u);
+    EXPECT_EQ(parsed.records[1].core, 7u);
+    EXPECT_EQ(parsed.records[1].addr, 0xab40u);
+    EXPECT_EQ(parsed.records[2].addr, ~Addr{0});
+    EXPECT_EQ(parsed.records[3].instr.size, 64u);
+    const char *messages[] = {"bad core or address", "bad core or address",
+                              "bad core or address", "bad core or address",
+                              "bad core or address", "bad core or address",
+                              "bad core or address", "bad numeric operand",
+                              "bad numeric operand", "bad core"};
+    ASSERT_EQ(parsed.errors.size(), std::size(messages));
+    for (std::size_t i = 0; i < std::size(messages); ++i) {
+        EXPECT_EQ(parsed.errors[i].lineNumber, i + 5);
+        EXPECT_EQ(parsed.errors[i].message, messages[i])
+            << parsed.errors[i].line;
+    }
 }
 
 TEST(TraceParser, TruncatedCcRecordReported)

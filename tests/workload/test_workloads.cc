@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "workload/bitmap_gen.hh"
@@ -108,6 +111,69 @@ TEST(BitmapGen, BinBytesWordPadded)
     p.bins = 2;
     BitmapIndex index(p);
     EXPECT_EQ(index.binBytes(), 16u);  // 100 bits -> 2 x 64-bit words
+}
+
+/** The row-to-bin rule as a full scan, for an oracle: one uniform per
+ *  row in ascending order, bin = the count of cdf entries below it,
+ *  clamped to the last bin. Returns each bin's words. */
+std::vector<std::vector<std::uint64_t>>
+fullScanBins(const BitmapGenParams &p)
+{
+    std::vector<double> cdf(p.bins);
+    double sum = 0.0;
+    for (std::size_t b = 0; b < p.bins; ++b) {
+        sum += 1.0 / std::pow(static_cast<double>(b + 1), p.skew);
+        cdf[b] = sum;
+    }
+    for (double &v : cdf)
+        v /= sum;
+    std::vector<std::vector<std::uint64_t>> words(
+        p.bins, std::vector<std::uint64_t>((p.rows + 63) / 64));
+    Rng rng(p.seed);
+    for (std::size_t row = 0; row < p.rows; ++row) {
+        const double u = rng.uniform();
+        std::size_t b = 0;
+        for (double v : cdf)
+            b += v < u ? 1 : 0;
+        b = std::min(b, p.bins - 1);
+        words[b][row / 64] |= std::uint64_t{1} << (row % 64);
+    }
+    return words;
+}
+
+TEST(BitmapGen, GuideTableMatchesFullScan)
+{
+    // Every word of every bin, against the full scan: bin counts on
+    // both sides of 32, flat to steep skew, and row counts around a
+    // word boundary up to the DB-BitMap default.
+    const std::uint64_t seeds[] = {1, 2, BitmapGenParams{}.seed};
+    const std::size_t binCounts[] = {1, 2, 32, 33};
+    const double skews[] = {0.0, 0.5, 2.0};
+    const std::size_t rowCounts[] = {1, 63, 64, 65, std::size_t{1} << 21};
+    for (std::uint64_t seed : seeds)
+        for (std::size_t bins : binCounts)
+            for (double skew : skews)
+                for (std::size_t rows : rowCounts) {
+                    BitmapGenParams p;
+                    p.seed = seed;
+                    p.bins = bins;
+                    p.skew = skew;
+                    p.rows = rows;
+                    const BitmapIndex index(p);
+                    const auto want = fullScanBins(p);
+                    ASSERT_EQ(index.bins(), bins);
+                    for (std::size_t b = 0; b < bins; ++b) {
+                        const auto &got = index.bin(b).words();
+                        ASSERT_EQ(got.size(), want[b].size());
+                        auto diff = std::mismatch(got.begin(), got.end(),
+                                                  want[b].begin());
+                        ASSERT_TRUE(diff.first == got.end())
+                            << "seed " << seed << ", bins " << bins
+                            << ", skew " << skew << ", rows " << rows
+                            << ": bin " << b << " differs at word "
+                            << diff.first - got.begin();
+                    }
+                }
 }
 
 TEST(SplashTrace, AllAppsHaveProfiles)

@@ -2,8 +2,9 @@
  * @file
  * Tests for the alias-table Zipf sampler: pmf correctness, empirical
  * frequency agreement, determinism of the draw stream, the exact
- * two-draw Rng budget the traffic generator relies on, and a
- * multi-million-rank build smoke (the fleet bench key space).
+ * two-draw Rng budget the traffic generator relies on, a
+ * multi-million-rank build smoke (the fleet bench key space), and the
+ * exact draw streams of the shapes the benches use.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "tests/digest.hh"
 #include "workload/zipf.hh"
 
 namespace ccache::workload {
@@ -113,6 +115,40 @@ TEST(ZipfSampler, MultiMillionRankBuild)
     // With s = 0.99 the hottest 1% of ranks carries roughly half the
     // mass at this scale; loose lower bound to stay noise-proof.
     EXPECT_GT(head, kDraws / 4);
+}
+
+// Exact draw streams, pinned so that any change to the alias table's
+// build (the order columns leave the worklists, the rounding of a
+// column's remaining height) fails here, where the frequency checks
+// above would pass it. Shapes: the fleet key space, TextGen's
+// vocabulary, and small, uniform and single-rank edge cases. The
+// values are the table's at the time the test was written; change them
+// only with a deliberate change to the table.
+TEST(ZipfSampler, StreamsPinnedToParent)
+{
+    struct Case
+    {
+        std::size_t n;
+        double s;
+        std::uint64_t hash;  ///< FNV-1a of 100k draws from Rng(1)
+    };
+    const Case cases[] = {
+        {2'000'000, 0.99, 0xa3a52d9e8a56bc96ULL},
+        {8000, 1.0, 0x32516278f1d61b21ULL},
+        {4096, 0.99, 0x92d9f8501b4866b8ULL},
+        {1000, 0.0, 0xe77d7600558c2276ULL},
+        {7, 1.3, 0xcaac3f0588999740ULL},
+        {1, 0.5, 0x3b4c88c55cdc7f83ULL},
+    };
+    for (const Case &c : cases) {
+        ZipfSampler z(c.n, c.s);
+        Rng rng(1);
+        test::Digest d;
+        for (int i = 0; i < 100'000; ++i)
+            d.u64(z.sample(rng));
+        EXPECT_EQ(d.h, c.hash) << "n " << c.n << ", s " << c.s << ": 0x"
+                               << std::hex << d.h;
+    }
 }
 
 /** A rank count the 32-bit alias table cannot index, an empty rank
